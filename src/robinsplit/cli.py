@@ -13,6 +13,7 @@ exactly the in-memory values.
 
 import argparse
 import csv
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -93,18 +94,9 @@ class ExperimentConfig:
         )
 
 
-def _run_one(args):
-    case_name, variant, k, alpha, t_final, order = args
-    case = get_case(case_name)
-    config = SchemeConfig(
-        dt=0.5 ** (k + 1),
-        T=t_final,
-        nx=2 ** (k + 1),
-        fe_order=order,
-        variant=variant,
-        alpha=alpha,
-    )
-    return k, variant, run_with_errors(case, config, k=k)
+def _run_one(exp, variant, k):
+    case = get_case(exp.case)
+    return run_with_errors(case, exp.scheme_config(k, variant), k=k)
 
 
 def _sweep(exp, variants=None):
@@ -113,29 +105,21 @@ def _sweep(exp, variants=None):
     Returns ({variant: {k: ErrorReport}}, [(k, variant, exception), ...]).
     """
     variants = exp.variants if variants is None else variants
-    jobs = [
-        (exp.case, v, k, exp.alpha, exp.T, exp.order)
-        for v in variants
-        for k in range(exp.k_min, exp.k_max + 1)
-    ]
+    # finest level first, so a pool does not end on one long level alone
+    jobs = [(v, k) for k in range(exp.k_max, exp.k_min - 1, -1) for v in variants]
     results = {}
     failures = []
     if exp.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=exp.jobs) as pool:
-            futures = {pool.submit(_run_one, j): j for j in jobs}
-            for fut, j in futures.items():
-                try:
-                    k, v, report = fut.result()
-                    results.setdefault(v, {})[k] = report
-                except Exception as exc:  # collected, reported in order below
-                    failures.append((j[2], j[1], exc))
+            futures = [pool.submit(_run_one, exp, v, k) for v, k in jobs]
+        outcomes = [fut.result for fut in futures]
     else:
-        for j in jobs:
-            try:
-                k, v, report = _run_one(j)
-                results.setdefault(v, {})[k] = report
-            except Exception as exc:
-                failures.append((j[2], j[1], exc))
+        outcomes = [functools.partial(_run_one, exp, v, k) for v, k in jobs]
+    for (v, k), outcome in zip(jobs, outcomes):
+        try:
+            results.setdefault(v, {})[k] = outcome()
+        except Exception as exc:  # collected, reported in order below
+            failures.append((k, v, exc))
     failures.sort(key=lambda item: (item[0], variants.index(item[1])))
     return results, failures
 

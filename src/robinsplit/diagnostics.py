@@ -19,8 +19,8 @@ Summed quantities, each sqrt(dt * sum of squared step norms):
                the FE Hessian vanishes so only the exact part contributes
                (reported for completeness, meaningful for P2)
 
-The streaming accumulator keeps three levels of quadrature-point data, so
-memory stays bounded for long runs; ``summed_errors``/``final_time_errors``
+The streaming accumulator keeps one previous level of quadrature-point data,
+so memory stays bounded for long runs; ``summed_errors``/``final_time_errors``
 recompute the same numbers from a fully stored trajectory through the plain
 error-norm entry points.
 """
@@ -62,7 +62,13 @@ class ErrorReport:
 
 
 class ErrorAccumulator:
-    """Streams error quantities out of a run, three levels at a time."""
+    """Streams error quantities out of a run, one level at a time.
+
+    Exact gradients and Hessians are evaluated at the quadrature points once
+    per run, at t = 0, and scaled by ``case.time_factor`` at each level (see
+    the separability contract in ``manufactured``).  Between levels only the
+    previous level's errors and the last gradient increment are kept.
+    """
 
     def __init__(self, case, disc, dt, n_steps):
         self.case = case
@@ -72,42 +78,37 @@ class ErrorAccumulator:
         self.ftab = disc.fluid.tables(fem.ERROR_DEGREE)
         self.stab = disc.solid.tables(fem.ERROR_DEGREE)
         self.ltab = disc.fluid._line_tables()
-        self._hist = []
+        T = dt * n_steps
+        self._profiles = {
+            "gf": _profile(case, "grad_u", self.ftab["qp"], T),
+            "gs": _profile(case, "grad_w", self.stab["qp"], T),
+            "hf": _profile(case, "hess_u", self.ftab["qp"], T),
+        }
+        self._wf = self.ftab["wdet"].ravel()
+        self._ws = self.stab["wdet"].ravel()
+        self._wl = self.ltab["wdet"].ravel()
+        self._prev = None
+        self._dgf = None
         self._sums = dict.fromkeys(SUMMED_QUANTITIES, 0.0)
         self._final = {}
         self._fvals = {}
 
-    # quadrature sums of squared point arrays
-    def _nsq_f(self, arr):
-        return float(np.sum(self.ftab["wdet"] * arr**2))
-
-    def _nsq_fg(self, arr):
-        return float(np.sum(self.ftab["wdet"] * np.sum(arr**2, axis=-1)))
-
-    def _nsq_fh(self, arr):
-        return float(np.sum(self.ftab["wdet"] * np.sum(arr**2, axis=(-2, -1))))
-
-    def _nsq_s(self, arr):
-        return float(np.sum(self.stab["wdet"] * arr**2))
-
-    def _nsq_sg(self, arr):
-        return float(np.sum(self.stab["wdet"] * np.sum(arr**2, axis=-1)))
-
-    def _nsq_l(self, arr):
-        return float(np.sum(self.ltab["wdet"] * arr**2))
-
     def observe(self, state):
         case, disc = self.case, self.disc
         n = state.n
+        if self._prev is not None and self._prev["n"] != n - 1:
+            raise ConfigurationError("states must be observed in consecutive order")
         t = n * self.dt
-        entry = {
+        c = case.time_factor(t)
+        prof = self._profiles
+        cur = {
             "n": n,
-            "gf": np.asarray(case.grad_u(t, self.ftab["qp"]))
-            - fem.fe_grads_at_qp(disc.fluid, state.u, self.ftab),
-            "gs": np.asarray(case.grad_w(t, self.stab["qp"]))
-            - fem.fe_grads_at_qp(disc.solid, state.w, self.stab),
-            "hf": np.asarray(case.hess_u(t, self.ftab["qp"]))
-            - fem.fe_hessians_at_qp(disc.fluid, state.u, self.ftab),
+            "c": c,
+            "gf": c * prof["gf"] - fem.fe_grads_at_qp(disc.fluid, state.u, self.ftab),
+            "gs": c * prof["gs"] - fem.fe_grads_at_qp(disc.solid, state.w, self.stab),
+            # FE Hessians are constant per cell; the exact part is added on
+            # increments, where only (c_n - c_{n-1}) times the profile enters
+            "hf": fem.fe_hessians_at_qp(disc.fluid, state.u, self.ftab),
             "lf": np.asarray(case.l_exact(t, self.ltab["qp_x"]))
             - np.einsum(
                 "el,ql->eq",
@@ -115,23 +116,20 @@ class ErrorAccumulator:
                 self.ltab["vals"],
             ),
         }
-        if self._hist and self._hist[-1]["n"] != n - 1:
-            raise ConfigurationError("states must be observed in consecutive order")
-        self._hist.append(entry)
-        if len(self._hist) > 3:
-            self._hist.pop(0)
+        prev, self._prev = self._prev, cur
 
         if n >= 2:
-            cur, prev = self._hist[-1], self._hist[-2]
-            self._sums["e_gdus"] += self._nsq_fg(cur["gf"] - prev["gf"])
-            self._sums["e_gdws"] += self._nsq_sg(cur["gs"] - prev["gs"])
-            self._sums["e_dls"] += self._nsq_l(cur["lf"] - prev["lf"])
-            self._sums["e_ggdus"] += self._nsq_fh(cur["hf"] - prev["hf"])
-        if n >= 3:
-            cur, prev, before = self._hist[-1], self._hist[-2], self._hist[-3]
-            self._sums["e_gdu2s"] += self._nsq_fg(
-                cur["gf"] - 2 * prev["gf"] + before["gf"]
+            dgf = cur["gf"] - prev["gf"]
+            dhf = (cur["c"] - prev["c"]) * prof["hf"] - np.repeat(
+                cur["hf"] - prev["hf"], prof["hf"].shape[1], axis=1
             )
+            self._sums["e_gdus"] += _wsq(self._wf, dgf)
+            self._sums["e_gdws"] += _wsq(self._ws, cur["gs"] - prev["gs"])
+            self._sums["e_dls"] += _wsq(self._wl, cur["lf"] - prev["lf"])
+            self._sums["e_ggdus"] += _wsq(self._wf, dhf)
+            if n >= 3:
+                self._sums["e_gdu2s"] += _wsq(self._wf, dgf - self._dgf)
+            self._dgf = dgf
 
         if n >= self.n_steps - 1:
             self._fvals[n] = {
@@ -143,12 +141,10 @@ class ErrorAccumulator:
         if n == self.n_steps:
             prev = self._fvals[n - 1]
             cur = self._fvals[n]
-            self._final["e_u"] = math.sqrt(self._nsq_f(cur["vf"]))
-            self._final["e_du"] = math.sqrt(self._nsq_f(cur["vf"] - prev["vf"]))
-            self._final["e_dw"] = math.sqrt(self._nsq_s(cur["vs"] - prev["vs"]))
-            self._final["e_gdu"] = math.sqrt(
-                self._nsq_fg(self._hist[-1]["gf"] - self._hist[-2]["gf"])
-            )
+            self._final["e_u"] = math.sqrt(_wsq(self._wf, cur["vf"]))
+            self._final["e_du"] = math.sqrt(_wsq(self._wf, cur["vf"] - prev["vf"]))
+            self._final["e_dw"] = math.sqrt(_wsq(self._ws, cur["vs"] - prev["vs"]))
+            self._final["e_gdu"] = math.sqrt(_wsq(self._wf, self._dgf))
 
     def report(self, k=None):
         if "e_u" not in self._final:
@@ -157,6 +153,25 @@ class ErrorAccumulator:
         for name, total in self._sums.items():
             setattr(out, name, math.sqrt(self.dt * total))
         return out
+
+
+def _wsq(weights, arr):
+    """Quadrature sum of squared point values; one weight per point."""
+    flat = arr.reshape(weights.size, -1)
+    return float(np.sum(weights @ (flat * flat)))
+
+
+def _profile(case, name, qp, t_check):
+    """Field ``name`` of ``case`` at t = 0, checked to scale by time_factor."""
+    field = getattr(case, name)
+    profile = np.asarray(field(0.0, qp))
+    expected = case.time_factor(t_check) * profile[:1]
+    actual = np.asarray(field(t_check, qp[:1]))
+    if not np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)):
+        raise ConfigurationError(
+            f"case {case.name!r}: {name} is not time_factor(t) times its value at t = 0"
+        )
+    return profile
 
 
 def run_with_errors(case, config, disc=None, k=None):

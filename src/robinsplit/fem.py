@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
+from .linalg import finalize_csr
 from . import mesh as meshmod
 
 
@@ -272,8 +273,6 @@ class FeSpace:
         bary = rule.points
         vals = _shape_values(self.order, bary)  # (nq, nloc)
         ref_grads = _shape_ref_grads(self.order, bary)  # (nq, nloc, 2)
-        # physical gradient: g[c,q,l,d] = sum_e ref[q,l,e] * jac_inv[c,e,d]
-        grads = np.einsum("qle,ced->cqld", ref_grads, self._jac_inv)
         ref_hess = _shape_ref_hessians(self.order)
         hess = np.einsum("ced,lef,cfg->cldg", self._jac_inv, ref_hess, self._jac_inv)
         qp = np.einsum("qv,cvd->cqd", bary, self._corners)
@@ -283,7 +282,8 @@ class FeSpace:
             "qp": qp,
             "wdet": wdet,
             "vals": vals,
-            "grads": grads,
+            # (nloc, nq * 2): reference gradients, one row per basis function
+            "ref_grads": ref_grads.transpose(1, 0, 2).reshape(vals.shape[1], -1),
             "hess": hess,
         }
         self._tables[key] = tab
@@ -309,20 +309,12 @@ def _form_degree(order):
 # ---------------------------------------------------------------------------
 # assembly
 
-def _finalize(matrix):
-    m = matrix.tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    m.eliminate_zeros()
-    return m
-
-
 def _scatter(space, local):
     """Scatter per-cell local matrices (nt, nloc, nloc) into a CSR matrix."""
     cd = space.cell_dofs
     rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
     cols = np.tile(cd, (1, cd.shape[1])).ravel()
-    return _finalize(
+    return finalize_csr(
         sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof, space.ndof))
     )
 
@@ -338,7 +330,13 @@ def assemble_mass(space):
 def assemble_stiffness(space, viscosity=1.0):
     """Stiffness matrix ``viscosity * (grad phi_i, grad phi_j)``."""
     tab = space.tables(_form_degree(space.order))
-    local = viscosity * np.einsum("cq,cqid,cqjd->cij", tab["wdet"], tab["grads"], tab["grads"])
+    ref = tab["ref_grads"]
+    # physical gradient: g[c,q,l,d] = sum_e ref[l,q,e] * jac_inv[c,e,d];
+    # C order fixes the summation order, and so the rounding, of the next sum
+    grads = np.einsum(
+        "lqe,ced->cqld", ref.reshape(len(ref), -1, 2), space._jac_inv, order="C"
+    )
+    local = viscosity * np.einsum("cq,cqid,cqjd->cij", tab["wdet"], grads, grads)
     return _scatter(space, local)
 
 
@@ -361,7 +359,7 @@ def interface_mass_matrix(space):
     rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
     cols = np.tile(cd, (1, cd.shape[1])).ravel()
     n = len(space.interface_dofs)
-    return _finalize(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
+    return finalize_csr(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
 
 
 def assemble_interface_mass(space_row, space_col):
@@ -377,7 +375,7 @@ def assemble_interface_mass(space_row, space_col):
     msig = interface_mass_matrix(space_row).tocoo()
     rows = space_row.interface_dofs[msig.row]
     cols = space_col.interface_dofs[msig.col]
-    return _finalize(
+    return finalize_csr(
         sp.coo_matrix((msig.data, (rows, cols)), shape=(space_row.ndof, space_col.ndof))
     )
 
@@ -439,7 +437,9 @@ def fe_values_at_qp(space, coeffs, tab):
 
 
 def fe_grads_at_qp(space, coeffs, tab):
-    return np.einsum("cl,cqld->cqd", coeffs[space.cell_dofs], tab["grads"])
+    # reference gradients mapped cell by cell: exact for affine triangles
+    gref = coeffs[space.cell_dofs] @ tab["ref_grads"]
+    return gref.reshape(len(gref), -1, 2) @ space._jac_inv
 
 
 def fe_hessians_at_qp(space, coeffs, tab):

@@ -9,6 +9,14 @@ construction and the flux variable is
 
     l(t, x1) = nu_f * d/dx2 [u](t, x1, split_y).
 
+Every case is separable: each exact field (``u_exact``/``w_exact``, their
+gradients and Hessians, and ``l_exact``) equals ``time_factor(t)`` times
+its value at t = 0, and ``time_factor(0) == 1``.  Time derivatives and
+forcing carry their own factors.  The error accumulator relies on this
+contract to evaluate exact gradients and Hessians at the quadrature points
+once per run; it checks the contract for the fields it caches and rejects
+a case that breaks it.
+
 Callables follow the package-wide convention: point arrays of shape (..., 2),
 scalar time, vectorized numpy output.
 """
@@ -25,6 +33,8 @@ class ManufacturedCase:
     """Exact solution bundle driving a manufactured run.
 
     ``f_f`` / ``f_s`` may be None when the forcing vanishes identically.
+    ``time_factor(t)`` is the scalar factor that takes each exact field
+    from its value at t = 0 to its value at t (see the module docstring).
     """
 
     name: str
@@ -42,6 +52,7 @@ class ManufacturedCase:
     f_f: object
     f_s: object
     l_exact: object
+    time_factor: object
 
 
 def _trig_case(name, time_factor, time_derivative, forcing_factor):
@@ -104,6 +115,7 @@ def _trig_case(name, time_factor, time_derivative, forcing_factor):
         f_f=f,
         f_s=f,
         l_exact=l_exact,
+        time_factor=time_factor,
     )
 
 

@@ -84,10 +84,6 @@ class DiscreteState:
     w: np.ndarray
     lam: np.ndarray
 
-    @property
-    def time_index(self):
-        return self.n
-
 
 @dataclass
 class Trajectory:

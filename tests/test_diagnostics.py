@@ -19,7 +19,7 @@ from robinsplit.diagnostics import (
 )
 from robinsplit.errors import ConfigurationError
 from robinsplit.fem import interpolate, interpolate_interface, l2_error
-from robinsplit.manufactured import case_example1
+from robinsplit.manufactured import case_example1, get_case
 from robinsplit.schemes import (
     DiscreteState,
     SchemeConfig,
@@ -178,9 +178,12 @@ def test_exact_interpolant_trajectory_has_zero_errors():
         assert getattr(sums, q) <= 1e-12, q
 
 
-def test_streaming_matches_batch():
-    case = case_example1()
-    config = SchemeConfig(dt=1.0 / 32.0, T=0.25, nx=8, variant="improved")
+@pytest.mark.parametrize("case_name,fe_order", [("example1", 1), ("example3", 2)])
+def test_streaming_matches_batch(case_name, fe_order):
+    case = get_case(case_name)
+    config = SchemeConfig(
+        dt=1.0 / 32.0, T=0.25, nx=8, fe_order=fe_order, variant="improved"
+    )
     disc = build_discretization(config)
     streamed = run_with_errors(case, config, disc=disc, k=4)
     traj = run(case, config, disc=disc)
@@ -241,6 +244,15 @@ def test_accumulator_rejects_level_gaps():
     acc.observe(zero(0))
     with pytest.raises(ConfigurationError):
         acc.observe(zero(2))
+
+
+def test_accumulator_rejects_non_separable_case():
+    # the linear case keeps example1's time factor, which does not scale it
+    case = dataclasses.replace(case_example1(), grad_u=_linear_case().grad_u)
+    config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
+    disc = build_discretization(config)
+    with pytest.raises(ConfigurationError, match="grad_u"):
+        ErrorAccumulator(case, disc, config.dt, config.n_steps)
 
 
 def test_report_values_mapping():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from robinsplit.fem import (
     ERROR_DEGREE,
     FeSpace,
+    _shape_ref_grads,
     assemble_interface_mass,
     assemble_load,
     assemble_mass,
@@ -15,6 +16,7 @@ from robinsplit.fem import (
     broken_h2_seminorm_diff,
     element_mass,
     element_stiffness,
+    fe_grads_at_qp,
     fe_values_at_qp,
     h1_semi_error,
     interface_mass_matrix,
@@ -351,6 +353,20 @@ def test_mass_quadratic_form_matches_quadrature():
     vq = fe_values_at_qp(fluid, c, tab)
     integral = np.sum(tab["wdet"] * vq * vq)
     assert abs(c @ (m @ c) - integral) < 1e-10 * max(1.0, abs(integral))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fe_grads_match_tabulated_gradients(order):
+    # oracle: tabulate every basis gradient on every cell, then contract
+    fluid, _ = _spaces(8, order)
+    tab = fluid.tables(ERROR_DEGREE)
+    ref = _shape_ref_grads(order, tab["rule"].points)
+    grads = np.einsum("qle,ced->cqld", ref, fluid._jac_inv)
+    c = np.random.default_rng(3).normal(size=fluid.ndof)
+    expected = np.einsum("cl,cqld->cqd", c[fluid.cell_dofs], grads)
+    got = fe_grads_at_qp(fluid, c, tab)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_galerkin_reproduction_smoke():
