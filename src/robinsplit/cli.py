@@ -23,6 +23,7 @@ from .diagnostics import (
     FINAL_QUANTITIES,
     SUMMED_QUANTITIES,
     ConvergenceTable,
+    format_columns,
     run_with_errors,
 )
 from .errors import ConfigurationError
@@ -31,6 +32,18 @@ from .schemes import VARIANTS, SchemeConfig
 
 HARD_CEILING = 8
 LARGE_THRESHOLD = 7
+
+
+def level_config(k, variant, fe_order, T, alpha=4.0):
+    """Scheme configuration of level k: dt = (1/2)^(k+1), nx = 2^(k+1)."""
+    return SchemeConfig(
+        dt=0.5 ** (k + 1),
+        T=T,
+        nx=2 ** (k + 1),
+        fe_order=fe_order,
+        variant=variant,
+        alpha=alpha,
+    )
 
 
 @dataclass(frozen=True)
@@ -84,14 +97,7 @@ class ExperimentConfig:
         return self.fe_order if self.fe_order is not None else default_order(self.case)
 
     def scheme_config(self, k, variant):
-        return SchemeConfig(
-            dt=0.5 ** (k + 1),
-            T=self.T,
-            nx=2 ** (k + 1),
-            fe_order=self.order,
-            variant=variant,
-            alpha=self.alpha,
-        )
+        return level_config(k, variant, self.order, self.T, self.alpha)
 
 
 def _run_one(exp, variant, k):
@@ -138,13 +144,15 @@ def _write_run_csv(path, report):
         )
 
 
+def _reported(quantities, order):
+    """The quantities the tables carry, in their given order."""
+    # the broken second-derivative sum carries no FE content for P1
+    return tuple(q for q in quantities if order == 2 or q != "e_ggdus")
+
+
 def _tables(reports, order):
-    final = ConvergenceTable.from_reports(reports, FINAL_QUANTITIES)
-    sums_quantities = list(SUMMED_QUANTITIES)
-    if order == 1:
-        # the broken second-derivative sum carries no FE content for P1
-        sums_quantities.remove("e_ggdus")
-    sums = ConvergenceTable.from_reports(reports, tuple(sums_quantities))
+    final = ConvergenceTable.from_reports(reports, _reported(FINAL_QUANTITIES, order))
+    sums = ConvergenceTable.from_reports(reports, _reported(SUMMED_QUANTITIES, order))
     return final, sums
 
 
@@ -224,35 +232,24 @@ def cmd_compare(exp):
         if base:
             final.to_csv(f"{base}_{v}_final.csv")
             sums.to_csv(f"{base}_{v}_sums.csv")
-    quantities = [q for q in ALL_QUANTITIES if q != "e_ggdus" or exp.order == 2]
+    orders = {v: {**final.orders, **sums.orders} for v, (final, sums) in out.items()}
     ks = list(range(exp.k_min, exp.k_max + 1))
+    shown = ("e_u", "e_gdus", "e_gdu2s")
     print("observed orders by variant")
-    header = ["k"] + [f"{v}:{q}" for q in ("e_u", "e_gdus", "e_gdu2s") for v in exp.variants]
+    header = ["k"] + [f"{v}:{q}" for q in shown for v in exp.variants]
     rows = []
     for i, k in enumerate(ks):
-        row = [str(k)]
-        for q in ("e_u", "e_gdus", "e_gdu2s"):
-            for v in exp.variants:
-                table = out[v][0] if q in FINAL_QUANTITIES else out[v][1]
-                val = table.orders[q][i]
-                row.append("-" if val != val else f"{val:.2f}")
-        rows.append(row)
-    widths = [max(len(h), *(len(r[j]) for r in rows)) for j, h in enumerate(header)]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        vals = [orders[v][q][i] for q in shown for v in exp.variants]
+        rows.append([str(k)] + ["-" if x != x else f"{x:.2f}" for x in vals])
+    print(format_columns(header, rows))
     if base:
+        quantities = _reported(ALL_QUANTITIES, exp.order)
         with open(f"{base}_orders.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k"] + [f"{v}_{q}_order" for v in exp.variants for q in quantities])
             for i, k in enumerate(ks):
-                row = [k]
-                for v in exp.variants:
-                    for q in quantities:
-                        table = out[v][0] if q in FINAL_QUANTITIES else out[v][1]
-                        val = table.orders[q][i]
-                        row.append("" if val != val else repr(float(val)))
-                writer.writerow(row)
+                vals = [orders[v][q][i] for v in exp.variants for q in quantities]
+                writer.writerow([k] + ["" if x != x else repr(float(x)) for x in vals])
         print(f"wrote {base}_orders.csv")
     return out
 

@@ -309,6 +309,12 @@ def convergence_orders(values):
     return out
 
 
+def format_columns(header, rows):
+    """Text table: right-justified columns two spaces apart, header first."""
+    widths = [max(len(h), *(len(r[j]) for r in rows)) for j, h in enumerate(header)]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in [header, *rows])
+
+
 @dataclass
 class ConvergenceTable:
     """Per-level values and observed orders for a set of quantities."""
@@ -366,7 +372,6 @@ class ConvergenceTable:
         cols = ["k"]
         for q in self.quantities:
             cols += [q, "order"]
-        lines = []
         rows = []
         for i, k in enumerate(self.ks):
             row = [str(k)]
@@ -375,8 +380,4 @@ class ConvergenceTable:
                 order = self.orders[q][i]
                 row.append("-" if math.isnan(order) else f"{order:.2f}")
             rows.append(row)
-        widths = [max(len(c), *(len(r[j]) for r in rows)) for j, c in enumerate(cols)]
-        lines.append("  ".join(c.rjust(w) for c, w in zip(cols, widths)))
-        for row in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
+        return format_columns(cols, rows)

@@ -273,8 +273,10 @@ class FeSpace:
         bary = rule.points
         vals = _shape_values(self.order, bary)  # (nq, nloc)
         ref_grads = _shape_ref_grads(self.order, bary)  # (nq, nloc, 2)
-        ref_hess = _shape_ref_hessians(self.order)
-        hess = np.einsum("ced,lef,cfg->cldg", self._jac_inv, ref_hess, self._jac_inv)
+        ref_hess = _shape_ref_hessians(self.order)  # (nloc, 2, 2)
+        jac_inv = self._jac_inv
+        # (ncell, nloc, 2, 2): J^-T H_ref J^-1 per cell
+        hess = np.swapaxes(jac_inv, 1, 2)[:, None] @ ref_hess[None] @ jac_inv[:, None]
         qp = np.einsum("qv,cvd->cqd", bary, self._corners)
         wdet = self._areas[:, None] * rule.weights[None, :]
         tab = {
@@ -360,24 +362,6 @@ def interface_mass_matrix(space):
     cols = np.tile(cd, (1, cd.shape[1])).ravel()
     n = len(space.interface_dofs)
     return finalize_csr(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
-
-
-def assemble_interface_mass(space_row, space_col):
-    """Interface mass lifted into full dof numbering of the two spaces.
-
-    Entry (i, j) is the integral over the interface of the trace of
-    ``space_row`` basis i against the trace of ``space_col`` basis j.
-    """
-    if space_row.order != space_col.order:
-        raise ConfigurationError("interface coupling requires equal-order spaces")
-    if not np.allclose(space_row.interface_x, space_col.interface_x, atol=1e-14):
-        raise ConfigurationError("interface dof layouts of the two spaces differ")
-    msig = interface_mass_matrix(space_row).tocoo()
-    rows = space_row.interface_dofs[msig.row]
-    cols = space_col.interface_dofs[msig.col]
-    return finalize_csr(
-        sp.coo_matrix((msig.data, (rows, cols)), shape=(space_row.ndof, space_col.ndof))
-    )
 
 
 def assemble_interface_load(space, g, t):
@@ -471,12 +455,6 @@ def broken_h2_seminorm_diff(space, coeffs, exact_hessian, t):
     tab = space.tables(ERROR_DEGREE)
     err = np.asarray(exact_hessian(t, tab["qp"])) - fe_hessians_at_qp(space, coeffs, tab)
     return float(np.sqrt(np.sum(tab["wdet"] * np.sum(err**2, axis=(-2, -1)))))
-
-
-def sigma_l2_norm(space, interface_coeffs):
-    """L2 norm over the interface of the trace field with given coefficients."""
-    msig = interface_mass_matrix(space)
-    return float(np.sqrt(interface_coeffs @ (msig @ interface_coeffs)))
 
 
 def sigma_l2_error(space, interface_coeffs, exact, t):

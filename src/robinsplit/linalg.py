@@ -2,7 +2,7 @@
 
 Thin layer over scipy.sparse: matrices are CSR in canonical form (sorted
 column indices, duplicates summed, explicit zeros dropped), factorization is
-a sparse LU kept for repeated solves, and block systems are assembled from
+a sparse LU kept for repeated solves, and block matrices are assembled from
 named rectangular contributions.  Factorization failures raise
 SingularSystemError carrying the failing pivot index when it can be found.
 """
@@ -141,17 +141,8 @@ class BlockLayout:
         return vector[self.slice_of(name)]
 
 
-@dataclass
-class BlockSystem:
-    """Square block matrix plus right-hand side over a BlockLayout."""
-
-    layout: BlockLayout
-    matrix: object
-    rhs: np.ndarray
-
-
-def assemble_block_system(layout, contributions, rhs_parts=()):
-    """Assemble a block system from named rectangular contributions.
+def assemble_block_system(layout, contributions):
+    """Assemble a canonical CSR block matrix from named contributions.
 
     Parameters
     ----------
@@ -159,8 +150,6 @@ def assemble_block_system(layout, contributions, rhs_parts=()):
     contributions : iterable of (row_block, col_block, matrix, scale)
         Matrices addressed by block names; duplicates are summed.  Shapes
         must match the named block sizes.
-    rhs_parts : iterable of (block, vector)
-        Right-hand-side pieces, summed into the named block.
     """
     size = dict(zip(layout.names, layout.sizes))
     rows, cols, data = [], [], []
@@ -178,12 +167,4 @@ def assemble_block_system(layout, contributions, rhs_parts=()):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(layout.dim, layout.dim),
     )
-    rhs = np.zeros(layout.dim)
-    for name, vec in rhs_parts:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (size[name],):
-            raise ConfigurationError(
-                f"rhs part {name} has shape {vec.shape}, expected ({size[name]},)"
-            )
-        rhs[layout.slice_of(name)] += vec
-    return BlockSystem(layout=layout, matrix=finalize_csr(matrix), rhs=rhs)
+    return finalize_csr(matrix)

@@ -179,21 +179,15 @@ def default_order(name):
 
 @dataclass(frozen=True)
 class FirstStepData:
-    """Exact-solution samples feeding the coupled first-step system.
+    """Exact-solution data on the right-hand side of the coupled first step.
 
-    Spatial closures are frozen at the first few time levels t_j = j * dt:
-    ``u_level[j]``/``w_level[j]``/``l_level[j]`` are the exact fields there,
-    ``g1``/``g2`` the backward differences of trace and flux, ``G1``/``G2``
-    their difference quotients, and ``ddu``/``ddw`` the second-difference
-    quotients (u^2 - 2 u^1 + u^0) / dt over the subdomains.
+    With t_j = j * dt, ``G1[n]``/``G2[n]`` (n = 2, 3) are the second-difference
+    quotients (q(t_n) - 2 q(t_{n-1}) + q(t_{n-2})) / dt of the interface
+    trace q = u(., x1, split_y) and of the flux q = l, and ``ddu``/``ddw`` those
+    of u and w at n = 2 over the subdomains.  Every entry is a field
+    ``f(t, x)`` that ignores ``t``, so it goes straight into a load assembler.
     """
 
-    dt: float
-    u_level: tuple
-    w_level: tuple
-    l_level: tuple
-    g1: dict
-    g2: dict
     G1: dict
     G2: dict
     ddu: object
@@ -206,47 +200,26 @@ def exact_first_step_data(case, dt):
         raise ConfigurationError(f"dt must be positive, got {dt}")
     times = [j * dt for j in range(4)]
 
-    def freeze(f, t):
-        return lambda x, _f=f, _t=t: _f(_t, x)
+    def trace(t, x1):
+        return case.u_exact(t, _lift(x1, case.split_y))
 
-    u_level = tuple(freeze(case.u_exact, t) for t in times)
-    w_level = tuple(freeze(case.w_exact, t) for t in times)
-    l_level = tuple(freeze(case.l_exact, t) for t in times)
+    # The interface quotients subtract differences, the volume ones take
+    # q2 - 2 q1 + q0: equal in exact arithmetic, and the study's tables
+    # carry the rounding of exactly these groupings.
+    def interface(q, n):
+        def diff(m, x1):
+            return q(times[m], x1) - q(times[m - 1], x1)
 
-    def trace_diff(n):
-        return lambda x1: case.u_exact(times[n], _lift(x1, case.split_y)) - case.u_exact(
-            times[n - 1], _lift(x1, case.split_y)
-        )
+        return lambda _t, x1: (diff(n, x1) - diff(n - 1, x1)) / dt
 
-    def flux_diff(n):
-        return lambda x1: case.l_exact(times[n], x1) - case.l_exact(times[n - 1], x1)
-
-    g1 = {n: trace_diff(n) for n in (1, 2, 3)}
-    g2 = {n: flux_diff(n) for n in (1, 2, 3)}
-
-    def quotient(diffs, n):
-        return lambda x1: (diffs[n](x1) - diffs[n - 1](x1)) / dt
-
-    G1 = {n: quotient(g1, n) for n in (2, 3)}
-    G2 = {n: quotient(g2, n) for n in (2, 3)}
-
-    def ddu(x):
-        return (case.u_exact(times[2], x) - 2 * case.u_exact(times[1], x) + case.u_exact(times[0], x)) / dt
-
-    def ddw(x):
-        return (case.w_exact(times[2], x) - 2 * case.w_exact(times[1], x) + case.w_exact(times[0], x)) / dt
+    def volume(q):
+        return lambda _t, x: (q(times[2], x) - 2 * q(times[1], x) + q(times[0], x)) / dt
 
     return FirstStepData(
-        dt=float(dt),
-        u_level=u_level,
-        w_level=w_level,
-        l_level=l_level,
-        g1=g1,
-        g2=g2,
-        G1=G1,
-        G2=G2,
-        ddu=ddu,
-        ddw=ddw,
+        G1={n: interface(trace, n) for n in (2, 3)},
+        G2={n: interface(case.l_exact, n) for n in (2, 3)},
+        ddu=volume(case.u_exact),
+        ddw=volume(case.w_exact),
     )
 
 

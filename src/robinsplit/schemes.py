@@ -335,41 +335,28 @@ def _first_block_matrix(disc):
         ("l1", "w1", cls, -alpha),
         ("l1", "l2", msig, 1.0),
         ("l1", "l1", msig, -1.0),
-        # plain splitting, level 1 -> 2
-        ("w2", "w2", mass_s, 1 / dt),
-        ("w2", "w1", mass_s, -1 / dt),
-        ("w2", "w2", stiff_s, cfg.nu_s),
-        ("w2", "w2", css, alpha),
-        ("w2", "u1", csf, -alpha),
-        ("w2", "l1", csl, 1.0),
-        ("u2", "u2", mass_f, 1 / dt),
-        ("u2", "u1", mass_f, -1 / dt),
-        ("u2", "u2", stiff_f, cfg.nu_f),
-        ("u2", "l2", cfl, -1.0),
-        ("l2", "u2", clf, alpha),
-        ("l2", "w2", cls, -alpha),
-        ("l2", "l2", msig, 1.0),
-        ("l2", "l1", msig, -1.0),
-        # plain splitting, level 2 -> 3
-        ("w3", "w3", mass_s, 1 / dt),
-        ("w3", "w2", mass_s, -1 / dt),
-        ("w3", "w3", stiff_s, cfg.nu_s),
-        ("w3", "w3", css, alpha),
-        ("w3", "u2", csf, -alpha),
-        ("w3", "l2", csl, 1.0),
-        ("u3", "u3", mass_f, 1 / dt),
-        ("u3", "u2", mass_f, -1 / dt),
-        ("u3", "u3", stiff_f, cfg.nu_f),
-        ("u3", "l3", cfl, -1.0),
-        ("l3", "u3", clf, alpha),
-        ("l3", "w3", cls, -alpha),
-        ("l3", "l3", msig, 1.0),
-        ("l3", "l2", msig, -1.0),
     ]
-    system = linalg.assemble_block_system(layout, contributions)
+    for a, b in (("1", "2"), ("2", "3")):
+        # plain splitting a -> b: the solid, fluid and flux rows of step_original
+        contributions += [
+            ("w" + b, "w" + b, mass_s, 1 / dt),
+            ("w" + b, "w" + a, mass_s, -1 / dt),
+            ("w" + b, "w" + b, stiff_s, cfg.nu_s),
+            ("w" + b, "w" + b, css, alpha),
+            ("w" + b, "u" + a, csf, -alpha),
+            ("w" + b, "l" + a, csl, 1.0),
+            ("u" + b, "u" + b, mass_f, 1 / dt),
+            ("u" + b, "u" + a, mass_f, -1 / dt),
+            ("u" + b, "u" + b, stiff_f, cfg.nu_f),
+            ("u" + b, "l" + b, cfl, -1.0),
+            ("l" + b, "u" + b, clf, alpha),
+            ("l" + b, "w" + b, cls, -alpha),
+            ("l" + b, "l" + b, msig, 1.0),
+            ("l" + b, "l" + a, msig, -1.0),
+        ]
+    matrix = linalg.assemble_block_system(layout, contributions)
     mask = _first_block_dirichlet_mask(disc, layout)
-    matrix = linalg.eliminate_dirichlet(system.matrix, mask)
-    return matrix, layout
+    return linalg.eliminate_dirichlet(matrix, mask), layout
 
 
 def _first_block_dirichlet_mask(disc, layout):
@@ -382,25 +369,30 @@ def _first_block_dirichlet_mask(disc, layout):
     return mask
 
 
-def _first_block_rhs(case, config, disc, data, layout):
+def _first_step_loads(case, config, disc):
+    """Loads of the exact first-step data: ddw, ddu, G1[2], G1[3], G2[2], G2[3].
+
+    The last four are interface loads in interface-local ordering.
+    """
+    data = exact_first_step_data(case, config.dt)
+    return (
+        fem.assemble_load(disc.solid, data.ddw, 0.0),
+        fem.assemble_load(disc.fluid, data.ddu, 0.0),
+        *(
+            fem.assemble_interface_load(disc.fluid, g, 0.0)
+            for g in (data.G1[2], data.G1[3], data.G2[2], data.G2[3])
+        ),
+    )
+
+
+def _first_block_rhs(case, config, disc, layout):
     dt, alpha = config.dt, config.alpha
-
-    def spatial(g):
-        return lambda t, x: g(x)
-
-    def trace_load_local(g):
-        return fem.assemble_interface_load(disc.fluid, spatial(g), 0.0)
-
-    g1_2 = trace_load_local(data.G1[2])
-    g1_3 = trace_load_local(data.G1[3])
-    g2_2 = trace_load_local(data.G2[2])
-    g2_3 = trace_load_local(data.G2[3])
-
+    ddw, ddu, g1_2, g1_3, g2_2, g2_3 = _first_step_loads(case, config, disc)
     parts = [
-        ("w1", fem.assemble_load(disc.solid, spatial(data.ddw), 0.0)),
+        ("w1", ddw),
         ("w1", disc.lift_s(alpha * dt * g1_2 - dt * g2_2)),
         ("w1", disc.load_s(case.f_s, dt)),
-        ("u1", fem.assemble_load(disc.fluid, spatial(data.ddu), 0.0)),
+        ("u1", ddu),
         ("u1", disc.lift_f(alpha * dt * g1_3 + dt * g2_3)),
         ("u1", disc.load_f(case.f_f, dt)),
         ("l1", -alpha * dt * g1_3 + dt * g2_2),
@@ -416,24 +408,19 @@ def _first_block_rhs(case, config, disc, data, layout):
     return rhs
 
 
-def solve_first_block_improved(case, config, disc, data=None):
+def solve_first_block_improved(case, config, disc):
     """Solve the coupled start-up system; returns states at levels 1, 2, 3."""
-    if data is None:
-        data = exact_first_step_data(case, config.dt)
     fact, layout = disc.first_block_factorization()
-    rhs = _first_block_rhs(case, config, disc, data, layout)
-    x = fact.solve(rhs)
-    states = []
-    for level in (1, 2, 3):
-        states.append(
-            DiscreteState(
-                n=level,
-                u=layout.extract(f"u{level}", x).copy(),
-                w=layout.extract(f"w{level}", x).copy(),
-                lam=layout.extract(f"l{level}", x).copy(),
-            )
+    x = fact.solve(_first_block_rhs(case, config, disc, layout))
+    return tuple(
+        DiscreteState(
+            n=level,
+            u=layout.extract(f"u{level}", x).copy(),
+            w=layout.extract(f"w{level}", x).copy(),
+            lam=layout.extract(f"l{level}", x).copy(),
         )
-    return tuple(states)
+        for level in (1, 2, 3)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -575,27 +562,19 @@ def weak_residuals_original(prev, state, case, config, disc):
     }
 
 
-def block_residuals(states, case, config, disc, data=None):
-    """Relative residuals of all nine equations of the coupled first block."""
-    if data is None:
-        data = exact_first_step_data(case, config.dt)
+def block_residuals(states, case, config, disc):
+    """Relative residuals of all nine equations of the coupled first block.
+
+    Levels 2 and 3 are plain split steps, checked by ``weak_residuals_original``.
+    """
     s1, s2, s3 = states
     dt, alpha = config.dt, config.alpha
     free_s = ~disc.solid.dirichlet_mask
     free_f = ~disc.fluid.dirichlet_mask
     msig = disc.msig
-
-    def spatial(g):
-        return lambda t, x: g(x)
-
-    def trace_load(g):
-        return fem.assemble_interface_load(disc.fluid, spatial(g), 0.0)
-
-    g1_2, g1_3 = trace_load(data.G1[2]), trace_load(data.G1[3])
-    g2_2, g2_3 = trace_load(data.G2[2]), trace_load(data.G2[3])
+    ddw, ddu, g1_2, g1_3, g2_2, g2_3 = _first_step_loads(case, config, disc)
 
     out = {}
-    # level-1 equations
     terms = [
         disc.mass_s @ (s2.w - s1.w) / dt,
         config.nu_s * (disc.stiff_s @ s1.w),
@@ -603,7 +582,7 @@ def block_residuals(states, case, config, disc, data=None):
             msig @ (alpha * (s1.w[disc.if_s] + s2.u[disc.if_f] - 2 * s1.u[disc.if_f]))
         ),
         disc.lift_s(msig @ (2 * s1.lam - s2.lam)),
-        -fem.assemble_load(disc.solid, spatial(data.ddw), 0.0),
+        -ddw,
         -disc.lift_s(alpha * dt * g1_2 - dt * g2_2),
         -disc.load_s(case.f_s, dt),
     ]
@@ -615,7 +594,7 @@ def block_residuals(states, case, config, disc, data=None):
         disc.mass_f @ (s2.u - s1.u) / dt,
         config.nu_f * (disc.stiff_f @ s1.u),
         disc.lift_f(msig @ (alpha * (du32 - du21) + s3.lam - 2 * s2.lam)),
-        -fem.assemble_load(disc.fluid, spatial(data.ddu), 0.0),
+        -ddu,
         -disc.lift_f(alpha * dt * g1_3 + dt * g2_3),
         -disc.load_f(case.f_f, dt),
     ]
@@ -629,28 +608,9 @@ def block_residuals(states, case, config, disc, data=None):
     ]
     out["flux_1"] = _relative(sum(terms), terms)
 
-    # plain splitting rows for levels 2 and 3
-    for level, (a, b) in (("2", (s1, s2)), ("3", (s2, s3))):
-        t_next = b.n * dt
-        terms = [
-            disc.mass_s @ (b.w - a.w) / dt,
-            config.nu_s * (disc.stiff_s @ b.w),
-            disc.lift_s(msig @ (alpha * (b.w[disc.if_s] - a.u[disc.if_f]) + a.lam)),
-            -disc.load_s(case.f_s, t_next),
-        ]
-        out[f"solid_{level}"] = _relative(sum(terms), terms, free_s)
-        terms = [
-            disc.mass_f @ (b.u - a.u) / dt,
-            config.nu_f * (disc.stiff_f @ b.u),
-            -disc.lift_f(msig @ b.lam),
-            -disc.load_f(case.f_f, t_next),
-        ]
-        out[f"fluid_{level}"] = _relative(sum(terms), terms, free_f)
-        terms = [
-            msig @ (alpha * (b.u[disc.if_f] - b.w[disc.if_s])),
-            msig @ (b.lam - a.lam),
-        ]
-        out[f"flux_{level}"] = _relative(sum(terms), terms)
+    for level, prev, state in ((2, s1, s2), (3, s2, s3)):
+        for name, value in weak_residuals_original(prev, state, case, config, disc).items():
+            out[f"{name}_{level}"] = value
     return out
 
 

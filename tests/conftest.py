@@ -3,30 +3,28 @@
 The sweeps are expensive (tens of seconds each), so they are computed once
 per session and reused by every test that needs them.  STUDY_T is the final
 time of the benchmark study; level k uses dt = (1/2)^(k+1) and nx = 2^(k+1)
-so the mesh width tracks the time step.
+so the mesh width tracks the time step (``cli.level_config``).
+
+BLAS and OpenMP run on one thread: the suite's matrix products are small,
+and on a busy machine handing them to more threads costs more than it saves.
+The pins must be set before numpy is first imported.
 """
 
-import time
+import os
 
-import pytest
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from robinsplit.cli import main as cli_main
-from robinsplit.diagnostics import ConvergenceTable, run_with_errors
-from robinsplit.manufactured import get_case
-from robinsplit.schemes import SchemeConfig
+import time  # noqa: E402
+
+import pytest  # noqa: E402
+
+from robinsplit.cli import level_config  # noqa: E402
+from robinsplit.cli import main as cli_main  # noqa: E402
+from robinsplit.diagnostics import ConvergenceTable, run_with_errors  # noqa: E402
+from robinsplit.manufactured import get_case  # noqa: E402
 
 STUDY_T = 0.25
-
-
-def level_config(k, variant, fe_order, T=STUDY_T, **kw):
-    return SchemeConfig(
-        dt=0.5 ** (k + 1),
-        T=T,
-        nx=2 ** (k + 1),
-        fe_order=fe_order,
-        variant=variant,
-        **kw,
-    )
 
 
 def sweep(case_name, variant, fe_order, ks, T=STUDY_T):

@@ -1,6 +1,6 @@
 import pytest
 
-from robinsplit.cli import ExperimentConfig, main
+from robinsplit.cli import ExperimentConfig, level_config, main
 from robinsplit.diagnostics import ALL_QUANTITIES, ConvergenceTable
 from robinsplit.errors import ConfigurationError
 
@@ -298,3 +298,15 @@ def test_experiment_config_level_mapping():
     assert config.fe_order == 1  # per-case default
     exp2 = ExperimentConfig(case="example3", variants=("improved",), k_min=3, k_max=3)
     assert exp2.scheme_config(3, "improved").fe_order == 2
+
+
+def test_level_config_is_the_one_level_map():
+    for k in range(1, 9):
+        config = level_config(k, "original", 2, 1.0)
+        assert config.dt == 0.5 ** (k + 1) and config.nx == 2 ** (k + 1)
+        assert (config.T, config.alpha, config.fe_order) == (1.0, 4.0, 2)
+    exp = ExperimentConfig(
+        case="example2", variants=("monolithic",), k_min=2, k_max=4, alpha=2.5, T=0.5
+    )
+    for k in range(2, 5):
+        assert exp.scheme_config(k, "monolithic") == level_config(k, "monolithic", 2, 0.5, 2.5)

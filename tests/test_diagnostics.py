@@ -13,6 +13,7 @@ from robinsplit.diagnostics import (
     ErrorReport,
     convergence_orders,
     final_time_errors,
+    format_columns,
     run_with_errors,
     summed_errors,
     zs_functionals,
@@ -303,3 +304,8 @@ def test_table_text_format():
     assert "4.00e-02" in lines[1]
     assert lines[1].split()[-1] == "-"
     assert lines[2].split()[-1] == "2.00"
+
+
+def test_format_columns_right_justifies():
+    text = format_columns(["a", "bbb"], [["10", "x"], ["2", "yyyy"]])
+    assert text == " a   bbb\n10     x\n 2  yyyy"

@@ -9,7 +9,6 @@ from robinsplit.fem import (
     ERROR_DEGREE,
     FeSpace,
     _shape_ref_grads,
-    assemble_interface_mass,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -23,12 +22,12 @@ from robinsplit.fem import (
     interpolate,
     l2_error,
     line_rule,
-    sigma_l2_norm,
     triangle_rule,
 )
 from robinsplit.errors import ConfigurationError
 from robinsplit.linalg import factorize, solve
 from robinsplit.mesh import build_two_domain_mesh
+from robinsplit.schemes import SchemeConfig, build_discretization
 
 
 def _spaces(nx=4, order=1, split_y=0.75):
@@ -229,19 +228,11 @@ def test_interface_dofs_match_across_subdomains():
 
 
 def test_lifted_interface_mass_cross_terms():
-    fluid, solid = _spaces(4, 1)
-    m_fs = assemble_interface_mass(fluid, solid)
-    cf = np.ones(fluid.ndof)
-    cs = np.ones(solid.ndof)
+    disc = build_discretization(SchemeConfig(dt=0.25, T=1.0, nx=4))
+    m_fs = disc.lifted_interface_matrix("f", "s")
+    cf = np.ones(disc.fluid.ndof)
+    cs = np.ones(disc.solid.ndof)
     assert abs(cf @ (m_fs @ cs) - 1.0) < 1e-13
-
-
-def test_interface_mass_order_mismatch_rejected():
-    mesh = build_two_domain_mesh(4, 0.75)
-    fluid = FeSpace(mesh, "fluid", 1)
-    solid = FeSpace(mesh, "solid", 2)
-    with pytest.raises(ConfigurationError):
-        assemble_interface_mass(fluid, solid)
 
 
 def test_dirichlet_dofs_sit_on_dirichlet_edges():
@@ -301,11 +292,6 @@ def test_h1_semi_error_linear_field():
     fluid, _ = _spaces(4, 1)
     coeffs = interpolate(fluid, linear, 0.0)
     assert h1_semi_error(fluid, coeffs, grad, 0.0) < 1e-12
-
-
-def test_sigma_norm_of_ones():
-    fluid, _ = _spaces(4, 1)
-    assert abs(sigma_l2_norm(fluid, np.ones(len(fluid.interface_dofs))) - 1.0) < 1e-13
 
 
 def _profile_hessian(t, p):

@@ -125,29 +125,25 @@ def test_eliminate_dirichlet():
 def test_single_block_is_itself():
     layout = BlockLayout.create([("a", 3)])
     m = sp.csr_matrix(np.arange(9.0).reshape(3, 3))
-    system = assemble_block_system(layout, [("a", "a", m, 1.0)])
-    np.testing.assert_allclose(system.matrix.toarray(), m.toarray())
-    assert system.rhs.shape == (3,)
+    matrix = assemble_block_system(layout, [("a", "a", m, 1.0)])
+    np.testing.assert_allclose(matrix.toarray(), m.toarray())
 
 
 def test_opposite_scales_cancel():
     layout = BlockLayout.create([("a", 4)])
     d = sp.eye(4, format="csr")
-    system = assemble_block_system(layout, [("a", "a", d, 1.0), ("a", "a", d, -1.0)])
-    assert system.matrix.nnz == 0
+    matrix = assemble_block_system(layout, [("a", "a", d, 1.0), ("a", "a", d, -1.0)])
+    assert matrix.nnz == 0
 
 
 def test_duplicate_contributions_sum():
     layout = BlockLayout.create([("a", 2), ("b", 2)])
     d = sp.eye(2, format="csr")
-    system = assemble_block_system(
-        layout,
-        [("a", "b", d, 2.0), ("a", "b", d, 0.5)],
-        rhs_parts=[("b", np.ones(2)), ("b", np.ones(2))],
-    )
-    dense = system.matrix.toarray()
+    matrix = assemble_block_system(layout, [("a", "b", d, 2.0), ("a", "b", d, 0.5)])
+    dense = matrix.toarray()
     np.testing.assert_allclose(dense[0:2, 2:4], 2.5 * np.eye(2))
-    np.testing.assert_allclose(system.rhs, [0.0, 0.0, 2.0, 2.0])
+    np.testing.assert_allclose(dense[:, 0:2], 0.0)
+    np.testing.assert_allclose(dense[2:4, :], 0.0)
 
 
 def test_layout_arithmetic():
@@ -176,7 +172,7 @@ def test_block_solve_round_trip():
     a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
     c = rng.normal(size=(6, 3))
     layout = BlockLayout.create([("x", 6), ("y", 3)])
-    system = assemble_block_system(
+    matrix = assemble_block_system(
         layout,
         [
             ("x", "x", sp.csr_matrix(a), 1.0),
@@ -184,11 +180,11 @@ def test_block_solve_round_trip():
             ("y", "x", sp.csr_matrix(c.T), -1.0),
             ("y", "y", sp.eye(3, format="csr"), 1.0),
         ],
-        rhs_parts=[("x", np.ones(6)), ("y", np.full(3, 2.0))],
     )
+    rhs = np.concatenate([np.ones(6), np.full(3, 2.0)])
     dense = np.block([[a, c], [-c.T, np.eye(3)]])
-    expected = np.linalg.solve(dense, np.concatenate([np.ones(6), np.full(3, 2.0)]))
-    got = factorize(system.matrix).solve(system.rhs)
+    expected = np.linalg.solve(dense, rhs)
+    got = factorize(matrix).solve(rhs)
     np.testing.assert_allclose(got, expected, atol=1e-11)
 
 

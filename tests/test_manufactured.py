@@ -181,15 +181,19 @@ def test_first_step_data_example3_G1():
         * np.cos(np.pi * x1)
         * np.sin(0.75 * np.pi)
     )
-    np.testing.assert_allclose(data.G1[2](x1), expected, rtol=1e-12)
+    np.testing.assert_allclose(data.G1[2](0.0, x1), expected, rtol=1e-12)
 
 
-def test_first_step_data_example1_g2():
+def test_first_step_data_example1_G2():
     dt = 0.0625
     data = exact_first_step_data(case_example1(), dt)
     tp = 2 * np.pi**2
-    expected = -(np.pi * np.sqrt(2.0) / 2.0) * (np.exp(-2 * tp * dt) - np.exp(-tp * dt))
-    assert abs(data.g2[2](np.array(0.0)) - expected) < 1e-12
+    expected = (
+        -(np.pi * np.sqrt(2.0) / 2.0)
+        * (np.exp(-2 * tp * dt) - 2 * np.exp(-tp * dt) + 1.0)
+        / dt
+    )
+    assert abs(data.G2[2](0.0, np.array(0.0)) - expected) < 1e-12
 
 
 def test_first_step_differences_vanish_for_frozen_time():
@@ -212,10 +216,10 @@ def test_first_step_differences_vanish_for_frozen_time():
     x1 = np.linspace(0.0, 1.0, 7)
     pts = np.stack([x1, np.full_like(x1, case.split_y)], axis=-1)
     for n in (2, 3):
-        assert np.max(np.abs(data.G1[n](x1))) < 1e-13
-        assert np.max(np.abs(data.G2[n](x1))) < 1e-13
-    assert np.max(np.abs(data.ddu(pts))) < 1e-13
-    assert np.max(np.abs(data.ddw(pts))) < 1e-13
+        assert np.max(np.abs(data.G1[n](0.0, x1))) < 1e-13
+        assert np.max(np.abs(data.G2[n](0.0, x1))) < 1e-13
+    assert np.max(np.abs(data.ddu(0.0, pts))) < 1e-13
+    assert np.max(np.abs(data.ddw(0.0, pts))) < 1e-13
 
 
 def test_first_step_second_difference_quotient():
@@ -226,7 +230,7 @@ def test_first_step_second_difference_quotient():
     expected = (
         case.u_exact(2 * dt, pts) - 2 * case.u_exact(dt, pts) + case.u_exact(0.0, pts)
     ) / dt
-    np.testing.assert_allclose(data.ddu(pts), expected, rtol=1e-13)
+    np.testing.assert_allclose(data.ddu(0.0, pts), expected, rtol=1e-13)
 
 
 def test_first_step_rejects_bad_dt():
