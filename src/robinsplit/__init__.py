@@ -11,9 +11,7 @@ from .diagnostics import (
     ConvergenceTable,
     ErrorReport,
     convergence_orders,
-    final_time_errors,
     run_with_errors,
-    summed_errors,
     zs_functionals,
 )
 from .errors import ConfigurationError, SingularSystemError
@@ -25,7 +23,6 @@ from .schemes import (
     Discretization,
     DiscreteState,
     SchemeConfig,
-    Trajectory,
     build_discretization,
     run,
 )
@@ -42,7 +39,6 @@ __all__ = [
     "ManufacturedCase",
     "SchemeConfig",
     "SingularSystemError",
-    "Trajectory",
     "TwoDomainMesh",
     "VARIANTS",
     "build_discretization",
@@ -50,11 +46,9 @@ __all__ = [
     "case_names",
     "convergence_orders",
     "default_order",
-    "final_time_errors",
     "get_case",
     "mesh_to_text",
     "run",
     "run_with_errors",
-    "summed_errors",
     "zs_functionals",
 ]

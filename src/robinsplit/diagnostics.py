@@ -19,10 +19,11 @@ Summed quantities, each sqrt(dt * sum of squared step norms):
                the FE Hessian vanishes so only the exact part contributes
                (reported for completeness, meaningful for P2)
 
-The streaming accumulator keeps one previous level of quadrature-point data,
-so memory stays bounded for long runs; ``summed_errors``/``final_time_errors``
-recompute the same numbers from a fully stored trajectory through the plain
-error-norm entry points.
+``ErrorAccumulator`` consumes the states that ``schemes.run`` yields and
+keeps one previous level of quadrature-point data, so memory stays bounded
+for long runs; ``run_with_errors`` is the entry point.  The tests recompute
+the same numbers from every stored level through the plain error norms of
+``fem`` and check the accumulator against them.
 """
 
 import csv
@@ -179,82 +180,9 @@ def run_with_errors(case, config, disc=None, k=None):
     if disc is None:
         disc = build_discretization(config)
     acc = ErrorAccumulator(case, disc, config.dt, config.n_steps)
-    run(case, config, disc=disc, observer=acc.observe, keep_states=False)
+    for state in run(case, config, disc=disc):
+        acc.observe(state)
     return acc.report(k=k)
-
-
-# ---------------------------------------------------------------------------
-# batch recomputation from a stored trajectory
-
-def _frozen_diff(f, ta, tb):
-    return lambda _t, x: f(ta, x) - f(tb, x)
-
-
-def final_time_errors(trajectory, case, disc):
-    """Final-time quantities recomputed from the last two stored states."""
-    N = int(round(trajectory.T / trajectory.dt))
-    if trajectory.last_level < N or trajectory.first_retained > N - 1:
-        raise ConfigurationError("trajectory does not retain levels N-1 and N")
-    T = trajectory.T
-    tp = T - trajectory.dt
-    sN, sP = trajectory[N], trajectory[N - 1]
-    fluid, solid = disc.fluid, disc.solid
-    return ErrorReport(
-        dt=trajectory.dt,
-        h=1.0 / disc.config.nx,
-        e_u=fem.l2_error(fluid, sN.u, case.u_exact, T),
-        e_du=fem.l2_error(fluid, sN.u - sP.u, _frozen_diff(case.u_exact, T, tp), 0.0),
-        e_dw=fem.l2_error(solid, sN.w - sP.w, _frozen_diff(case.w_exact, T, tp), 0.0),
-        e_gdu=fem.h1_semi_error(fluid, sN.u - sP.u, _frozen_diff(case.grad_u, T, tp), 0.0),
-    )
-
-
-def summed_errors(trajectory, case, disc):
-    """Summed quantities recomputed pair by pair from a full trajectory."""
-    N = int(round(trajectory.T / trajectory.dt))
-    if trajectory.first_retained > 1 or trajectory.last_level < N:
-        raise ConfigurationError("summed quantities need the full trajectory")
-    dt = trajectory.dt
-    fluid, solid = disc.fluid, disc.solid
-    sums = dict.fromkeys(SUMMED_QUANTITIES, 0.0)
-    for n in range(1, N):
-        a, b = trajectory[n], trajectory[n + 1]
-        ta, tb = n * dt, (n + 1) * dt
-        sums["e_gdus"] += (
-            fem.h1_semi_error(fluid, b.u - a.u, _frozen_diff(case.grad_u, tb, ta), 0.0) ** 2
-        )
-        sums["e_gdws"] += (
-            fem.h1_semi_error(solid, b.w - a.w, _frozen_diff(case.grad_w, tb, ta), 0.0) ** 2
-        )
-        sums["e_dls"] += (
-            fem.sigma_l2_error(
-                fluid,
-                b.lam - a.lam,
-                lambda _t, x1, _ta=ta, _tb=tb: case.l_exact(_tb, x1) - case.l_exact(_ta, x1),
-                0.0,
-            )
-            ** 2
-        )
-        sums["e_ggdus"] += (
-            fem.broken_h2_seminorm_diff(
-                fluid, b.u - a.u, _frozen_diff(case.hess_u, tb, ta), 0.0
-            )
-            ** 2
-        )
-    for n in range(2, N):
-        a, b, c = trajectory[n - 1], trajectory[n], trajectory[n + 1]
-        ta, tb, tc = (n - 1) * dt, n * dt, (n + 1) * dt
-
-        def second_diff(_t, x):
-            return case.grad_u(tc, x) - 2 * case.grad_u(tb, x) + case.grad_u(ta, x)
-
-        sums["e_gdu2s"] += (
-            fem.h1_semi_error(fluid, c.u - 2 * b.u + a.u, second_diff, 0.0) ** 2
-        )
-    out = ErrorReport(dt=dt, h=1.0 / disc.config.nx)
-    for name, total in sums.items():
-        setattr(out, name, math.sqrt(dt * total))
-    return out
 
 
 # ---------------------------------------------------------------------------

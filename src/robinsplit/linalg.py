@@ -1,13 +1,13 @@
-"""Sparse matrices, direct factorization, and block-system assembly.
+"""Sparse matrices and direct factorization.
 
 Thin layer over scipy.sparse: matrices are CSR in canonical form (sorted
-column indices, duplicates summed, explicit zeros dropped), factorization is
-a sparse LU kept for repeated solves, and block matrices are assembled from
-named rectangular contributions.  Factorization failures raise
-SingularSystemError carrying the failing pivot index when it can be found.
+column indices, duplicates summed, explicit zeros dropped), and
+factorization is a sparse LU kept for repeated solves.  Factorization
+failures raise SingularSystemError carrying the failing pivot index when it
+can be found; so does a solve whose result is not finite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,10 +33,18 @@ class Factorization:
     _lu: object
 
     def solve(self, rhs):
+        """Solution for ``rhs``; SingularSystemError when it is not finite.
+
+        SuperLU accepts pivots too small to invert in floating point
+        without flagging the matrix, and its solve then returns inf/NaN.
+        """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.shape[0],):
             raise ValueError(f"rhs has shape {rhs.shape}, expected ({self.shape[0]},)")
-        return self._lu.solve(rhs)
+        x = self._lu.solve(rhs)
+        if not np.isfinite(x).all():
+            raise SingularSystemError("sparse LU solve produced a non-finite result")
+        return x
 
 
 def _structural_singular_index(m):
@@ -93,12 +101,6 @@ def factorize(matrix):
     return Factorization(shape=m.shape, _lu=lu)
 
 
-def solve(operator, rhs):
-    """Solve against a Factorization, or factorize a raw matrix on the fly."""
-    fact = operator if isinstance(operator, Factorization) else factorize(operator)
-    return fact.solve(rhs)
-
-
 def eliminate_dirichlet(matrix, mask):
     """Zero rows and columns at masked dofs and put ones on their diagonal.
 
@@ -109,62 +111,3 @@ def eliminate_dirichlet(matrix, mask):
     free = sp.diags((~mask).astype(float))
     fixed = sp.diags(mask.astype(float))
     return finalize_csr(free @ matrix @ free + fixed)
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Named contiguous blocks of a larger vector/matrix."""
-
-    names: tuple
-    sizes: tuple
-    offsets: dict = field(hash=False, compare=False, default=None)
-    dim: int = 0
-
-    @staticmethod
-    def create(named_sizes):
-        names = tuple(n for n, _ in named_sizes)
-        if len(set(names)) != len(names):
-            raise ConfigurationError("duplicate block names")
-        sizes = tuple(int(s) for _, s in named_sizes)
-        offsets = {}
-        off = 0
-        for n, s in zip(names, sizes):
-            offsets[n] = off
-            off += s
-        return BlockLayout(names=names, sizes=sizes, offsets=offsets, dim=off)
-
-    def slice_of(self, name):
-        off = self.offsets[name]
-        return slice(off, off + self.sizes[self.names.index(name)])
-
-    def extract(self, name, vector):
-        return vector[self.slice_of(name)]
-
-
-def assemble_block_system(layout, contributions):
-    """Assemble a canonical CSR block matrix from named contributions.
-
-    Parameters
-    ----------
-    layout : BlockLayout
-    contributions : iterable of (row_block, col_block, matrix, scale)
-        Matrices addressed by block names; duplicates are summed.  Shapes
-        must match the named block sizes.
-    """
-    size = dict(zip(layout.names, layout.sizes))
-    rows, cols, data = [], [], []
-    for rb, cb, matrix, scale in contributions:
-        coo = sp.coo_matrix(matrix)
-        if coo.shape != (size[rb], size[cb]):
-            raise ConfigurationError(
-                f"contribution ({rb},{cb}) has shape {coo.shape}, "
-                f"expected {(size[rb], size[cb])}"
-            )
-        rows.append(coo.row + layout.offsets[rb])
-        cols.append(coo.col + layout.offsets[cb])
-        data.append(coo.data * scale)
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(layout.dim, layout.dim),
-    )
-    return finalize_csr(matrix)

@@ -18,7 +18,7 @@ The flux unknown lives on the interface trace space; its coefficients are
 ordered like ``FeSpace.interface_dofs``.  All Dirichlet values are zero.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,34 +83,6 @@ class DiscreteState:
     u: np.ndarray
     w: np.ndarray
     lam: np.ndarray
-
-
-@dataclass
-class Trajectory:
-    """Retained states of a run plus bookkeeping counters.
-
-    ``states`` holds consecutive levels starting at ``first_retained``
-    (0 unless the run was asked to keep only a tail).
-    """
-
-    states: list
-    dt: float
-    T: float
-    first_retained: int = 0
-    meta: dict = field(default_factory=dict)
-
-    def __getitem__(self, level):
-        idx = level - self.first_retained
-        if idx < 0 or idx >= len(self.states):
-            raise KeyError(f"level {level} was not retained")
-        return self.states[idx]
-
-    @property
-    def last_level(self):
-        return self.first_retained + len(self.states) - 1
-
-    def levels(self):
-        return range(self.first_retained, self.last_level + 1)
 
 
 class Discretization:
@@ -231,8 +203,10 @@ class Discretization:
 
     def first_block_factorization(self):
         if "block" not in self._facts:
-            system_matrix, layout = _first_block_matrix(self)
-            self._facts["block"] = (linalg.factorize(system_matrix), layout)
+            self._facts["block"] = (
+                linalg.factorize(_first_block_matrix(self)),
+                _first_block_offsets(self),
+            )
         return self._facts["block"]
 
 
@@ -282,7 +256,18 @@ def step_original(state, case, config, disc):
 # ---------------------------------------------------------------------------
 # coupled first block of the improved variant
 
+# the unknown order of the start-up system; its minimum-degree fill depends on it
 _BLOCK_NAMES = ("w1", "w2", "w3", "u1", "u2", "u3", "l1", "l2", "l3")
+
+
+def _first_block_offsets(disc):
+    """Offset of each named unknown block in the start-up system."""
+    size = {"w": disc.solid.ndof, "u": disc.fluid.ndof, "l": disc.n_sig}
+    offsets, start = {}, 0
+    for name in _BLOCK_NAMES:
+        offsets[name] = start
+        start += size[name[0]]
+    return offsets
 
 
 def _first_block_matrix(disc):
@@ -295,10 +280,6 @@ def _first_block_matrix(disc):
     """
     cfg = disc.config
     dt, alpha = cfg.dt, cfg.alpha
-    ns, nf, nl = disc.solid.ndof, disc.fluid.ndof, disc.n_sig
-    layout = linalg.BlockLayout.create(
-        [(n, {"w": ns, "u": nf, "l": nl}[n[0]]) for n in _BLOCK_NAMES]
-    )
     css = disc.lifted_interface_matrix("s", "s")
     csf = disc.lifted_interface_matrix("s", "f")
     csl = disc.lifted_interface_matrix("s", "l")
@@ -354,19 +335,33 @@ def _first_block_matrix(disc):
             ("l" + b, "l" + b, msig, 1.0),
             ("l" + b, "l" + a, msig, -1.0),
         ]
-    matrix = linalg.assemble_block_system(layout, contributions)
-    mask = _first_block_dirichlet_mask(disc, layout)
-    return linalg.eliminate_dirichlet(matrix, mask), layout
+    offsets = _first_block_offsets(disc)
+    rows, cols, data = [], [], []
+    for row, col, part, scale in contributions:
+        coo = part.tocoo()
+        rows.append(coo.row + offsets[row])
+        cols.append(coo.col + offsets[col])
+        data.append(coo.data * scale)
+    mask = _first_block_dirichlet_mask(disc)
+    matrix = linalg.finalize_csr(
+        sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(mask.size, mask.size),
+        )
+    )
+    # the triplets outsize the summed matrix; kept through the Dirichlet
+    # products they raise a start-up run's peak memory (by 28 MB at P2 k = 5)
+    del rows, cols, data
+    return linalg.eliminate_dirichlet(matrix, mask)
 
 
-def _first_block_dirichlet_mask(disc, layout):
-    mask = np.zeros(layout.dim, dtype=bool)
-    for name in _BLOCK_NAMES:
-        if name[0] == "w":
-            mask[layout.slice_of(name)] = disc.solid.dirichlet_mask
-        elif name[0] == "u":
-            mask[layout.slice_of(name)] = disc.fluid.dirichlet_mask
-    return mask
+def _first_block_dirichlet_mask(disc):
+    fixed = {
+        "w": disc.solid.dirichlet_mask,
+        "u": disc.fluid.dirichlet_mask,
+        "l": np.zeros(disc.n_sig, dtype=bool),
+    }
+    return np.concatenate([fixed[name[0]] for name in _BLOCK_NAMES])
 
 
 def _first_step_loads(case, config, disc):
@@ -385,7 +380,7 @@ def _first_step_loads(case, config, disc):
     )
 
 
-def _first_block_rhs(case, config, disc, layout):
+def _first_block_rhs(case, config, disc, offsets):
     dt, alpha = config.dt, config.alpha
     ddw, ddu, g1_2, g1_3, g2_2, g2_3 = _first_step_loads(case, config, disc)
     parts = [
@@ -401,23 +396,25 @@ def _first_block_rhs(case, config, disc, layout):
         ("w3", disc.load_s(case.f_s, 3 * dt)),
         ("u3", disc.load_f(case.f_f, 3 * dt)),
     ]
-    rhs = np.zeros(layout.dim)
+    mask = _first_block_dirichlet_mask(disc)
+    rhs = np.zeros(mask.size)
     for name, vec in parts:
-        rhs[layout.slice_of(name)] += vec
-    rhs[_first_block_dirichlet_mask(disc, layout)] = 0.0
+        rhs[offsets[name] : offsets[name] + vec.size] += vec
+    rhs[mask] = 0.0
     return rhs
 
 
 def solve_first_block_improved(case, config, disc):
     """Solve the coupled start-up system; returns states at levels 1, 2, 3."""
-    fact, layout = disc.first_block_factorization()
-    x = fact.solve(_first_block_rhs(case, config, disc, layout))
+    fact, offsets = disc.first_block_factorization()
+    x = fact.solve(_first_block_rhs(case, config, disc, offsets))
+    block = dict(zip(_BLOCK_NAMES, np.split(x, [offsets[n] for n in _BLOCK_NAMES[1:]])))
     return tuple(
         DiscreteState(
             n=level,
-            u=layout.extract(f"u{level}", x).copy(),
-            w=layout.extract(f"w{level}", x).copy(),
-            lam=layout.extract(f"l{level}", x).copy(),
+            u=block[f"u{level}"].copy(),
+            w=block[f"w{level}"].copy(),
+            lam=block[f"l{level}"].copy(),
         )
         for level in (1, 2, 3)
     )
@@ -458,8 +455,8 @@ def step_monolithic(state, case, config, disc):
 # ---------------------------------------------------------------------------
 # driver
 
-def run(case, config, disc=None, observer=None, initial_state=None, keep_states=True):
-    """Run one scheme variant from t=0 to t=T.
+def run(case, config, disc=None, initial_state=None):
+    """Yield the states of one scheme variant at levels 0, 1, ..., N in order.
 
     Parameters
     ----------
@@ -467,54 +464,27 @@ def run(case, config, disc=None, observer=None, initial_state=None, keep_states=
     config : SchemeConfig
     disc : Discretization, optional
         Reused operators; built on demand.
-    observer : callable, optional
-        Called with every produced DiscreteState (level 0 included).
     initial_state : DiscreteState, optional
         Replaces the interpolated initial data (used by stability checks).
-    keep_states : bool
-        When False only a short tail of states is retained in the returned
-        Trajectory, which bounds memory for long runs.
 
-    Returns
-    -------
-    Trajectory
+    Yields
+    ------
+    DiscreteState
+        Level 0, then one state per level up to ``config.n_steps``.  The run
+        holds only the state it steps from, so memory does not grow with the
+        number of steps; ``list(run(...))`` keeps them all, indexed by level.
     """
     if disc is None:
         disc = build_discretization(config)
     state = initialize(case, config, disc) if initial_state is None else initial_state
-    meta = {"block_solves": 0, "steps": 0, "variant": config.variant}
-    retained = [state]
-    first_retained = 0
-
-    def push(s):
-        nonlocal first_retained
-        retained.append(s)
-        if not keep_states and len(retained) > 4:
-            retained.pop(0)
-            first_retained += 1
-
-    if observer is not None:
-        observer(state)
-
+    yield state
     if config.variant == "improved":
-        for s in solve_first_block_improved(case, config, disc):
-            push(s)
-            if observer is not None:
-                observer(s)
-        state = retained[-1]
-        meta["block_solves"] = 1
-
+        for state in solve_first_block_improved(case, config, disc):
+            yield state
     stepper = step_monolithic if config.variant == "monolithic" else step_original
     while state.n < config.n_steps:
         state = stepper(state, case, config, disc)
-        meta["steps"] += 1
-        push(state)
-        if observer is not None:
-            observer(state)
-
-    return Trajectory(
-        states=retained, dt=config.dt, T=config.T, first_retained=first_retained, meta=meta
-    )
+        yield state
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,8 @@ def test_energy_identity_random_states():
         u[disc.fluid.dirichlet_mask] = 0.0
         w[disc.solid.dirichlet_mask] = 0.0
         state = DiscreteState(n=0, u=u, w=w, lam=rng.normal(size=disc.n_sig))
-        traj = run(case, config, disc=disc, initial_state=state)
-        for n in traj.levels():
-            if n == 0:
-                continue
-            prev, cur = traj[n - 1], traj[n]
+        states = list(run(case, config, disc=disc, initial_state=state))
+        for prev, cur in zip(states, states[1:]):
             z1, s1 = zs_functionals(
                 solid=(cur.w, prev.w),
                 fluid=(cur.u, prev.u),
@@ -229,16 +226,15 @@ def test_weak_residuals_every_step_every_variant():
     for variant in ("original", "improved", "monolithic"):
         config = level_config(3, variant, 1, STUDY_T)
         disc = build_discretization(config)
-        traj = run(case, config, disc=disc)
+        states = list(run(case, config, disc=disc))
         records = []
         start = 0
         if variant == "improved":
-            states = (traj[1], traj[2], traj[3])
-            records.extend(block_residuals(states, case, config, disc).values())
+            records.extend(block_residuals(states[1:4], case, config, disc).values())
             start = 3
         check = weak_residuals_monolithic if variant == "monolithic" else weak_residuals_original
-        for n in range(start, traj.last_level):
-            res = check(traj[n], traj[n + 1], case, config, disc)
+        for prev, cur in zip(states[start:], states[start + 1 :]):
+            res = check(prev, cur, case, config, disc)
             records.extend(res.values())
         worst[variant] = max(records)
 
@@ -246,10 +242,10 @@ def test_weak_residuals_every_step_every_variant():
     case3 = get_case("example3")
     config = SchemeConfig(dt=1.0 / 16.0, T=STUDY_T, nx=8, fe_order=2, variant="improved")
     disc = build_discretization(config)
-    traj = run(case3, config, disc=disc)
-    records = list(block_residuals((traj[1], traj[2], traj[3]), case3, config, disc).values())
-    for n in range(3, traj.last_level):
-        records.extend(weak_residuals_original(traj[n], traj[n + 1], case3, config, disc).values())
+    states = list(run(case3, config, disc=disc))
+    records = list(block_residuals(states[1:4], case3, config, disc).values())
+    for prev, cur in zip(states[3:], states[4:]):
+        records.extend(weak_residuals_original(prev, cur, case3, config, disc).values())
     worst["improved_p2_forced"] = max(records)
 
     bad = {k: v for k, v in worst.items() if v > 1e-9}

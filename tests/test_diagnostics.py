@@ -12,10 +12,8 @@ from robinsplit.diagnostics import (
     ErrorAccumulator,
     ErrorReport,
     convergence_orders,
-    final_time_errors,
     format_columns,
     run_with_errors,
-    summed_errors,
     zs_functionals,
 )
 from robinsplit.errors import ConfigurationError
@@ -24,10 +22,11 @@ from robinsplit.manufactured import case_example1, get_case
 from robinsplit.schemes import (
     DiscreteState,
     SchemeConfig,
-    Trajectory,
     build_discretization,
     run,
 )
+
+from oracles import final_time_errors, summed_errors
 
 
 def test_quantity_partition():
@@ -163,16 +162,16 @@ def _interpolant_trajectory(case, config, disc):
                 lam=interpolate_interface(disc.fluid, case.l_exact, t),
             )
         )
-    return Trajectory(states=states, dt=config.dt, T=config.T)
+    return states
 
 
 def test_exact_interpolant_trajectory_has_zero_errors():
     case = _linear_case()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
     disc = build_discretization(config)
-    traj = _interpolant_trajectory(case, config, disc)
-    finals = final_time_errors(traj, case, disc)
-    sums = summed_errors(traj, case, disc)
+    states = _interpolant_trajectory(case, config, disc)
+    finals = final_time_errors(states, case, disc)
+    sums = summed_errors(states, case, disc)
     for q in FINAL_QUANTITIES:
         assert getattr(finals, q) <= 1e-12, q
     for q in SUMMED_QUANTITIES:
@@ -187,9 +186,9 @@ def test_streaming_matches_batch(case_name, fe_order):
     )
     disc = build_discretization(config)
     streamed = run_with_errors(case, config, disc=disc, k=4)
-    traj = run(case, config, disc=disc)
-    finals = final_time_errors(traj, case, disc)
-    sums = summed_errors(traj, case, disc)
+    states = list(run(case, config, disc=disc))
+    finals = final_time_errors(states, case, disc)
+    sums = summed_errors(states, case, disc)
     for q in FINAL_QUANTITIES:
         a, b = getattr(streamed, q), getattr(finals, q)
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), q
@@ -205,30 +204,11 @@ def test_final_time_triangle_inequality():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=16)
     disc = build_discretization(config)
-    traj = run(case, config, disc=disc)
-    report = final_time_errors(traj, case, disc)
+    states = list(run(case, config, disc=disc))
+    report = final_time_errors(states, case, disc)
     n = config.n_steps
-    e_u_last = l2_error(disc.fluid, traj[n - 1].u, case.u_exact, config.T - config.dt)
+    e_u_last = l2_error(disc.fluid, states[n - 1].u, case.u_exact, config.T - config.dt)
     assert report.e_du <= report.e_u + e_u_last + 1e-12
-
-
-def test_final_time_errors_need_last_two_levels():
-    case = case_example1()
-    config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
-    disc = build_discretization(config)
-    traj = run(case, config, disc=disc)
-    short = Trajectory(states=traj.states[:-2], dt=config.dt, T=config.T)
-    with pytest.raises(ConfigurationError):
-        final_time_errors(short, case, disc)
-
-
-def test_summed_errors_need_full_trajectory():
-    case = case_example1()
-    config = SchemeConfig(dt=1.0 / 32.0, T=0.25, nx=4)
-    disc = build_discretization(config)
-    tail_only = run(case, config, disc=disc, keep_states=False)
-    with pytest.raises(ConfigurationError):
-        summed_errors(tail_only, case, disc)
 
 
 def test_accumulator_rejects_level_gaps():

@@ -5,14 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 
 from robinsplit.errors import ConfigurationError, SingularSystemError
-from robinsplit.linalg import (
-    BlockLayout,
-    assemble_block_system,
-    eliminate_dirichlet,
-    factorize,
-    finalize_csr,
-    solve,
-)
+from robinsplit.linalg import eliminate_dirichlet, factorize, finalize_csr
 
 
 def test_identity_solve():
@@ -23,7 +16,7 @@ def test_identity_solve():
 
 def test_hand_elimination_2x2():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = solve(a, np.array([5.0, 10.0]))
+    x = factorize(a).solve(np.array([5.0, 10.0]))
     np.testing.assert_allclose(x, [1.0, 3.0], atol=1e-14)
 
 
@@ -31,7 +24,7 @@ def test_diagonal_solve():
     d = np.array([2.0, 4.0, 0.5])
     a = sp.diags(d).tocsr()
     b = np.array([1.0, 1.0, 1.0])
-    np.testing.assert_allclose(solve(a, b), 1.0 / d)
+    np.testing.assert_allclose(factorize(a).solve(b), 1.0 / d)
 
 
 def test_zero_matrix_singular():
@@ -52,6 +45,13 @@ def test_rank_deficient_reports_pivot():
 def test_nonsquare_rejected():
     with pytest.raises(ConfigurationError):
         factorize(sp.csr_matrix(np.ones((2, 3))))
+
+
+def test_non_finite_solve_is_singular():
+    # SuperLU takes the denormal pivot without complaint; its solve gives inf
+    fact = factorize(sp.diags([1.0, 1e-320]))
+    with pytest.raises(SingularSystemError):
+        fact.solve([1.0, 1.0])
 
 
 def test_rhs_dimension_mismatch():
@@ -120,67 +120,12 @@ def test_eliminate_dirichlet():
     np.testing.assert_allclose(out, expected)
 
 
-# -- block assembly ---------------------------------------------------------
-
-def test_single_block_is_itself():
-    layout = BlockLayout.create([("a", 3)])
-    m = sp.csr_matrix(np.arange(9.0).reshape(3, 3))
-    matrix = assemble_block_system(layout, [("a", "a", m, 1.0)])
-    np.testing.assert_allclose(matrix.toarray(), m.toarray())
-
-
-def test_opposite_scales_cancel():
-    layout = BlockLayout.create([("a", 4)])
-    d = sp.eye(4, format="csr")
-    matrix = assemble_block_system(layout, [("a", "a", d, 1.0), ("a", "a", d, -1.0)])
-    assert matrix.nnz == 0
-
-
-def test_duplicate_contributions_sum():
-    layout = BlockLayout.create([("a", 2), ("b", 2)])
-    d = sp.eye(2, format="csr")
-    matrix = assemble_block_system(layout, [("a", "b", d, 2.0), ("a", "b", d, 0.5)])
-    dense = matrix.toarray()
-    np.testing.assert_allclose(dense[0:2, 2:4], 2.5 * np.eye(2))
-    np.testing.assert_allclose(dense[:, 0:2], 0.0)
-    np.testing.assert_allclose(dense[2:4, :], 0.0)
-
-
-def test_layout_arithmetic():
-    layout = BlockLayout.create([("w", 10), ("u", 30), ("l", 5)])
-    assert layout.dim == 45
-    assert layout.offsets == {"w": 0, "u": 10, "l": 40}
-    assert layout.slice_of("l") == slice(40, 45)
-    vec = np.arange(45.0)
-    np.testing.assert_allclose(layout.extract("u", vec), np.arange(10.0, 40.0))
-
-
-def test_duplicate_block_names_rejected():
-    with pytest.raises(ConfigurationError):
-        BlockLayout.create([("a", 2), ("a", 3)])
-
-
-def test_shape_mismatch_rejected():
-    layout = BlockLayout.create([("a", 3), ("b", 2)])
-    with pytest.raises(ConfigurationError):
-        assemble_block_system(layout, [("a", "b", sp.eye(3, format="csr"), 1.0)])
-
-
 def test_block_solve_round_trip():
-    # assemble a 2x2 block saddle-ish system and check against dense solve
+    # a 2x2 block saddle-ish system, checked against a dense solve
     rng = np.random.default_rng(21)
     a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
     c = rng.normal(size=(6, 3))
-    layout = BlockLayout.create([("x", 6), ("y", 3)])
-    matrix = assemble_block_system(
-        layout,
-        [
-            ("x", "x", sp.csr_matrix(a), 1.0),
-            ("x", "y", sp.csr_matrix(c), 1.0),
-            ("y", "x", sp.csr_matrix(c.T), -1.0),
-            ("y", "y", sp.eye(3, format="csr"), 1.0),
-        ],
-    )
+    matrix = sp.bmat([[sp.csr_matrix(a), sp.csr_matrix(c)], [-sp.csr_matrix(c.T), sp.eye(3)]])
     rhs = np.concatenate([np.ones(6), np.full(3, 2.0)])
     dense = np.block([[a, c], [-c.T, np.eye(3)]])
     expected = np.linalg.solve(dense, rhs)
@@ -196,5 +141,5 @@ def test_solve_recovers_known_vector(seed):
     g = rng.normal(size=(n, n))
     a = sp.csr_matrix(g @ g.T + n * np.eye(n))
     x = rng.normal(size=n)
-    got = solve(a, a @ x)
+    got = factorize(a).solve(a @ x)
     assert np.max(np.abs(got - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))

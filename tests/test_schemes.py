@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from robinsplit import schemes
 from robinsplit.diagnostics import zs_functionals
 from robinsplit.errors import ConfigurationError
 from robinsplit.fem import interpolate, l2_error, sigma_l2_error
@@ -185,80 +187,104 @@ def test_monolithic_step_residuals():
 def test_block_dimension_layout():
     config = _config(nx=8, dt=0.0625, T=0.25, variant="improved")
     disc = build_discretization(config)
-    _, layout = disc.first_block_factorization()
+    fact, offsets = disc.first_block_factorization()
     dim_s = disc.solid.ndof
     dim_f = disc.fluid.ndof
     assert dim_f == 9 * 7 and dim_s == 9 * 3
-    assert layout.dim == 3 * dim_s + 3 * dim_f + 3 * 9
+    assert offsets == {
+        "w1": 0,
+        "w2": dim_s,
+        "w3": 2 * dim_s,
+        "u1": 3 * dim_s,
+        "u2": 3 * dim_s + dim_f,
+        "u3": 3 * dim_s + 2 * dim_f,
+        "l1": 3 * dim_s + 3 * dim_f,
+        "l2": 3 * dim_s + 3 * dim_f + 9,
+        "l3": 3 * dim_s + 3 * dim_f + 2 * 9,
+    }
+    assert fact.shape == (3 * dim_s + 3 * dim_f + 3 * 9,) * 2
 
 
 def test_dirichlet_rows_preserved_by_all_variants():
     case = case_example2()
     for variant in VARIANTS:
         config = _config(nx=4, variant=variant, fe_order=2)
-        traj = run(case, config)
-        for level in traj.levels():
-            s = traj[level]
-            disc = build_discretization(config)
+        disc = build_discretization(config)
+        for s in run(case, config):
             assert np.all(s.u[disc.fluid.dirichlet_mask] == 0.0)
             assert np.all(s.w[disc.solid.dirichlet_mask] == 0.0)
 
 
 # -- full runs --------------------------------------------------------------
 
-def test_run_meta_counters():
+def test_run_meta_counters(monkeypatch):
+    calls = {"block": 0, "step": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        schemes, "solve_first_block_improved", counted("block", solve_first_block_improved)
+    )
+    monkeypatch.setattr(schemes, "step_original", counted("step", step_original))
     case = case_example1()
-    traj = run(case, _config(variant="improved"))
-    assert traj.meta["block_solves"] == 1
-    assert traj.meta["steps"] == 1  # levels 1..3 from the block, one more step
-    traj = run(case, _config(variant="original"))
-    assert traj.meta["steps"] == 4
+    for _ in run(case, _config(variant="improved")):
+        pass
+    # levels 1..3 from the block, one more step
+    assert calls == {"block": 1, "step": 1}
+    for _ in run(case, _config(variant="original")):
+        pass
+    assert calls == {"block": 1, "step": 5}
+
+
+def test_run_yields_every_level_in_order():
+    case = case_example1()
+    for variant in VARIANTS:
+        config = _config(variant=variant)
+        disc = build_discretization(config)
+        states = list(run(case, config, disc))
+        assert [s.n for s in states] == list(range(config.n_steps + 1)), variant
+        if variant != "improved":
+            continue
+        # levels 1..3 are the coupled start-up solution
+        startup = solve_first_block_improved(case, config, disc)
+        for got, want in zip(states[1:4], startup, strict=True):
+            assert got.n == want.n
+            assert np.array_equal(got.u, want.u)
+            assert np.array_equal(got.w, want.w)
+            assert np.array_equal(got.lam, want.lam)
+
+
+def test_streaming_run_keeps_tail_only():
+    # a run holds only the state it steps from, so a long run stays small
+    config = SchemeConfig(dt=0.03125, T=0.25, nx=4)
+    levels = run(case_example1(), config)
+    first = weakref.ref(next(levels))
+    assert next(levels).n == 1
+    assert first() is None
+    assert [s.n for s in levels] == list(range(2, 9))
 
 
 def test_run_is_deterministic():
     case = case_example3()
     config = _config(nx=4, variant="improved", fe_order=2)
-    t1 = run(case, config)
-    t2 = run(case, config)
-    for level in t1.levels():
-        assert np.array_equal(t1[level].u, t2[level].u)
-        assert np.array_equal(t1[level].w, t2[level].w)
-        assert np.array_equal(t1[level].lam, t2[level].lam)
+    for s1, s2 in zip(run(case, config), run(case, config), strict=True):
+        assert np.array_equal(s1.u, s2.u)
+        assert np.array_equal(s1.w, s2.w)
+        assert np.array_equal(s1.lam, s2.lam)
 
 
 def test_improved_differs_from_original_at_level3():
     case = case_example1()
     base = dict(nx=8, dt=0.0625, T=0.25)
-    t_orig = run(case, _config(variant="original", **base))
-    t_impr = run(case, _config(variant="improved", **base))
+    t_orig = list(run(case, _config(variant="original", **base)))
+    t_impr = list(run(case, _config(variant="improved", **base)))
     diff = np.max(np.abs(t_orig[3].u - t_impr[3].u))
     assert diff > 1e-8
-
-
-def test_streaming_run_keeps_tail_only():
-    case = case_example1()
-    config = SchemeConfig(dt=0.03125, T=0.25, nx=4)
-    traj = run(case, config, keep_states=False)
-    assert traj.last_level == 8
-    assert traj.first_retained > 0
-    with pytest.raises(KeyError):
-        traj[0]
-    # retained tail stays contiguous and indexable
-    tail = list(traj.levels())
-    assert tail == list(range(traj.first_retained, 9))
-
-
-def test_observer_sees_every_level():
-    case = case_example1()
-    seen = []
-    run(case, _config(variant="improved"), observer=lambda s: seen.append(s.n))
-    assert seen == [0, 1, 2, 3, 4]
-
-
-def test_trajectory_time_consistency():
-    config = _config()
-    traj = run(case_example1(), config)
-    assert abs(traj.T - traj.dt * traj.last_level) < 1e-12
 
 
 # -- physical sanity --------------------------------------------------------
@@ -318,11 +344,11 @@ def test_mirror_antisymmetry_on_symmetric_mesh():
             diagonal="alternating",
         )
         disc = build_discretization(config)
-        traj = run(case, config, disc)
+        *_, final = run(case, config, disc)
         coords = disc.fluid.dof_coords
         order = np.lexsort((coords[:, 0], coords[:, 1]))
         mirrored = np.lexsort((-coords[:, 0], coords[:, 1]))
-        u = traj[traj.last_level].u
+        u = final.u
         assert np.max(np.abs(u[order] + u[mirrored])) < 1e-10
 
 
@@ -330,8 +356,7 @@ def test_monolithic_error_within_data_interpolation_scale():
     case = case_example1()
     config = SchemeConfig(dt=0.0625, T=0.25, nx=16, variant="monolithic")
     disc = build_discretization(config)
-    traj = run(case, config, disc)
-    final = traj[traj.last_level]
+    *_, final = run(case, config, disc)
     err = l2_error(disc.fluid, final.u, case.u_exact, config.T)
     interp0 = l2_error(
         disc.fluid, interpolate(disc.fluid, case.u_exact, 0.0), case.u_exact, 0.0
@@ -345,8 +370,7 @@ def test_monolithic_multiplier_first_order():
     for nx in (16, 32):
         config = SchemeConfig(dt=1.0 / nx, T=0.25, nx=nx, variant="monolithic")
         disc = build_discretization(config)
-        traj = run(case, config, disc)
-        final = traj[traj.last_level]
+        *_, final = run(case, config, disc)
         errs.append(sigma_l2_error(disc.fluid, final.lam, case.l_exact, config.T))
     ratio = errs[0] / errs[1]
     assert 1.8 < ratio < 3.2
@@ -358,8 +382,8 @@ def test_improved_start_ignores_discrete_initial_state():
     case = case_example1()
     config = _config(nx=4, variant="improved")
     disc = build_discretization(config)
-    clean = run(case, config, disc)
-    tampered = run(case, config, disc, initial_state=_random_homogeneous_state(disc, 99))
+    clean = list(run(case, config, disc))
+    tampered = list(run(case, config, disc, initial_state=_random_homogeneous_state(disc, 99)))
     for level in (1, 2, 3):
         assert np.array_equal(clean[level].u, tampered[level].u)
         assert np.array_equal(clean[level].w, tampered[level].w)
