@@ -259,6 +259,19 @@ def test_run_yields_every_level_in_order():
             assert np.array_equal(got.lam, want.lam)
 
 
+def test_observer_sees_every_level():
+    # the caller iterating a run is its observer: it sees each level once, in order
+    case = case_example1()
+    seen = [s.n for s in run(case, _config(variant="improved"))]
+    assert seen == [0, 1, 2, 3, 4]
+
+
+def test_trajectory_time_consistency():
+    config = _config()
+    *_, last = run(case_example1(), config)
+    assert abs(config.T - config.dt * last.n) < 1e-12
+
+
 def test_streaming_run_keeps_tail_only():
     # a run holds only the state it steps from, so a long run stays small
     config = SchemeConfig(dt=0.03125, T=0.25, nx=4)
