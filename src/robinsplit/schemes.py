@@ -202,12 +202,8 @@ class Discretization:
         return self._facts["mono"]
 
     def first_block_factorization(self):
-        if "block" not in self._facts:
-            self._facts["block"] = (
-                linalg.factorize(_first_block_matrix(self)),
-                _first_block_offsets(self),
-            )
-        return self._facts["block"]
+        """Factors of the improved start-up; not kept, as it runs once."""
+        return _Startup(self)
 
 
 def build_discretization(config):
@@ -256,112 +252,128 @@ def step_original(state, case, config, disc):
 # ---------------------------------------------------------------------------
 # coupled first block of the improved variant
 
-# the unknown order of the start-up system; its minimum-degree fill depends on it
-_BLOCK_NAMES = ("w1", "w2", "w3", "u1", "u2", "u3", "l1", "l2", "l3")
+# The start-up system couples (w, u, flux) at levels 1, 2, 3.  Its level-1
+# rows minus its level-2 rows lose their mass terms, and in the unknowns
+# (D, v2, v3), D = v1 - v2, the volume rows of either field v = w, u read
+#
+#     nu K D = r0,    -M/dt D + nu K v2 = r1,    -M/dt v2 + (M/dt + nu K) v3 = r2
+#
+# plus interface-mass terms.  Those live on the interface set Gamma alone:
+# the traces of (D, v2, v3) of both fields and the flux at levels 1, 2, 3.
+# On the interior (neither on Gamma nor Dirichlet) the fields decouple and
+# their rows are block lower bidiagonal, so the interior is eliminated by
+# forward substitution over four factors, and GMRES solves the Schur
+# complement on Gamma, preconditioned by an LU of its Gamma-Gamma block
+# (substructuring: Quarteroni & Valli, Domain Decomposition Methods for
+# PDEs, 1999, ch. 2).  Dirichlet dofs are zero and never enter.
 
 
-def _first_block_offsets(disc):
-    """Offset of each named unknown block in the start-up system."""
-    size = {"w": disc.solid.ndof, "u": disc.fluid.ndof, "l": disc.n_sig}
-    offsets, start = {}, 0
-    for name in _BLOCK_NAMES:
-        offsets[name] = start
-        start += size[name[0]]
-    return offsets
+def _interface_coupling(alpha):
+    """Coefficients of the interface mass in the start-up rows on Gamma.
 
-
-def _first_block_matrix(disc):
-    """Coupled system for levels 1..3; unknowns (w, u, flux) at each level.
-
-    Row blocks carry the equations tested with solid, fluid, and trace test
-    functions.  The rows for levels 2 and 3 restate the plain splitting; the
-    level-1 rows couple all three levels and are driven purely by data, so
-    the discrete level-0 state never enters the matrix.
+    Rows are the solid, fluid and flux equations at level 1 - level 2, 2, 3;
+    columns the Gamma unknowns in the same order of fields and levels.
     """
-    cfg = disc.config
-    dt, alpha = cfg.dt, cfg.alpha
-    css = disc.lifted_interface_matrix("s", "s")
-    csf = disc.lifted_interface_matrix("s", "f")
-    csl = disc.lifted_interface_matrix("s", "l")
-    cff = disc.lifted_interface_matrix("f", "f")
-    cfl = disc.lifted_interface_matrix("f", "l")
-    clf = disc.lifted_interface_matrix("l", "f")
-    cls = disc.lifted_interface_matrix("l", "s")
-    msig = disc.msig
-    mass_s, stiff_s = disc.mass_s, disc.stiff_s
-    mass_f, stiff_f = disc.mass_f, disc.stiff_f
-
-    contributions = [
-        # level-1 solid equation (tested with z): couples levels via data lag
-        ("w1", "w2", mass_s, 1 / dt),
-        ("w1", "w1", mass_s, -1 / dt),
-        ("w1", "w1", stiff_s, cfg.nu_s),
-        ("w1", "w1", css, alpha),
-        ("w1", "u2", csf, alpha),
-        ("w1", "u1", csf, -2 * alpha),
-        ("w1", "l1", csl, 2.0),
-        ("w1", "l2", csl, -1.0),
-        # level-1 fluid equation (tested with v)
-        ("u1", "u2", mass_f, 1 / dt),
-        ("u1", "u1", mass_f, -1 / dt),
-        ("u1", "u1", stiff_f, cfg.nu_f),
-        ("u1", "u3", cff, alpha),
-        ("u1", "u2", cff, -2 * alpha),
-        ("u1", "u1", cff, alpha),
-        ("u1", "l3", cfl, 1.0),
-        ("u1", "l2", cfl, -2.0),
-        # level-1 flux equation (tested with mu)
-        ("l1", "u3", clf, -alpha),
-        ("l1", "u2", clf, 2 * alpha),
-        ("l1", "w1", cls, -alpha),
-        ("l1", "l2", msig, 1.0),
-        ("l1", "l1", msig, -1.0),
-    ]
-    for a, b in (("1", "2"), ("2", "3")):
-        # plain splitting a -> b: the solid, fluid and flux rows of step_original
-        contributions += [
-            ("w" + b, "w" + b, mass_s, 1 / dt),
-            ("w" + b, "w" + a, mass_s, -1 / dt),
-            ("w" + b, "w" + b, stiff_s, cfg.nu_s),
-            ("w" + b, "w" + b, css, alpha),
-            ("w" + b, "u" + a, csf, -alpha),
-            ("w" + b, "l" + a, csl, 1.0),
-            ("u" + b, "u" + b, mass_f, 1 / dt),
-            ("u" + b, "u" + a, mass_f, -1 / dt),
-            ("u" + b, "u" + b, stiff_f, cfg.nu_f),
-            ("u" + b, "l" + b, cfl, -1.0),
-            ("l" + b, "u" + b, clf, alpha),
-            ("l" + b, "w" + b, cls, -alpha),
-            ("l" + b, "l" + b, msig, 1.0),
-            ("l" + b, "l" + a, msig, -1.0),
+    a = alpha
+    return np.array(
+        [
+            # D_w w2  w3 D_u  u2  u3  l1  l2  l3
+            [a, 0, 0, -a, 0, 0, 1, -1, 0],
+            [0, a, 0, -a, -a, 0, 1, 0, 0],
+            [0, 0, a, 0, -a, 0, 0, 1, 0],
+            [0, 0, 0, a, -a, a, 0, -1, 1],
+            [0, 0, 0, 0, 0, 0, 0, -1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, -1],
+            [-a, 0, 0, 0, a, -a, 0, 0, 0],
+            [0, -a, 0, 0, a, 0, -1, 1, 0],
+            [0, 0, -a, 0, 0, a, 0, -1, 1],
         ]
-    offsets = _first_block_offsets(disc)
-    rows, cols, data = [], [], []
-    for row, col, part, scale in contributions:
-        coo = part.tocoo()
-        rows.append(coo.row + offsets[row])
-        cols.append(coo.col + offsets[col])
-        data.append(coo.data * scale)
-    mask = _first_block_dirichlet_mask(disc)
-    matrix = linalg.finalize_csr(
-        sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mask.size, mask.size),
-        )
     )
-    # the triplets outsize the summed matrix; kept through the Dirichlet
-    # products they raise a start-up run's peak memory (by 28 MB at P2 k = 5)
-    del rows, cols, data
-    return linalg.eliminate_dirichlet(matrix, mask)
 
 
-def _first_block_dirichlet_mask(disc):
-    fixed = {
-        "w": disc.solid.dirichlet_mask,
-        "u": disc.fluid.dirichlet_mask,
-        "l": np.zeros(disc.n_sig, dtype=bool),
-    }
-    return np.concatenate([fixed[name[0]] for name in _BLOCK_NAMES])
+class _FieldRows:
+    """Volume rows of one field over (D, v2, v3), split into interior and trace."""
+
+    def __init__(self, space, mass, stiff, nu, dt):
+        interior = ~space.dirichlet_mask
+        interior[space.interface_dofs] = False
+        self.interior = np.flatnonzero(interior)
+        self.trace = space.interface_dofs
+        k = nu * stiff
+        e = mass / dt
+        b = e + k
+
+        def rows(r, c):
+            kk, ee, bb = (m[r][:, c] for m in (k, e, b))
+            return sp.bmat([[kk, None, None], [-ee, kk, None], [None, -ee, bb]], format="csr")
+
+        i, g = self.interior, self.trace
+        self.e_ii = e[i][:, i]
+        self.k_ii = linalg.factorize(k[i][:, i])
+        self.b_ii = linalg.factorize(b[i][:, i])
+        self.interior_trace = rows(i, g)
+        self.trace_interior = rows(g, i)
+        self.trace_trace = rows(g, g)
+
+    def solve_interior(self, rhs):
+        """Interior (D, v2, v3), stacked, by block forward substitution."""
+        r0, r1, r2 = np.split(rhs, 3)
+        d = self.k_ii.solve(r0)
+        v2 = self.k_ii.solve(r1 + self.e_ii @ d)
+        v3 = self.b_ii.solve(r2 + self.e_ii @ v2)
+        return np.concatenate([d, v2, v3])
+
+    def eliminated(self, trace_values):
+        """What the interior adds to the trace rows for these trace values."""
+        return self.trace_interior @ self.solve_interior(self.interior_trace @ trace_values)
+
+
+class _Startup:
+    """Factors of the start-up system and its solve through Gamma."""
+
+    def __init__(self, disc):
+        cfg = disc.config
+        self.fields = (
+            _FieldRows(disc.solid, disc.mass_s, disc.stiff_s, cfg.nu_s, cfg.dt),
+            _FieldRows(disc.fluid, disc.mass_f, disc.stiff_f, cfg.nu_f, cfg.dt),
+        )
+        m = 3 * disc.n_sig
+        self.parts = [slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)]
+        gamma = sp.block_diag(
+            [f.trace_trace for f in self.fields] + [sp.csr_matrix((m, m))]
+        ) + sp.kron(_interface_coupling(cfg.alpha), disc.msig)
+        self.gamma = linalg.finalize_csr(gamma)
+        self.gamma_factor = linalg.factorize(self.gamma)
+
+    def _schur(self, x):
+        y = self.gamma @ x
+        for field, part in zip(self.fields, self.parts):
+            y[part] -= field.eliminated(x[part])
+        return y
+
+    def solve(self, rhs_w, rhs_u, rhs_l):
+        """Levels 1, 2, 3 of w, u and flux, each as a (3, n) array.
+
+        The right-hand sides are the rows at level 1 - level 2, 2, 3, shaped
+        the same way.
+        """
+        rhs = (rhs_w, rhs_u)
+        b_i = [r[:, f.interior].ravel() for f, r in zip(self.fields, rhs)]
+        b_g = np.concatenate(
+            [r[:, f.trace].ravel() for f, r in zip(self.fields, rhs)] + [rhs_l.ravel()]
+        )
+        for field, part, b in zip(self.fields, self.parts, b_i):
+            b_g[part] -= field.trace_interior @ field.solve_interior(b)
+        x_g = linalg.gmres(self._schur, b_g, self.gamma_factor)
+        out = []
+        for field, part, b, r in zip(self.fields, self.parts, b_i, rhs):
+            x = np.zeros_like(r)
+            interior = field.solve_interior(b - field.interior_trace @ x_g[part])
+            x[:, field.interior] = interior.reshape(3, -1)
+            x[:, field.trace] = x_g[part].reshape(3, -1)
+            x[0] += x[1]  # v1 = D + v2
+            out.append(x)
+        return (*out, x_g[self.parts[2]].reshape(3, -1))
 
 
 def _first_step_loads(case, config, disc):
@@ -380,44 +392,26 @@ def _first_step_loads(case, config, disc):
     )
 
 
-def _first_block_rhs(case, config, disc, offsets):
+def _startup_rhs(case, config, disc):
+    """Right-hand sides of the start-up rows, as ``_Startup.solve`` takes them."""
     dt, alpha = config.dt, config.alpha
     ddw, ddu, g1_2, g1_3, g2_2, g2_3 = _first_step_loads(case, config, disc)
-    parts = [
-        ("w1", ddw),
-        ("w1", disc.lift_s(alpha * dt * g1_2 - dt * g2_2)),
-        ("w1", disc.load_s(case.f_s, dt)),
-        ("u1", ddu),
-        ("u1", disc.lift_f(alpha * dt * g1_3 + dt * g2_3)),
-        ("u1", disc.load_f(case.f_f, dt)),
-        ("l1", -alpha * dt * g1_3 + dt * g2_2),
-        ("w2", disc.load_s(case.f_s, 2 * dt)),
-        ("u2", disc.load_f(case.f_f, 2 * dt)),
-        ("w3", disc.load_s(case.f_s, 3 * dt)),
-        ("u3", disc.load_f(case.f_f, 3 * dt)),
-    ]
-    mask = _first_block_dirichlet_mask(disc)
-    rhs = np.zeros(mask.size)
-    for name, vec in parts:
-        rhs[offsets[name] : offsets[name] + vec.size] += vec
-    rhs[mask] = 0.0
-    return rhs
+    rhs_w = np.array([disc.load_s(case.f_s, n * dt) for n in (1, 2, 3)])
+    rhs_u = np.array([disc.load_f(case.f_f, n * dt) for n in (1, 2, 3)])
+    rhs_w[0] += ddw + disc.lift_s(alpha * dt * g1_2 - dt * g2_2) - rhs_w[1]
+    rhs_u[0] += ddu + disc.lift_f(alpha * dt * g1_3 + dt * g2_3) - rhs_u[1]
+    rhs_l = np.zeros((3, disc.n_sig))
+    rhs_l[0] = -alpha * dt * g1_3 + dt * g2_2
+    return rhs_w, rhs_u, rhs_l
 
 
 def solve_first_block_improved(case, config, disc):
-    """Solve the coupled start-up system; returns states at levels 1, 2, 3."""
-    fact, offsets = disc.first_block_factorization()
-    x = fact.solve(_first_block_rhs(case, config, disc, offsets))
-    block = dict(zip(_BLOCK_NAMES, np.split(x, [offsets[n] for n in _BLOCK_NAMES[1:]])))
-    return tuple(
-        DiscreteState(
-            n=level,
-            u=block[f"u{level}"].copy(),
-            w=block[f"w{level}"].copy(),
-            lam=block[f"l{level}"].copy(),
-        )
-        for level in (1, 2, 3)
-    )
+    """Solve the coupled start-up system; returns states at levels 1, 2, 3.
+
+    Its factors are built for this solve and freed when it returns.
+    """
+    w, u, lam = disc.first_block_factorization().solve(*_startup_rhs(case, config, disc))
+    return tuple(DiscreteState(n=n + 1, u=u[n], w=w[n], lam=lam[n]) for n in range(3))
 
 
 # ---------------------------------------------------------------------------

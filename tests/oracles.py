@@ -1,14 +1,22 @@
-"""Reference error quantities recomputed from every stored level of a run.
+"""Reference computations that the package replaces with faster ones.
 
-These are the cross-check for ``diagnostics.ErrorAccumulator``: they take
-``states = list(run(...))``, indexed by level, and evaluate each quantity
-pair by pair through the plain error norms of ``fem``, with the exact field
-sampled at each time rather than scaled by ``time_factor``.
+* The error quantities recomputed from every stored level of a run, the
+  cross-check for ``diagnostics.ErrorAccumulator``: they take
+  ``states = list(run(...))``, indexed by level, and evaluate each quantity
+  pair by pair through the plain error norms of ``fem``, with the exact field
+  sampled at each time rather than scaled by ``time_factor``.
+* The improved start-up as one nine-block linear system over
+  ``w1 w2 w3 u1 u2 u3 l1 l2 l3``, with Dirichlet dofs kept as identity rows
+  and solved by one sparse LU: the cross-check for the interface solve of
+  ``schemes.solve_first_block_improved``.
 """
 
 import math
 
-from robinsplit import fem
+import numpy as np
+import scipy.sparse as sp
+
+from robinsplit import fem, linalg, schemes
 from robinsplit.diagnostics import SUMMED_QUANTITIES, ErrorReport
 
 
@@ -79,3 +87,153 @@ def summed_errors(states, case, disc):
     for name, total in sums.items():
         setattr(out, name, math.sqrt(dt * total))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the start-up block as one matrix
+
+# the unknown order of the start-up system; its minimum-degree fill depends on it
+_BLOCK_NAMES = ("w1", "w2", "w3", "u1", "u2", "u3", "l1", "l2", "l3")
+
+
+def _first_block_offsets(disc):
+    """Offset of each named unknown block in the start-up system."""
+    size = {"w": disc.solid.ndof, "u": disc.fluid.ndof, "l": disc.n_sig}
+    offsets, start = {}, 0
+    for name in _BLOCK_NAMES:
+        offsets[name] = start
+        start += size[name[0]]
+    return offsets
+
+
+def _first_block_matrix(disc):
+    """Coupled system for levels 1..3; unknowns (w, u, flux) at each level.
+
+    Row blocks carry the equations tested with solid, fluid, and trace test
+    functions.  The rows for levels 2 and 3 restate the plain splitting; the
+    level-1 rows couple all three levels and are driven purely by data, so
+    the discrete level-0 state never enters the matrix.
+    """
+    cfg = disc.config
+    dt, alpha = cfg.dt, cfg.alpha
+    css = disc.lifted_interface_matrix("s", "s")
+    csf = disc.lifted_interface_matrix("s", "f")
+    csl = disc.lifted_interface_matrix("s", "l")
+    cff = disc.lifted_interface_matrix("f", "f")
+    cfl = disc.lifted_interface_matrix("f", "l")
+    clf = disc.lifted_interface_matrix("l", "f")
+    cls = disc.lifted_interface_matrix("l", "s")
+    msig = disc.msig
+    mass_s, stiff_s = disc.mass_s, disc.stiff_s
+    mass_f, stiff_f = disc.mass_f, disc.stiff_f
+
+    contributions = [
+        # level-1 solid equation (tested with z): couples levels via data lag
+        ("w1", "w2", mass_s, 1 / dt),
+        ("w1", "w1", mass_s, -1 / dt),
+        ("w1", "w1", stiff_s, cfg.nu_s),
+        ("w1", "w1", css, alpha),
+        ("w1", "u2", csf, alpha),
+        ("w1", "u1", csf, -2 * alpha),
+        ("w1", "l1", csl, 2.0),
+        ("w1", "l2", csl, -1.0),
+        # level-1 fluid equation (tested with v)
+        ("u1", "u2", mass_f, 1 / dt),
+        ("u1", "u1", mass_f, -1 / dt),
+        ("u1", "u1", stiff_f, cfg.nu_f),
+        ("u1", "u3", cff, alpha),
+        ("u1", "u2", cff, -2 * alpha),
+        ("u1", "u1", cff, alpha),
+        ("u1", "l3", cfl, 1.0),
+        ("u1", "l2", cfl, -2.0),
+        # level-1 flux equation (tested with mu)
+        ("l1", "u3", clf, -alpha),
+        ("l1", "u2", clf, 2 * alpha),
+        ("l1", "w1", cls, -alpha),
+        ("l1", "l2", msig, 1.0),
+        ("l1", "l1", msig, -1.0),
+    ]
+    for a, b in (("1", "2"), ("2", "3")):
+        # plain splitting a -> b: the solid, fluid and flux rows of step_original
+        contributions += [
+            ("w" + b, "w" + b, mass_s, 1 / dt),
+            ("w" + b, "w" + a, mass_s, -1 / dt),
+            ("w" + b, "w" + b, stiff_s, cfg.nu_s),
+            ("w" + b, "w" + b, css, alpha),
+            ("w" + b, "u" + a, csf, -alpha),
+            ("w" + b, "l" + a, csl, 1.0),
+            ("u" + b, "u" + b, mass_f, 1 / dt),
+            ("u" + b, "u" + a, mass_f, -1 / dt),
+            ("u" + b, "u" + b, stiff_f, cfg.nu_f),
+            ("u" + b, "l" + b, cfl, -1.0),
+            ("l" + b, "u" + b, clf, alpha),
+            ("l" + b, "w" + b, cls, -alpha),
+            ("l" + b, "l" + b, msig, 1.0),
+            ("l" + b, "l" + a, msig, -1.0),
+        ]
+    offsets = _first_block_offsets(disc)
+    rows, cols, data = [], [], []
+    for row, col, part, scale in contributions:
+        coo = part.tocoo()
+        rows.append(coo.row + offsets[row])
+        cols.append(coo.col + offsets[col])
+        data.append(coo.data * scale)
+    mask = _first_block_dirichlet_mask(disc)
+    matrix = linalg.finalize_csr(
+        sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(mask.size, mask.size),
+        )
+    )
+    # the triplets outsize the summed matrix; kept through the Dirichlet
+    # products they raise a start-up run's peak memory (by 28 MB at P2 k = 5)
+    del rows, cols, data
+    return linalg.eliminate_dirichlet(matrix, mask)
+
+
+def _first_block_dirichlet_mask(disc):
+    fixed = {
+        "w": disc.solid.dirichlet_mask,
+        "u": disc.fluid.dirichlet_mask,
+        "l": np.zeros(disc.n_sig, dtype=bool),
+    }
+    return np.concatenate([fixed[name[0]] for name in _BLOCK_NAMES])
+
+
+def _first_block_rhs(case, config, disc, offsets):
+    dt, alpha = config.dt, config.alpha
+    ddw, ddu, g1_2, g1_3, g2_2, g2_3 = schemes._first_step_loads(case, config, disc)
+    parts = [
+        ("w1", ddw),
+        ("w1", disc.lift_s(alpha * dt * g1_2 - dt * g2_2)),
+        ("w1", disc.load_s(case.f_s, dt)),
+        ("u1", ddu),
+        ("u1", disc.lift_f(alpha * dt * g1_3 + dt * g2_3)),
+        ("u1", disc.load_f(case.f_f, dt)),
+        ("l1", -alpha * dt * g1_3 + dt * g2_2),
+        ("w2", disc.load_s(case.f_s, 2 * dt)),
+        ("u2", disc.load_f(case.f_f, 2 * dt)),
+        ("w3", disc.load_s(case.f_s, 3 * dt)),
+        ("u3", disc.load_f(case.f_f, 3 * dt)),
+    ]
+    mask = _first_block_dirichlet_mask(disc)
+    rhs = np.zeros(mask.size)
+    for name, vec in parts:
+        rhs[offsets[name] : offsets[name] + vec.size] += vec
+    rhs[mask] = 0.0
+    return rhs
+
+
+def first_block_reference(case, config, disc):
+    """States at levels 1, 2, 3 from one LU of the nine-block start-up matrix."""
+    offsets = _first_block_offsets(disc)
+    x = linalg.factorize(_first_block_matrix(disc)).solve(
+        _first_block_rhs(case, config, disc, offsets)
+    )
+    block = dict(zip(_BLOCK_NAMES, np.split(x, [offsets[n] for n in _BLOCK_NAMES[1:]])))
+    return tuple(
+        schemes.DiscreteState(
+            n=level, u=block[f"u{level}"], w=block[f"w{level}"], lam=block[f"l{level}"]
+        )
+        for level in (1, 2, 3)
+    )

@@ -1,5 +1,6 @@
 import pytest
 
+from robinsplit import linalg
 from robinsplit.cli import ExperimentConfig, level_config, main
 from robinsplit.diagnostics import ALL_QUANTITIES, ConvergenceTable
 from robinsplit.errors import ConfigurationError
@@ -103,6 +104,13 @@ def test_convergence_p2_keeps_full_sums(tmp_path, capsys):
     assert code == 0
     sums = ConvergenceTable.read_csv(tmp_path / "p2_sums.csv")
     assert sums.quantities == ("e_gdus", "e_gdws", "e_gdu2s", "e_dls", "e_ggdus")
+
+
+def test_startup_gmres_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(linalg, "GMRES_MAXITER", 2)
+    args = ["run", "--case", "example1", "--variant", "improved", "--kmin", "3", "--T", "0.25"]
+    assert main(args) == 1
+    assert "GMRES did not converge" in capsys.readouterr().err
 
 
 def test_convergence_partial_failure_exit_code(capsys):

@@ -5,9 +5,10 @@ import weakref
 import numpy as np
 import pytest
 
-from robinsplit import schemes
+from robinsplit import linalg, schemes
+from robinsplit.cli import level_config
 from robinsplit.diagnostics import zs_functionals
-from robinsplit.errors import ConfigurationError
+from robinsplit.errors import ConfigurationError, SingularSystemError
 from robinsplit.fem import interpolate, l2_error, sigma_l2_error
 from robinsplit.manufactured import (
     case_example1,
@@ -29,6 +30,8 @@ from robinsplit.schemes import (
     weak_residuals_monolithic,
     weak_residuals_original,
 )
+
+from oracles import first_block_reference
 
 
 def _config(nx=4, variant="original", **kw):
@@ -187,22 +190,59 @@ def test_monolithic_step_residuals():
 def test_block_dimension_layout():
     config = _config(nx=8, dt=0.0625, T=0.25, variant="improved")
     disc = build_discretization(config)
-    fact, offsets = disc.first_block_factorization()
-    dim_s = disc.solid.ndof
-    dim_f = disc.fluid.ndof
-    assert dim_f == 9 * 7 and dim_s == 9 * 3
-    assert offsets == {
-        "w1": 0,
-        "w2": dim_s,
-        "w3": 2 * dim_s,
-        "u1": 3 * dim_s,
-        "u2": 3 * dim_s + dim_f,
-        "u3": 3 * dim_s + 2 * dim_f,
-        "l1": 3 * dim_s + 3 * dim_f,
-        "l2": 3 * dim_s + 3 * dim_f + 9,
-        "l3": 3 * dim_s + 3 * dim_f + 2 * 9,
-    }
-    assert fact.shape == (3 * dim_s + 3 * dim_f + 3 * 9,) * 2
+    startup = disc.first_block_factorization()
+    dim_s, dim_f, n_sig = disc.solid.ndof, disc.fluid.ndof, disc.n_sig
+    assert dim_f == 9 * 7 and dim_s == 9 * 3 and n_sig == 9
+    # three levels of interior dofs per field, the interface set Gamma, and
+    # three levels of Dirichlet dofs per field, which are dropped
+    interior = 3 * sum(f.interior.size for f in startup.fields)
+    dirichlet = 3 * int(disc.solid.dirichlet_mask.sum() + disc.fluid.dirichlet_mask.sum())
+    assert startup.gamma.shape == (9 * n_sig, 9 * n_sig)
+    assert interior + 9 * n_sig + dirichlet == 3 * dim_s + 3 * dim_f + 3 * n_sig
+    for field, space in zip(startup.fields, (disc.solid, disc.fluid)):
+        assert not space.dirichlet_mask[field.interior].any()
+        assert not space.dirichlet_mask[field.trace].any()
+        assert np.intersect1d(field.interior, field.trace).size == 0
+
+
+@pytest.mark.parametrize("name, order", [("example1", 1), ("example3", 2)])
+def test_startup_matches_nine_block_lu(name, order):
+    case = get_case(name)
+    config = level_config(3, "improved", order, 0.25)
+    disc = build_discretization(config)
+    got = solve_first_block_improved(case, config, disc)
+    want = first_block_reference(case, config, disc)
+    for g, w in zip(got, want, strict=True):
+        assert g.n == w.n
+        for field in ("u", "w", "lam"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b), (g.n, field)
+
+
+def test_startup_factors_freed_after_level_3(monkeypatch):
+    refs = []
+    build = schemes.Discretization.first_block_factorization
+
+    def tracked(self):
+        startup = build(self)
+        refs.extend(weakref.ref(f) for field in startup.fields for f in (field.k_ii, field.b_ii))
+        refs.append(weakref.ref(startup.gamma_factor))
+        return startup
+
+    monkeypatch.setattr(schemes.Discretization, "first_block_factorization", tracked)
+    freed = None
+    for state in run(case_example1(), _config(variant="improved")):
+        if state.n == 3:
+            # checked while the run is suspended at level 3, not after it ends
+            freed = [ref() is None for ref in refs]
+    assert freed == [True] * 5
+
+
+def test_startup_gmres_failure_is_loud(monkeypatch):
+    monkeypatch.setattr(linalg, "GMRES_MAXITER", 2)
+    config = _config(nx=8, variant="improved")
+    with pytest.raises(SingularSystemError, match=r"residual .* after 10 iterations"):
+        solve_first_block_improved(case_example1(), config, build_discretization(config))
 
 
 def test_dirichlet_rows_preserved_by_all_variants():
