@@ -16,6 +16,7 @@ import csv
 import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .diagnostics import (
@@ -124,10 +125,18 @@ def _sweep(exp, variants=None):
     for (v, k), outcome in zip(jobs, outcomes):
         try:
             results.setdefault(v, {})[k] = outcome()
+        except BrokenProcessPool:
+            failures.append((k, v, RuntimeError("worker process died; level not completed")))
         except Exception as exc:  # collected, reported in order below
             failures.append((k, v, exc))
     failures.sort(key=lambda item: (item[0], variants.index(item[1])))
     return results, failures
+
+
+def _raise_failures(failures):
+    """One line per failed level, raised as the error of the command."""
+    lines = [f"level k={k} ({v}) failed: {exc}" for k, v, exc in failures]
+    raise RuntimeError("\n".join(lines)) from failures[0][2]
 
 
 def _csv_base(path):
@@ -201,8 +210,7 @@ def cmd_convergence(exp, variant=None):
                 final,
                 sums,
             )
-        k, v, exc = failures[0]
-        raise RuntimeError(f"level k={k} ({v}) failed: {exc}") from exc
+        _raise_failures(failures)
     final, sums = _tables(reports, exp.order)
     _print_tables(f"case={exp.case} variant={variant} order={exp.order}", final, sums)
     if exp.out:
@@ -220,8 +228,7 @@ def cmd_compare(exp):
         return {exp.variants[0]: (final, sums)}
     results, failures = _sweep(exp)
     if failures:
-        k, v, exc = failures[0]
-        raise RuntimeError(f"level k={k} ({v}) failed: {exc}") from exc
+        _raise_failures(failures)
     out = {}
     base = _csv_base(exp.out) if exp.out else None
     for v in exp.variants:

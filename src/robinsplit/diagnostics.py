@@ -16,14 +16,23 @@ Summed quantities, each sqrt(dt * sum of squared step norms):
 * ``e_gdu2s``  gradients of second differences, levels (3,2,1) .. (N,N-1,N-2)
 * ``e_dls``    interface L2 of flux error increments, same range as e_gdus
 * ``e_ggdus``  elementwise Hessians of fluid error increments; for P1 fields
-               the FE Hessian vanishes so only the exact part contributes
-               (reported for completeness, meaningful for P2)
+               the FE Hessian vanishes, so each increment is exactly
+               (c_n - c_{n-1})^2 times the squared norm of the exact
+               Hessian's profile (reported for completeness, meaningful for P2)
+
+Every norm is the degree-6 quadrature sum of ``fem``.  The final-time
+values and ``e_dls`` are evaluated at its points directly.  The derivative
+norms of increments are split once per run (``_DerivativeNorm``): the exact
+derivative is c(t) times a fixed profile, and the FE derivative is a
+polynomial of degree r = 0 or 1 on each cell, so only the profile's
+projection onto P_r enters each step, at 1 (r = 0) or 3 (r = 1) points per
+cell; the rest is one scalar per run.
 
 ``ErrorAccumulator`` consumes the states that ``schemes.run`` yields and
-keeps one previous level of quadrature-point data, so memory stays bounded
-for long runs; ``run_with_errors`` is the entry point.  The tests recompute
-the same numbers from every stored level through the plain error norms of
-``fem`` and check the accumulator against them.
+keeps the previous level's coefficients and the last fluid increment, so
+memory stays bounded for long runs; ``run_with_errors`` is the entry point.
+The tests recompute the same numbers from every stored level through the
+plain error norms of ``fem`` and check the accumulator against them.
 """
 
 import csv
@@ -65,10 +74,12 @@ class ErrorReport:
 class ErrorAccumulator:
     """Streams error quantities out of a run, one level at a time.
 
-    Exact gradients and Hessians are evaluated at the quadrature points once
-    per run, at t = 0, and scaled by ``case.time_factor`` at each level (see
-    the separability contract in ``manufactured``).  Between levels only the
-    previous level's errors and the last gradient increment are kept.
+    Exact gradients and Hessians enter only through a profile per run, taken
+    at t = 0 and scaled by ``case.time_factor`` (see the separability
+    contract in ``manufactured``), so each derivative norm of an increment
+    is split once per run by ``_DerivativeNorm``.  Between levels only the
+    previous level's coefficients, interface errors and fluid increment are
+    kept; the final-time values use the degree-6 rule directly.
     """
 
     def __init__(self, case, disc, dt, n_steps):
@@ -80,16 +91,16 @@ class ErrorAccumulator:
         self.stab = disc.solid.tables(fem.ERROR_DEGREE)
         self.ltab = disc.fluid._line_tables()
         T = dt * n_steps
-        self._profiles = {
-            "gf": _profile(case, "grad_u", self.ftab["qp"], T),
-            "gs": _profile(case, "grad_w", self.stab["qp"], T),
-            "hf": _profile(case, "hess_u", self.ftab["qp"], T),
+        self._norms = {
+            "gf": _DerivativeNorm(disc.fluid, _profile(case, "grad_u", self.ftab["qp"], T), 1),
+            "gs": _DerivativeNorm(disc.solid, _profile(case, "grad_w", self.stab["qp"], T), 1),
+            "hf": _DerivativeNorm(disc.fluid, _profile(case, "hess_u", self.ftab["qp"], T), 2),
         }
         self._wf = self.ftab["wdet"].ravel()
         self._ws = self.stab["wdet"].ravel()
         self._wl = self.ltab["wdet"].ravel()
         self._prev = None
-        self._dgf = None
+        self._inc = None
         self._sums = dict.fromkeys(SUMMED_QUANTITIES, 0.0)
         self._final = {}
         self._fvals = {}
@@ -100,16 +111,11 @@ class ErrorAccumulator:
         if self._prev is not None and self._prev["n"] != n - 1:
             raise ConfigurationError("states must be observed in consecutive order")
         t = n * self.dt
-        c = case.time_factor(t)
-        prof = self._profiles
         cur = {
             "n": n,
-            "c": c,
-            "gf": c * prof["gf"] - fem.fe_grads_at_qp(disc.fluid, state.u, self.ftab),
-            "gs": c * prof["gs"] - fem.fe_grads_at_qp(disc.solid, state.w, self.stab),
-            # FE Hessians are constant per cell; the exact part is added on
-            # increments, where only (c_n - c_{n-1}) times the profile enters
-            "hf": fem.fe_hessians_at_qp(disc.fluid, state.u, self.ftab),
+            "c": case.time_factor(t),
+            "u": state.u,
+            "w": state.w,
             "lf": np.asarray(case.l_exact(t, self.ltab["qp_x"]))
             - np.einsum(
                 "el,ql->eq",
@@ -120,17 +126,20 @@ class ErrorAccumulator:
         prev, self._prev = self._prev, cur
 
         if n >= 2:
-            dgf = cur["gf"] - prev["gf"]
-            dhf = (cur["c"] - prev["c"]) * prof["hf"] - np.repeat(
-                cur["hf"] - prev["hf"], prof["hf"].shape[1], axis=1
-            )
-            self._sums["e_gdus"] += _wsq(self._wf, dgf)
-            self._sums["e_gdws"] += _wsq(self._ws, cur["gs"] - prev["gs"])
+            # difference coefficients and time factors, not point values:
+            # differencing O(1) errors at the points would cost digits
+            norms = self._norms
+            dc = cur["c"] - prev["c"]
+            du = cur["u"] - prev["u"]
+            gdu = norms["gf"](dc, du)
+            self._sums["e_gdus"] += gdu
+            self._sums["e_gdws"] += norms["gs"](dc, cur["w"] - prev["w"])
             self._sums["e_dls"] += _wsq(self._wl, cur["lf"] - prev["lf"])
-            self._sums["e_ggdus"] += _wsq(self._wf, dhf)
+            self._sums["e_ggdus"] += norms["hf"](dc, du)
             if n >= 3:
-                self._sums["e_gdu2s"] += _wsq(self._wf, dgf - self._dgf)
-            self._dgf = dgf
+                dc_prev, du_prev = self._inc
+                self._sums["e_gdu2s"] += norms["gf"](dc - dc_prev, du - du_prev)
+            self._inc = (dc, du)
 
         if n >= self.n_steps - 1:
             self._fvals[n] = {
@@ -145,7 +154,7 @@ class ErrorAccumulator:
             self._final["e_u"] = math.sqrt(_wsq(self._wf, cur["vf"]))
             self._final["e_du"] = math.sqrt(_wsq(self._wf, cur["vf"] - prev["vf"]))
             self._final["e_dw"] = math.sqrt(_wsq(self._ws, cur["vs"] - prev["vs"]))
-            self._final["e_gdu"] = math.sqrt(_wsq(self._wf, self._dgf))
+            self._final["e_gdu"] = math.sqrt(gdu)
 
     def report(self, k=None):
         if "e_u" not in self._final:
@@ -154,6 +163,65 @@ class ErrorAccumulator:
         for name, total in self._sums.items():
             setattr(out, name, math.sqrt(self.dt * total))
         return out
+
+
+class _DerivativeNorm:
+    """Squared L2 norms of ``dc * g - D(v)``, one increment at a time.
+
+    ``g`` is the profile of an exact derivative of order ``nder`` (1 for
+    gradients, 2 for Hessians) at the points of the degree-6 rule, and D(v)
+    the same derivative of the FE field v.  On each cell D(v) is a
+    polynomial of degree r = order - nder (r < 0: it vanishes).  Let Pi be
+    the per-cell discrete L2 projection onto P_r under the degree-6 rule and
+    R the degree-6 sum of w |g - Pi g|^2.  Since g - Pi g is discretely
+    orthogonal to P_r, the degree-6 sum splits exactly into
+
+        sum w |dc g - D(v)|^2 = dc^2 R + sum_low w |dc Pi g - D(v)|^2,
+
+    where "low" is the rule exact for degree 2r: the centroid for r = 0 and
+    three points for r = 1.  Only R and Pi g at the low points are kept.
+    """
+
+    def __init__(self, space, profile, nder):
+        tab = space.tables(fem.ERROR_DEGREE)
+        wdet = tab["wdet"].ravel()
+        r = space.order - nder
+        self.space = space
+        self.low = None
+        if r < 0:
+            self.rest = _wsq(wdet, profile)
+            return
+        self.low = space.tables(2 * r)
+        self.derivative = (fem.fe_grads_at_qp, fem.fe_hessians_at_qp)[nder - 1]
+        rule = tab["rule"]
+        self.rest = _wsq(wdet, profile - _project(rule, rule.points, r, profile))
+        self.projected = _project(rule, self.low["rule"].points, r, profile)
+        self.weights = self.low["wdet"].ravel()
+
+    def __call__(self, dc, v):
+        total = dc * dc * self.rest
+        if self.low is not None:
+            fe = self.derivative(self.space, v, self.low)
+            total += _wsq(self.weights, dc * self.projected - fe)
+        return total
+
+
+def _project(rule, points, r, values):
+    """Per-cell discrete L2 projection onto P_r under ``rule``, at ``points``.
+
+    ``values`` has shape (ncell, nq, ...) at the rule's points; ``points``
+    are barycentric.  The cell's area scales both sides of the normal
+    equations, so one reference matrix serves every cell.
+    """
+
+    def basis(bary):  # 1, then lambda_1 and lambda_2 for r = 1
+        return np.column_stack([np.ones(len(bary)), bary[:, 1 : 1 + 2 * r]])
+
+    b = basis(rule.points)
+    wb = rule.weights[:, None] * b
+    proj = basis(points) @ np.linalg.solve(b.T @ wb, wb.T)
+    ncell, nq, *shape = values.shape
+    return (proj @ values.reshape(ncell, nq, -1)).reshape(ncell, len(points), *shape)
 
 
 def _wsq(weights, arr):

@@ -12,6 +12,7 @@ are normalized to sum to one, so an integral over a triangle is the weighted
 sum of point values times the triangle area.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,10 @@ def _dunavant(groups, degree):
     return QuadratureRule(np.asarray(pts), np.asarray(wts), degree)
 
 
+_RULE_DEG1 = _dunavant([(1.0, (1 / 3, 1 / 3, 1 / 3))], degree=1)
+
+_RULE_DEG2 = _dunavant([(1 / 3, (2 / 3, 1 / 6, 1 / 6))], degree=2)
+
 _RULE_DEG4 = _dunavant(
     [
         (0.223381589678011, (0.445948490915965, 0.445948490915965, 0.108103018168070)),
@@ -70,9 +75,12 @@ _RULE_DEG6 = _dunavant(
 )
 
 
+_RULES = (_RULE_DEG1, _RULE_DEG2, _RULE_DEG4, _RULE_DEG6)
+
+
 def triangle_rule(degree):
     """Smallest shipped rule integrating polynomials of the given degree."""
-    for rule in (_RULE_DEG4, _RULE_DEG6):
+    for rule in _RULES:
         if rule.degree >= degree:
             return rule
     raise ConfigurationError(f"no triangle quadrature rule of degree {degree}")
@@ -273,10 +281,6 @@ class FeSpace:
         bary = rule.points
         vals = _shape_values(self.order, bary)  # (nq, nloc)
         ref_grads = _shape_ref_grads(self.order, bary)  # (nq, nloc, 2)
-        ref_hess = _shape_ref_hessians(self.order)  # (nloc, 2, 2)
-        jac_inv = self._jac_inv
-        # (ncell, nloc, 2, 2): J^-T H_ref J^-1 per cell
-        hess = np.swapaxes(jac_inv, 1, 2)[:, None] @ ref_hess[None] @ jac_inv[:, None]
         qp = np.einsum("qv,cvd->cqd", bary, self._corners)
         wdet = self._areas[:, None] * rule.weights[None, :]
         tab = {
@@ -286,10 +290,17 @@ class FeSpace:
             "vals": vals,
             # (nloc, nq * 2): reference gradients, one row per basis function
             "ref_grads": ref_grads.transpose(1, 0, 2).reshape(vals.shape[1], -1),
-            "hess": hess,
+            "hess": self._hessians,
         }
         self._tables[key] = tab
         return tab
+
+    @functools.cached_property
+    def _hessians(self):
+        """(ncell, nloc, 2, 2): J^-T H_ref J^-1 per cell, shared by every table."""
+        jac_inv = self._jac_inv
+        ref_hess = _shape_ref_hessians(self.order)  # (nloc, 2, 2)
+        return np.swapaxes(jac_inv, 1, 2)[:, None] @ ref_hess[None] @ jac_inv[:, None]
 
     def _line_tables(self):
         if hasattr(self, "_ltab"):

@@ -76,8 +76,11 @@ def _dense_pivot_index(m):
     return int(bad[0]) if bad.size else None
 
 
-def factorize(matrix):
+def factorize(matrix, *, permc_spec="MMD_AT_PLUS_A"):
     """LU-factorize a square sparse matrix with a fill-reducing ordering.
+
+    ``permc_spec`` is SuperLU's column ordering; callers that have ordered
+    the matrix themselves pass ``"NATURAL"``.
 
     Raises
     ------
@@ -94,7 +97,7 @@ def factorize(matrix):
     try:
         # minimum degree on A^T + A: far less fill than COLAMD on the
         # structurally symmetric FE and start-up block matrices
-        lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(m, permc_spec=permc_spec)
     except RuntimeError as exc:
         raise SingularSystemError(
             f"sparse LU factorization failed: {exc}", pivot_index=_dense_pivot_index(m)
@@ -116,7 +119,7 @@ GMRES_CYCLES = 5
 def gmres(apply, rhs, precond):
     """Solve ``apply(x) = rhs`` by GMRES, left-preconditioned by ``precond``.
 
-    ``precond`` is the Factorization of an approximation to the operator.
+    ``precond(r)`` solves with an approximation to the operator.
 
     Raises
     ------
@@ -134,7 +137,7 @@ def gmres(apply, rhs, precond):
         atol=0.0,
         restart=GMRES_MAXITER,
         maxiter=GMRES_CYCLES,
-        M=spla.LinearOperator((n, n), matvec=precond.solve, dtype=float),
+        M=spla.LinearOperator((n, n), matvec=precond, dtype=float),
         callback=residuals.append,
         callback_type="pr_norm",
     )

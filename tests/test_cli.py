@@ -1,6 +1,8 @@
+import os
+
 import pytest
 
-from robinsplit import linalg
+from robinsplit import cli, linalg
 from robinsplit.cli import ExperimentConfig, level_config, main
 from robinsplit.diagnostics import ALL_QUANTITIES, ConvergenceTable
 from robinsplit.errors import ConfigurationError
@@ -189,6 +191,30 @@ def test_parallel_sweep_matches_serial(tmp_path, capsys):
     assert main(common + ["--out", str(b), "--jobs", "2"]) == 0
     assert (tmp_path / "serial_final.csv").read_bytes() == (tmp_path / "par_final.csv").read_bytes()
     assert (tmp_path / "serial_sums.csv").read_bytes() == (tmp_path / "par_sums.csv").read_bytes()
+
+
+_RUN_ONE = cli._run_one
+
+
+def _run_one_dying_at_k2(exp, variant, k):
+    if k == 2:
+        os._exit(1)  # a worker killed mid-level, as by the OOM killer
+    return _RUN_ONE(exp, variant, k)
+
+
+def test_crashed_worker_reported_per_level(monkeypatch, capsys):
+    # pool workers are forked, so they run the patched function
+    monkeypatch.setattr(cli, "_run_one", _run_one_dying_at_k2)
+    args = ["convergence", "--case", "example1", "--variant", "original"]
+    code = main(args + ["--kmin", "1", "--kmax", "2", "--T", "1.0", "--jobs", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert lines[0].startswith("run failed: ")
+    assert "level k=2 (original) failed: worker process died; level not completed" in err
+    # one line per level the broken pool left unfinished, and nothing else
+    assert all(line.endswith("failed: worker process died; level not completed") for line in lines)
+    assert 1 <= len(lines) <= 2
 
 
 def test_unknown_case_is_config_error(capsys):

@@ -178,11 +178,17 @@ def test_exact_interpolant_trajectory_has_zero_errors():
         assert getattr(sums, q) <= 1e-12, q
 
 
-@pytest.mark.parametrize("case_name,fe_order", [("example1", 1), ("example3", 2)])
-def test_streaming_matches_batch(case_name, fe_order):
+@pytest.mark.parametrize(
+    "case_name,fe_order,nx",
+    [("example1", 1, 8), ("example3", 2, 8), ("example3", 2, 32)],
+    # the finer P2 case pins the precision of differencing coefficients
+    # first: differencing O(1) quadrature-point errors missed it at 5.6e-12
+    ids=["example1-1", "example3-2", "example3-2-nx32"],
+)
+def test_streaming_matches_batch(case_name, fe_order, nx):
     case = get_case(case_name)
     config = SchemeConfig(
-        dt=1.0 / 32.0, T=0.25, nx=8, fe_order=fe_order, variant="improved"
+        dt=1.0 / 32.0, T=0.25, nx=nx, fe_order=fe_order, variant="improved"
     )
     disc = build_discretization(config)
     streamed = run_with_errors(case, config, disc=disc, k=4)
@@ -197,7 +203,7 @@ def test_streaming_matches_batch(case_name, fe_order):
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), q
     assert streamed.k == 4
     assert streamed.dt == config.dt
-    assert streamed.h == 0.125
+    assert streamed.h == 1.0 / nx
 
 
 def test_final_time_triangle_inequality():

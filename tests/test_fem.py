@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from robinsplit import fem
 from robinsplit.fem import (
     ERROR_DEGREE,
     FeSpace,
@@ -50,14 +51,14 @@ def _one(t, p):
 # -- quadrature -------------------------------------------------------------
 
 def test_triangle_weights_sum_to_one():
-    for degree in (4, 6):
+    for degree in (1, 2, 4, 6):
         rule = triangle_rule(degree)
         assert abs(rule.weights.sum() - 1.0) < 1e-13
 
 
 def test_triangle_rule_monomial_exactness():
     # reference triangle (0,0)-(1,0)-(0,1): integral of x^p y^q is p!q!/(p+q+2)!
-    for degree in (4, 6):
+    for degree in (1, 2, 4, 6):
         rule = triangle_rule(degree)
         x = rule.points[:, 1]
         y = rule.points[:, 2]
@@ -68,6 +69,22 @@ def test_triangle_rule_monomial_exactness():
                     math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
                 )
                 assert abs(approx - exact) < 1e-13, (degree, p, q)
+
+
+def test_low_rules_leave_form_matrices_unchanged(monkeypatch):
+    # the forms still pick the 6-point degree-4 and 12-point degree-6 rules;
+    # the same matrices come out, to the bit, when the search sees only those
+    assert [len(triangle_rule(d).weights) for d in (0, 1, 2, 3, 4, 5, 6)] == [1, 1, 3, 6, 6, 12, 12]
+    matrices = {}
+    for rules in (fem._RULES, (fem._RULE_DEG4, fem._RULE_DEG6)):
+        monkeypatch.setattr(fem, "_RULES", rules)
+        for order in (1, 2):
+            for space in _spaces(4, order):
+                for form in (assemble_mass, assemble_stiffness):
+                    matrices.setdefault((order, space.subdomain, form), []).append(form(space))
+    for key, (new, old) in matrices.items():
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(new, attr), getattr(old, attr)), (key, attr)
 
 
 def test_line_rule_polynomial_exactness():
