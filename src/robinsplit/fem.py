@@ -4,6 +4,18 @@ Provides P1/P2 spaces restricted to one subdomain, vectorized assembly of
 mass/stiffness/load operators, one-dimensional assembly along the shared
 interface, and quadrature-based error norms against smooth reference fields.
 
+Mass and stiffness are contracted from reference tensors (the tensor
+representation of Kirby & Logg, ACM TOMS 32(3), 2006).  A cell's mass
+matrix is its area times the reference mass matrix.  Its stiffness matrix
+is ``area * J^-1 J^-T`` (4 numbers per cell) times the reference tensor
+``R[i, j, e, f] = sum_q w_q d_e phi_i d_f phi_j``, so the whole form is one
+(ncell, 4) by (4, nloc^2) matrix product.  Both reference tensors are
+exact rationals (for P2, mass * 360 and stiffness * 6 are integers).
+Where the exact value is 0, quadrature with the 15-digit tabulated rules
+leaves about 1e-16 to 1e-15 of the largest entry; every entry with
+``|x| <= 64 eps max|x|`` is set to exactly 0, so the assembled P2 matrices,
+and the LU factors built from them, carry no such entries.
+
 Conventions for callables: a scalar field is ``f(t, x)`` with ``x`` an
 array of points of shape (..., 2) returning shape (...); gradients return
 (..., 2); Hessians return (..., 2, 2); interface fields are ``g(t, x1)``
@@ -185,27 +197,24 @@ class FeSpace:
         verts_used, tris_local = np.unique(tris_global, return_inverse=True)
         tris_local = tris_local.reshape(tris_global.shape)
         self._global_vertices = verts_used
-        self._vertex_map = {int(g): i for i, g in enumerate(verts_used)}
         nvert = len(verts_used)
         coords = [mesh.vertices[verts_used]]
 
         if order == 1:
             cell_dofs = tris_local
-            self._edge_index = None
         else:
+            # edge (a, b), a < b, has the key a * nvert + b: sorted keys number
+            # the edges in lexicographic order of their vertex pairs
             pairs = np.concatenate(
                 [tris_local[:, [0, 1]], tris_local[:, [1, 2]], tris_local[:, [2, 0]]]
             )
             pairs = np.sort(pairs, axis=1)
-            edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+            self._edge_keys, inv = np.unique(pairs[:, 0] * nvert + pairs[:, 1], return_inverse=True)
             nt = tris_local.shape[0]
             edge_dofs = nvert + inv.reshape(3, nt).T
             cell_dofs = np.hstack([tris_local, edge_dofs])
-            mid = 0.5 * (
-                mesh.vertices[verts_used[edges[:, 0]]] + mesh.vertices[verts_used[edges[:, 1]]]
-            )
-            coords.append(mid)
-            self._edge_index = {(int(a), int(b)): nvert + k for k, (a, b) in enumerate(edges)}
+            a, b = np.divmod(self._edge_keys, nvert)
+            coords.append(0.5 * (mesh.vertices[verts_used[a]] + mesh.vertices[verts_used[b]]))
 
         self.triangles = tris_local
         self.cell_dofs = np.ascontiguousarray(cell_dofs)
@@ -219,56 +228,46 @@ class FeSpace:
 
     # -- construction helpers ------------------------------------------------
 
+    def _edge_dofs(self, a, b):
+        """P2 dofs of the edges between local vertices ``a`` and ``b``."""
+        nvert = len(self._global_vertices)
+        keys = np.minimum(a, b) * nvert + np.maximum(a, b)
+        return nvert + np.searchsorted(self._edge_keys, keys)
+
     def _build_geometry(self):
         corners = self.mesh.vertices[self.mesh.triangles_f if self.subdomain == "fluid" else self.mesh.triangles_s]
-        d1 = corners[:, 1] - corners[:, 0]
-        d2 = corners[:, 2] - corners[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        det, self._jac_inv = _affine_maps(corners)
         if np.any(det <= 0):
             raise ConfigurationError("mesh contains non-ccw triangles")
         self._corners = corners
         self._areas = 0.5 * det
-        jac = np.stack([d1, d2], axis=2)  # columns are edge vectors
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        self._jac_inv = inv / det[:, None, None]
 
     def _build_dirichlet(self):
         tag = meshmod.TAG_DIRICHLET_F if self.subdomain == "fluid" else meshmod.TAG_DIRICHLET_S
+        on_tag = np.asarray(self.mesh.boundary_tags) == tag
+        edges = np.searchsorted(self._global_vertices, self.mesh.boundary_edges[on_tag])
         mask = np.zeros(self.ndof, dtype=bool)
-        for (a, b), t in zip(self.mesh.boundary_edges, self.mesh.boundary_tags):
-            if t != tag:
-                continue
-            la, lb = self._vertex_map[int(a)], self._vertex_map[int(b)]
-            mask[la] = mask[lb] = True
-            if self.order == 2:
-                mask[self._edge_index[(min(la, lb), max(la, lb))]] = True
+        mask[edges.ravel()] = True
+        if self.order == 2:
+            mask[self._edge_dofs(edges[:, 0], edges[:, 1])] = True
         self.dirichlet_mask = mask
 
     def _build_interface(self):
-        nodes = [self._vertex_map[int(g)] for g in self.mesh.interface_nodes]
-        cells = []
-        dofs = []
-        for i, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
-            dofs.append(a)
-            if self.order == 2:
-                m = self._edge_index[(min(a, b), max(a, b))]
-                cells.append((a, b, m))
-                dofs.append(m)
-            else:
-                cells.append((a, b))
-        dofs.append(nodes[-1])
-        self.interface_dofs = np.asarray(dofs, dtype=np.int64)
-        self._interface_cells = np.asarray(cells, dtype=np.int64)
-        pos = {int(d): i for i, d in enumerate(self.interface_dofs)}
-        self._interface_cells_local = np.vectorize(pos.__getitem__)(self._interface_cells)
+        nodes = np.searchsorted(self._global_vertices, self.mesh.interface_nodes)
+        if self.order == 1:
+            dofs = nodes
+        else:
+            dofs = np.empty(2 * len(nodes) - 1, dtype=np.int64)
+            dofs[0::2] = nodes
+            dofs[1::2] = self._edge_dofs(nodes[:-1], nodes[1:])
+        self.interface_dofs = dofs
+        # interface cells in interface-local positions: (end0, end1[, mid])
+        start = self.order * np.arange(len(nodes) - 1)
+        cells = [start, start + self.order] + ([start + 1] if self.order == 2 else [])
+        self._interface_cells_local = np.stack(cells, axis=1)
         self.interface_x = self.dof_coords[self.interface_dofs, 0]
         nodes_xy = self.mesh.vertices[self.mesh.interface_nodes]
         self._interface_lengths = np.diff(nodes_xy[:, 0])
-        self._interface_y = float(nodes_xy[0, 1])
 
     # -- evaluation tables ---------------------------------------------------
 
@@ -281,7 +280,7 @@ class FeSpace:
         bary = rule.points
         vals = _shape_values(self.order, bary)  # (nq, nloc)
         ref_grads = _shape_ref_grads(self.order, bary)  # (nq, nloc, 2)
-        qp = np.einsum("qv,cvd->cqd", bary, self._corners)
+        qp = np.matmul(bary, self._corners)  # (ncell, nq, 2)
         wdet = self._areas[:, None] * rule.weights[None, :]
         tab = {
             "rule": rule,
@@ -320,47 +319,84 @@ def _form_degree(order):
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# assembly: exact reference tensors contracted with per-cell geometry
 
-def _scatter(space, local):
-    """Scatter per-cell local matrices (nt, nloc, nloc) into a CSR matrix."""
-    cd = space.cell_dofs
-    rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
-    cols = np.tile(cd, (1, cd.shape[1])).ravel()
-    return finalize_csr(
-        sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof, space.ndof))
-    )
+def _affine_maps(corners):
+    """Determinant and inverse Jacobian of each cell's map from the reference.
+
+    ``corners`` has shape (ncell, 3, 2); the physical gradient of a basis
+    function is its reference gradient times ``jac_inv`` (ncell, 2, 2).
+    """
+    d1 = corners[:, 1] - corners[:, 0]
+    d2 = corners[:, 2] - corners[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    jac_inv = np.empty((len(det), 2, 2))
+    jac_inv[:, 0, 0] = d2[:, 1]
+    jac_inv[:, 0, 1] = -d2[:, 0]
+    jac_inv[:, 1, 0] = -d1[:, 1]
+    jac_inv[:, 1, 1] = d1[:, 0]
+    return det, jac_inv / det[:, None, None]
+
+
+def _exact_zeros(ref):
+    """Set the entries that quadrature left at round-off size to exactly 0."""
+    ref = np.array(ref)
+    ref[np.abs(ref) <= 64 * np.finfo(float).eps * np.abs(ref).max()] = 0.0
+    return ref
+
+
+def _reference_mass(order):
+    """(nloc, nloc): the mass matrix of a cell of unit area."""
+    rule = triangle_rule(_form_degree(order))
+    vals = _shape_values(order, rule.points)
+    return _exact_zeros(np.einsum("q,qi,qj->ij", rule.weights, vals, vals))
+
+
+def _reference_stiffness(order):
+    """(nloc, nloc, 4): ``R[i, j, e, f]`` with (e, f) as one axis, the
+    weighted sum over the quadrature points of reference derivative e of
+    phi_i times reference derivative f of phi_j."""
+    rule = triangle_rule(_form_degree(order))
+    grads = _shape_ref_grads(order, rule.points)  # (nq, nloc, 2)
+    ref = np.einsum("q,qie,qjf->ijef", rule.weights, grads, grads)
+    return _exact_zeros(ref.reshape(*ref.shape[:2], 4))
+
+
+def _local_mass(areas, order):
+    return areas[:, None, None] * _reference_mass(order)
+
+
+def _local_stiffness(areas, jac_inv, order, viscosity):
+    """(ncell, nloc, nloc): one GEMM of ``area * J^-1 J^-T`` (ncell, 4) with R."""
+    geometry = areas[:, None, None] * np.einsum("ced,cfd->cef", jac_inv, jac_inv)
+    ref = _reference_stiffness(order)
+    local = geometry.reshape(-1, 4) @ ref.reshape(-1, 4).T
+    return viscosity * local.reshape(-1, *ref.shape[:2])
+
+
+def _scatter(cells, local, n):
+    """Sum per-cell matrices (ncell, nloc, nloc) on dofs ``cells`` into n x n CSR."""
+    rows = np.repeat(cells, cells.shape[1], axis=1).ravel()
+    cols = np.tile(cells, (1, cells.shape[1])).ravel()
+    return finalize_csr(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
 
 
 def assemble_mass(space):
     """Consistent mass matrix of the space."""
-    tab = space.tables(_form_degree(space.order))
-    ref = np.einsum("q,qi,qj->ij", tab["rule"].weights, tab["vals"], tab["vals"])
-    local = space._areas[:, None, None] * ref[None, :, :]
-    return _scatter(space, local)
+    return _scatter(space.cell_dofs, _local_mass(space._areas, space.order), space.ndof)
 
 
 def assemble_stiffness(space, viscosity=1.0):
     """Stiffness matrix ``viscosity * (grad phi_i, grad phi_j)``."""
-    tab = space.tables(_form_degree(space.order))
-    ref = tab["ref_grads"]
-    # physical gradient: g[c,q,l,d] = sum_e ref[l,q,e] * jac_inv[c,e,d];
-    # C order fixes the summation order, and so the rounding, of the next sum
-    grads = np.einsum(
-        "lqe,ced->cqld", ref.reshape(len(ref), -1, 2), space._jac_inv, order="C"
-    )
-    local = viscosity * np.einsum("cq,cqid,cqjd->cij", tab["wdet"], grads, grads)
-    return _scatter(space, local)
+    local = _local_stiffness(space._areas, space._jac_inv, space.order, viscosity)
+    return _scatter(space.cell_dofs, local, space.ndof)
 
 
 def assemble_load(space, f, t):
     """Load vector ``(f(t, .), phi_i)`` over the subdomain."""
     tab = space.tables(_form_degree(space.order))
-    fv = np.asarray(f(t, tab["qp"]))
-    local = np.einsum("cq,qi->ci", tab["wdet"] * fv, tab["vals"])
-    out = np.zeros(space.ndof)
-    np.add.at(out, space.cell_dofs, local)
-    return out
+    local = (tab["wdet"] * np.asarray(f(t, tab["qp"]))) @ tab["vals"]
+    return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.ndof)
 
 
 def interface_mass_matrix(space):
@@ -368,47 +404,30 @@ def interface_mass_matrix(space):
     tab = space._line_tables()
     ref = np.einsum("q,qi,qj->ij", tab["rule"].weights, tab["vals"], tab["vals"])
     local = space._interface_lengths[:, None, None] * ref[None, :, :]
-    cd = space._interface_cells_local
-    rows = np.repeat(cd, cd.shape[1], axis=1).ravel()
-    cols = np.tile(cd, (1, cd.shape[1])).ravel()
-    n = len(space.interface_dofs)
-    return finalize_csr(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
+    return _scatter(space._interface_cells_local, local, len(space.interface_dofs))
 
 
 def assemble_interface_load(space, g, t):
     """Interface load ``<g(t, .), trace phi_i>`` in interface-local ordering."""
     tab = space._line_tables()
-    gv = np.asarray(g(t, tab["qp_x"]))
-    local = np.einsum("eq,qi->ei", tab["wdet"] * gv, tab["vals"])
-    out = np.zeros(len(space.interface_dofs))
-    np.add.at(out, space._interface_cells_local, local)
-    return out
+    local = (tab["wdet"] * np.asarray(g(t, tab["qp_x"]))) @ tab["vals"]
+    return np.bincount(
+        space._interface_cells_local.ravel(),
+        weights=local.ravel(),
+        minlength=len(space.interface_dofs),
+    )
 
 
 def element_mass(coords, order):
     """Local mass matrix of a single triangle (for checks and small uses)."""
-    rule = triangle_rule(_form_degree(order))
-    vals = _shape_values(order, rule.points)
-    area = _single_area(coords)
-    return area * np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
+    det, _ = _affine_maps(np.asarray(coords, dtype=float)[None])
+    return _local_mass(0.5 * np.abs(det), order)[0]
 
 
 def element_stiffness(coords, order, viscosity=1.0):
     """Local stiffness matrix of a single triangle."""
-    rule = triangle_rule(_form_degree(order))
-    coords = np.asarray(coords, dtype=float)
-    d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    jac_inv = np.array([[d2[1], -d2[0]], [-d1[1], d1[0]]]) / det
-    ref_grads = _shape_ref_grads(order, rule.points)
-    grads = np.einsum("qle,ed->qld", ref_grads, jac_inv)
-    return viscosity * abs(det) / 2 * np.einsum("q,qid,qjd->ij", rule.weights, grads, grads)
-
-
-def _single_area(coords):
-    coords = np.asarray(coords, dtype=float)
-    d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
-    return abs(d1[0] * d2[1] - d1[1] * d2[0]) / 2
+    det, jac_inv = _affine_maps(np.asarray(coords, dtype=float)[None])
+    return _local_stiffness(0.5 * np.abs(det), jac_inv, order, viscosity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +447,7 @@ def interpolate_interface(space, g, t):
 
 
 def fe_values_at_qp(space, coeffs, tab):
-    return np.einsum("cl,ql->cq", coeffs[space.cell_dofs], tab["vals"])
+    return coeffs[space.cell_dofs] @ tab["vals"].T
 
 
 def fe_grads_at_qp(space, coeffs, tab):

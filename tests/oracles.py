@@ -9,6 +9,9 @@
   ``w1 w2 w3 u1 u2 u3 l1 l2 l3``, with Dirichlet dofs kept as identity rows
   and solved by one sparse LU: the cross-check for the interface solve of
   ``schemes.solve_first_block_improved``.
+* Mass and stiffness matrices assembled by quadrature at the points of every
+  cell, and P2 dofs numbered through a dict of vertex pairs: the cross-checks
+  for ``fem``'s reference-tensor assembly and array-based numbering.
 """
 
 import math
@@ -17,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from robinsplit import fem, linalg, schemes
+from robinsplit import mesh as meshmod
 from robinsplit.diagnostics import SUMMED_QUANTITIES, ErrorReport
 
 
@@ -237,3 +241,62 @@ def first_block_reference(case, config, disc):
         )
         for level in (1, 2, 3)
     )
+
+
+# ---------------------------------------------------------------------------
+# quadrature-point assembly and dict-based P2 numbering
+
+def mass_at_quadrature_points(space):
+    """Mass matrix from the basis products summed over the quadrature points."""
+    tab = space.tables(fem._form_degree(space.order))
+    ref = np.einsum("q,qi,qj->ij", tab["rule"].weights, tab["vals"], tab["vals"])
+    local = space._areas[:, None, None] * ref[None, :, :]
+    return fem._scatter(space.cell_dofs, local, space.ndof)
+
+
+def stiffness_at_quadrature_points(space, viscosity=1.0):
+    """Stiffness matrix from physical gradients at every quadrature point."""
+    tab = space.tables(fem._form_degree(space.order))
+    ref = tab["ref_grads"]
+    # physical gradient: g[c,q,l,d] = sum_e ref[l,q,e] * jac_inv[c,e,d];
+    # C order fixes the summation order, and so the rounding, of the next sum
+    grads = np.einsum(
+        "lqe,ced->cqld", ref.reshape(len(ref), -1, 2), space._jac_inv, order="C"
+    )
+    local = viscosity * np.einsum("cq,cqid,cqjd->cij", tab["wdet"], grads, grads)
+    return fem._scatter(space.cell_dofs, local, space.ndof)
+
+
+def p2_numbering_reference(mesh, subdomain):
+    """``cell_dofs``, ``dirichlet_mask`` and ``interface_dofs`` of a P2 space,
+    with edges numbered by ``np.unique`` over vertex pairs and looked up in a
+    dict keyed by vertex-pair tuples."""
+    tris_global = mesh.triangles_f if subdomain == "fluid" else mesh.triangles_s
+    verts_used, tris_local = np.unique(tris_global, return_inverse=True)
+    tris_local = tris_local.reshape(tris_global.shape)
+    vertex_map = {int(g): i for i, g in enumerate(verts_used)}
+    nvert = len(verts_used)
+    pairs = np.concatenate(
+        [tris_local[:, [0, 1]], tris_local[:, [1, 2]], tris_local[:, [2, 0]]]
+    )
+    pairs = np.sort(pairs, axis=1)
+    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+    nt = tris_local.shape[0]
+    cell_dofs = np.hstack([tris_local, nvert + inv.reshape(3, nt).T])
+    edge_index = {(int(a), int(b)): nvert + k for k, (a, b) in enumerate(edges)}
+
+    tag = meshmod.TAG_DIRICHLET_F if subdomain == "fluid" else meshmod.TAG_DIRICHLET_S
+    mask = np.zeros(nvert + len(edges), dtype=bool)
+    for (a, b), t in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if t != tag:
+            continue
+        la, lb = vertex_map[int(a)], vertex_map[int(b)]
+        mask[la] = mask[lb] = True
+        mask[edge_index[(min(la, lb), max(la, lb))]] = True
+
+    nodes = [vertex_map[int(g)] for g in mesh.interface_nodes]
+    dofs = []
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        dofs += [a, edge_index[(min(a, b), max(a, b))]]
+    dofs.append(nodes[-1])
+    return cell_dofs, mask, np.asarray(dofs, dtype=np.int64)

@@ -29,6 +29,11 @@ from robinsplit.errors import ConfigurationError
 from robinsplit.linalg import factorize
 from robinsplit.mesh import build_two_domain_mesh
 from robinsplit.schemes import SchemeConfig, build_discretization
+from oracles import (
+    mass_at_quadrature_points,
+    p2_numbering_reference,
+    stiffness_at_quadrature_points,
+)
 
 
 def _spaces(nx=4, order=1, split_y=0.75):
@@ -124,7 +129,72 @@ def test_element_stiffness_kills_constants():
         assert np.max(np.abs(k @ np.ones(n))) < 1e-13
 
 
+def test_p2_reference_tensors_are_exact_rationals():
+    # mass * 360 and stiffness * 6 are integers; the zeros are exact, not round-off
+    for ref, scale in ((fem._reference_mass(2), 360), (fem._reference_stiffness(2), 6)):
+        scaled = ref * scale
+        assert np.max(np.abs(scaled - np.round(scaled))) < 1e-12
+        assert np.array_equal(scaled == 0, np.round(scaled) == 0)
+
+
 # -- global assembly --------------------------------------------------------
+
+_FORM_CASES = [
+    (order, subdomain, nx, viscosity)
+    for order in (1, 2)
+    for subdomain in ("fluid", "solid")
+    for nx in (4, 16)
+    for viscosity in (1.0, 0.37)
+]
+
+
+@pytest.mark.parametrize("order,subdomain,nx,viscosity", _FORM_CASES)
+def test_forms_match_quadrature_point_assembly(order, subdomain, nx, viscosity):
+    space = FeSpace(build_two_domain_mesh(nx, 0.75), subdomain, order)
+    pairs = [
+        (assemble_stiffness(space, viscosity), stiffness_at_quadrature_points(space, viscosity)),
+        (assemble_mass(space), mass_at_quadrature_points(space)),
+    ]
+    # the Dunavant weights carry 15 digits: the mass entries that should be 0
+    # come out near 1.1e-15 of the largest entry, the stiffness's below 5e-16
+    for (new, oracle), tol in zip(pairs, (1e-15, 2e-15)):
+        if order == 1:
+            # P1 reference tensors hold no round-off zeros: same bits, same pattern
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(new, attr), getattr(oracle, attr)), attr
+            continue
+        # P2: the pattern loses exactly the oracle's round-off entries
+        bound = tol * np.max(np.abs(oracle.data))
+        oracle = oracle.tocoo()
+        kept = np.asarray(new[oracle.row, oracle.col]).ravel()
+        assert new.nnz == np.count_nonzero(kept) < oracle.nnz
+        assert np.max(np.abs(kept - oracle.data)) <= bound
+        assert np.max(np.abs(oracle.data[kept == 0])) <= bound
+
+
+def test_p2_edge_dofs_lexicographic_at_midpoints():
+    for space in _spaces(8, 2):
+        nvert = len(space._global_vertices)
+        # local vertex pair of each edge dof, from the cells that hold it
+        ends = np.empty((space.ndof - nvert, 2), dtype=np.int64)
+        for k, (i, j) in enumerate([(0, 1), (1, 2), (2, 0)]):
+            pair = np.sort(space.cell_dofs[:, [i, j]], axis=1)
+            ends[space.cell_dofs[:, 3 + k] - nvert] = pair
+        assert np.all(np.diff(ends[:, 0] * nvert + ends[:, 1]) > 0)
+        mid = 0.5 * (space.dof_coords[ends[:, 0]] + space.dof_coords[ends[:, 1]])
+        assert np.array_equal(space.dof_coords[nvert:], mid)
+
+
+def test_p2_numbering_matches_dict_reference():
+    mesh = build_two_domain_mesh(8, 0.75)
+    for subdomain in ("fluid", "solid"):
+        space = FeSpace(mesh, subdomain, 2)
+        cell_dofs, mask, interface = p2_numbering_reference(mesh, subdomain)
+        assert np.array_equal(space.cell_dofs, cell_dofs)
+        assert np.array_equal(space.dirichlet_mask, mask)
+        assert np.array_equal(space.interface_dofs, interface)
+
+
 
 def test_mass_sum_is_subdomain_area():
     fluid, solid = _spaces(4, 1)
