@@ -43,6 +43,7 @@ import numpy as np
 
 from . import fem
 from .errors import ConfigurationError
+from .manufactured import check_separable
 from .schemes import build_discretization, run
 
 FINAL_QUANTITIES = ("e_u", "e_du", "e_dw", "e_gdu")
@@ -232,15 +233,8 @@ def _wsq(weights, arr):
 
 def _profile(case, name, qp, t_check):
     """Field ``name`` of ``case`` at t = 0, checked to scale by time_factor."""
-    field = getattr(case, name)
-    profile = np.asarray(field(0.0, qp))
-    expected = case.time_factor(t_check) * profile[:1]
-    actual = np.asarray(field(t_check, qp[:1]))
-    if not np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)):
-        raise ConfigurationError(
-            f"case {case.name!r}: {name} is not time_factor(t) times its value at t = 0"
-        )
-    return profile
+    check_separable(case, name, "time_factor", qp[:1], t_check)
+    return np.asarray(getattr(case, name)(0.0, qp))
 
 
 def run_with_errors(case, config, disc=None, k=None):

@@ -109,8 +109,10 @@ def factorize(matrix, *, permc_spec="MMD_AT_PLUS_A"):
 # right-hand side.  A cycle iterates on the preconditioned residual for at
 # most GMRES_MAXITER steps and stops early when that one meets the
 # tolerance; if the true residual then still misses it, GMRES restarts from
-# there with a tighter inner tolerance.  On the start-up systems at k = 3..6
-# the first cycle always stops early, and up to three were needed.
+# there with a tighter inner tolerance.  On the start-up systems of example1
+# P1 and example2/example3 P2 at k = 3..6 the first cycle always stops early,
+# after 11 to 28 steps, and up to three were needed: the true residual it
+# leaves is close to the rounding of the Schur operator itself.
 GMRES_RTOL = 1e-13
 GMRES_MAXITER = 400
 GMRES_CYCLES = 5

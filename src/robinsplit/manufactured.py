@@ -11,11 +11,13 @@ construction and the flux variable is
 
 Every case is separable: each exact field (``u_exact``/``w_exact``, their
 gradients and Hessians, and ``l_exact``) equals ``time_factor(t)`` times
-its value at t = 0, and ``time_factor(0) == 1``.  Time derivatives and
-forcing carry their own factors.  The error accumulator relies on this
-contract to evaluate exact gradients and Hessians at the quadrature points
-once per run; it checks the contract for the fields it caches and rejects
-a case that breaks it.
+its value at t = 0, and ``time_factor(0) == 1``.  Likewise each forcing
+(``f_f``/``f_s``) equals ``forcing_factor(t)`` times its value at t = 0.
+Time derivatives carry their own factor.  The error accumulator relies on
+this contract to evaluate exact gradients and Hessians at the quadrature
+points once per run, and the discretization to assemble one load vector
+per field and run; both check it with ``check_separable`` and reject a
+case that breaks it.
 
 Callables follow the package-wide convention: point arrays of shape (..., 2),
 scalar time, vectorized numpy output.
@@ -32,9 +34,11 @@ from .errors import ConfigurationError
 class ManufacturedCase:
     """Exact solution bundle driving a manufactured run.
 
-    ``f_f`` / ``f_s`` may be None when the forcing vanishes identically.
-    ``time_factor(t)`` is the scalar factor that takes each exact field
-    from its value at t = 0 to its value at t (see the module docstring).
+    ``f_f`` / ``f_s`` may be None when the forcing vanishes identically;
+    ``forcing_factor`` is then None too.  ``time_factor(t)`` is the scalar
+    factor that takes each exact field from its value at t = 0 to its value
+    at t, and ``forcing_factor(t)`` the one that does the same for each
+    forcing (see the module docstring).
     """
 
     name: str
@@ -53,13 +57,15 @@ class ManufacturedCase:
     f_s: object
     l_exact: object
     time_factor: object
+    forcing_factor: object
 
 
 def _trig_case(name, time_factor, time_derivative, forcing_factor):
     """Case with solution time_factor(t) * cos(pi x1) sin(pi x2).
 
     ``forcing_factor`` is the scalar factor of the forcing in front of the
-    spatial profile, or None when the forcing vanishes identically.
+    spatial profile, or None when the forcing vanishes identically.  The
+    case carries it divided by its value at t = 0.
     """
     pi = np.pi
     split_y = 0.75
@@ -90,11 +96,14 @@ def _trig_case(name, time_factor, time_derivative, forcing_factor):
         return c * np.stack([row1, row2], axis=-2)
 
     if forcing_factor is None:
-        f = None
+        f = scale = None
     else:
 
         def f(t, x):
             return forcing_factor(t) * profile(x)
+
+        def scale(t):
+            return forcing_factor(t) / forcing_factor(0.0)
 
     def l_exact(t, x1):
         return time_factor(t) * pi * np.cos(pi * x1) * np.cos(pi * split_y)
@@ -116,6 +125,7 @@ def _trig_case(name, time_factor, time_derivative, forcing_factor):
         f_s=f,
         l_exact=l_exact,
         time_factor=time_factor,
+        forcing_factor=scale,
     )
 
 
@@ -150,6 +160,18 @@ def case_example3():
         time_derivative=np.exp,
         forcing_factor=lambda t: (1.0 + tp) * np.exp(t),
     )
+
+
+def check_separable(case, name, factor, x, t):
+    """Reject ``case`` unless its field ``name`` at (t, x) is factor(t) times
+    its value at (0, x); ``factor`` names the case's scalar factor."""
+    field = getattr(case, name)
+    expected = getattr(case, factor)(t) * np.asarray(field(0.0, x))
+    actual = np.asarray(field(t, x))
+    if not np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)):
+        raise ConfigurationError(
+            f"case {case.name!r}: {name} is not {factor}(t) times its value at t = 0"
+        )
 
 
 _CASES = {

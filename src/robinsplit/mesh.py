@@ -85,50 +85,46 @@ def build_two_domain_mesh(nx, split_y, diagonal="criss"):
     xg, yg = np.meshgrid(xs, ys)  # yg[iy, ix]
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
+    # squares row by row (iy outer, ix inner), each cut into two triangles
+    iy, ix = np.divmod(np.arange(nx * nx, dtype=np.int64), nx)
+    v00 = iy * (nx + 1) + ix
+    v10, v01 = v00 + 1, v00 + nx + 1
+    v11 = v01 + 1
+    if diagonal == "criss":
+        same = np.ones(nx * nx, dtype=bool)
+    else:
+        same = (ix + iy) % 2 == 0
+    first = np.where(same, [v00, v10, v11], [v00, v10, v01])
+    second = np.where(same, [v00, v11, v01], [v10, v11, v01])
+    triangles = np.stack([first.T, second.T], axis=1).reshape(-1, 3)
+    triangles_f = triangles[: 2 * nx * rows_f]
+    triangles_s = triangles[2 * nx * rows_f :]
 
-    tris_f, tris_s = [], []
-    for iy in range(nx):
-        for ix in range(nx):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            if diagonal == "criss" or (ix + iy) % 2 == 0:
-                pair = [(v00, v10, v11), (v00, v11, v01)]
-            else:
-                pair = [(v00, v10, v01), (v10, v11, v01)]
-            target = tris_f if iy < rows_f else tris_s
-            target.extend(pair)
-    triangles_f = np.asarray(tris_f, dtype=np.int64)
-    triangles_s = np.asarray(tris_s, dtype=np.int64)
-
-    edges = []
-    tags = []
-    for ix in range(nx):  # bottom, top
-        edges.append((vid(ix, 0), vid(ix + 1, 0)))
-        tags.append(TAG_DIRICHLET_F)
-        edges.append((vid(ix, nx), vid(ix + 1, nx)))
-        tags.append(TAG_DIRICHLET_S)
-    for iy in range(nx):  # lateral sides, tagged per subdomain
-        side = TAG_NEUMANN_F if iy < rows_f else TAG_NEUMANN_S
-        edges.append((vid(0, iy), vid(0, iy + 1)))
-        tags.append(side)
-        edges.append((vid(nx, iy), vid(nx, iy + 1)))
-        tags.append(side)
-    for ix in range(nx):
-        edges.append((vid(ix, rows_f), vid(ix + 1, rows_f)))
-        tags.append(TAG_INTERFACE)
-
-    interface_nodes = np.array([vid(ix, rows_f) for ix in range(nx + 1)], dtype=np.int64)
+    # bottom and top, then the lateral sides, then the interface
+    cols = np.arange(nx, dtype=np.int64)
+    bottom = np.column_stack([cols, cols + 1])
+    left = bottom * (nx + 1)
+    edges = np.concatenate(
+        [
+            np.stack([bottom, bottom + nx * (nx + 1)], axis=1).reshape(-1, 2),
+            np.stack([left, left + nx], axis=1).reshape(-1, 2),
+            bottom + rows_f * (nx + 1),
+        ]
+    )
+    tags = (
+        (TAG_DIRICHLET_F, TAG_DIRICHLET_S) * nx
+        + (TAG_NEUMANN_F,) * (2 * rows_f)
+        + (TAG_NEUMANN_S,) * (2 * (nx - rows_f))
+        + (TAG_INTERFACE,) * nx
+    )
+    interface_nodes = rows_f * (nx + 1) + np.arange(nx + 1, dtype=np.int64)
 
     return TwoDomainMesh(
         vertices=vertices,
         triangles_f=triangles_f,
         triangles_s=triangles_s,
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=tuple(tags),
+        boundary_edges=edges,
+        boundary_tags=tags,
         interface_nodes=interface_nodes,
         split_y=float(split_y),
         nx=nx,

@@ -7,11 +7,14 @@
   sampled at each time rather than scaled by ``time_factor``.
 * The improved start-up as one nine-block linear system over
   ``w1 w2 w3 u1 u2 u3 l1 l2 l3``, with Dirichlet dofs kept as identity rows
-  and solved by one sparse LU: the cross-check for the interface solve of
+  and solved by one sparse LU, with its loads assembled at each level's
+  time: the cross-check for the interface solve of
   ``schemes.solve_first_block_improved``.
 * Mass and stiffness matrices assembled by quadrature at the points of every
   cell, and P2 dofs numbered through a dict of vertex pairs: the cross-checks
   for ``fem``'s reference-tensor assembly and array-based numbering.
+* The two-subdomain mesh built by a Python loop over the grid squares: the
+  cross-check for ``mesh.build_two_domain_mesh``'s array construction.
 """
 
 import math
@@ -22,6 +25,7 @@ import scipy.sparse as sp
 from robinsplit import fem, linalg, schemes
 from robinsplit import mesh as meshmod
 from robinsplit.diagnostics import SUMMED_QUANTITIES, ErrorReport
+from robinsplit.errors import ConfigurationError
 
 
 def _frozen_diff(f, ta, tb):
@@ -204,21 +208,26 @@ def _first_block_dirichlet_mask(disc):
     return np.concatenate([fixed[name[0]] for name in _BLOCK_NAMES])
 
 
+def _load(space, f, t):
+    """The forcing's load assembled at time t, not scaled from t = 0."""
+    return np.zeros(space.ndof) if f is None else fem.assemble_load(space, f, t)
+
+
 def _first_block_rhs(case, config, disc, offsets):
     dt, alpha = config.dt, config.alpha
     ddw, ddu, g1_2, g1_3, g2_2, g2_3 = schemes._first_step_loads(case, config, disc)
     parts = [
         ("w1", ddw),
         ("w1", disc.lift_s(alpha * dt * g1_2 - dt * g2_2)),
-        ("w1", disc.load_s(case.f_s, dt)),
+        ("w1", _load(disc.solid, case.f_s, dt)),
         ("u1", ddu),
         ("u1", disc.lift_f(alpha * dt * g1_3 + dt * g2_3)),
-        ("u1", disc.load_f(case.f_f, dt)),
+        ("u1", _load(disc.fluid, case.f_f, dt)),
         ("l1", -alpha * dt * g1_3 + dt * g2_2),
-        ("w2", disc.load_s(case.f_s, 2 * dt)),
-        ("u2", disc.load_f(case.f_f, 2 * dt)),
-        ("w3", disc.load_s(case.f_s, 3 * dt)),
-        ("u3", disc.load_f(case.f_f, 3 * dt)),
+        ("w2", _load(disc.solid, case.f_s, 2 * dt)),
+        ("u2", _load(disc.fluid, case.f_f, 2 * dt)),
+        ("w3", _load(disc.solid, case.f_s, 3 * dt)),
+        ("u3", _load(disc.fluid, case.f_f, 3 * dt)),
     ]
     mask = _first_block_dirichlet_mask(disc)
     rhs = np.zeros(mask.size)
@@ -300,3 +309,78 @@ def p2_numbering_reference(mesh, subdomain):
         dofs += [a, edge_index[(min(a, b), max(a, b))]]
     dofs.append(nodes[-1])
     return cell_dofs, mask, np.asarray(dofs, dtype=np.int64)
+
+
+def two_domain_mesh_loops(nx, split_y, diagonal="criss"):
+    """``mesh.build_two_domain_mesh`` by a Python loop over the squares."""
+    if int(nx) != nx or nx < 2:
+        raise ConfigurationError(f"nx must be an integer >= 2, got {nx!r}")
+    nx = int(nx)
+    if not 0.0 < split_y < 1.0:
+        raise ConfigurationError(f"split_y must lie strictly inside (0, 1), got {split_y}")
+    rows_f = split_y * nx
+    if abs(rows_f - round(rows_f)) > 1e-9 * nx:
+        raise ConfigurationError(
+            f"split_y={split_y} does not fall on a grid line for nx={nx}"
+        )
+    rows_f = int(round(rows_f))
+    if rows_f == 0 or rows_f == nx:
+        raise ConfigurationError("each subdomain needs at least one cell row")
+    if diagonal not in ("criss", "alternating"):
+        raise ConfigurationError(f"unknown diagonal style {diagonal!r}")
+
+    h = 1.0 / nx
+    xs = np.arange(nx + 1) * h
+    ys = np.arange(nx + 1) * h
+    xg, yg = np.meshgrid(xs, ys)  # yg[iy, ix]
+    vertices = np.column_stack([xg.ravel(), yg.ravel()])
+
+    def vid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    tris_f, tris_s = [], []
+    for iy in range(nx):
+        for ix in range(nx):
+            v00 = vid(ix, iy)
+            v10 = vid(ix + 1, iy)
+            v01 = vid(ix, iy + 1)
+            v11 = vid(ix + 1, iy + 1)
+            if diagonal == "criss" or (ix + iy) % 2 == 0:
+                pair = [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                pair = [(v00, v10, v01), (v10, v11, v01)]
+            target = tris_f if iy < rows_f else tris_s
+            target.extend(pair)
+    triangles_f = np.asarray(tris_f, dtype=np.int64)
+    triangles_s = np.asarray(tris_s, dtype=np.int64)
+
+    edges = []
+    tags = []
+    for ix in range(nx):  # bottom, top
+        edges.append((vid(ix, 0), vid(ix + 1, 0)))
+        tags.append(meshmod.TAG_DIRICHLET_F)
+        edges.append((vid(ix, nx), vid(ix + 1, nx)))
+        tags.append(meshmod.TAG_DIRICHLET_S)
+    for iy in range(nx):  # lateral sides, tagged per subdomain
+        side = meshmod.TAG_NEUMANN_F if iy < rows_f else meshmod.TAG_NEUMANN_S
+        edges.append((vid(0, iy), vid(0, iy + 1)))
+        tags.append(side)
+        edges.append((vid(nx, iy), vid(nx, iy + 1)))
+        tags.append(side)
+    for ix in range(nx):
+        edges.append((vid(ix, rows_f), vid(ix + 1, rows_f)))
+        tags.append(meshmod.TAG_INTERFACE)
+
+    interface_nodes = np.array([vid(ix, rows_f) for ix in range(nx + 1)], dtype=np.int64)
+
+    return meshmod.TwoDomainMesh(
+        vertices=vertices,
+        triangles_f=triangles_f,
+        triangles_s=triangles_s,
+        boundary_edges=np.asarray(edges, dtype=np.int64),
+        boundary_tags=tuple(tags),
+        interface_nodes=interface_nodes,
+        split_y=float(split_y),
+        nx=nx,
+        diagonal=diagonal,
+    )

@@ -136,6 +136,21 @@ def test_example1_forcing_free():
     assert case.f_f is None and case.f_s is None
 
 
+@pytest.mark.parametrize("make", [case_example2, case_example3])
+def test_forcing_scales_by_forcing_factor(make):
+    case = make()
+    pts = np.array([[0.1, 0.6], [0.3, 0.4], [0.8, 0.9]])
+    assert case.forcing_factor(0.0) == 1.0
+    for t in (0.1, 0.7):
+        np.testing.assert_allclose(
+            case.f_f(t, pts), case.forcing_factor(t) * case.f_f(0.0, pts), rtol=1e-14
+        )
+
+
+def test_example1_has_no_forcing_factor():
+    assert case_example1().forcing_factor is None
+
+
 def test_example2_forcing_formula():
     case = case_example2()
     t, pts = 0.7, np.array([[0.3, 0.4]])

@@ -16,6 +16,8 @@ from robinsplit.mesh import (
     triangle_areas,
 )
 
+from oracles import two_domain_mesh_loops
+
 
 def test_counts_nx4():
     mesh = build_two_domain_mesh(4, 0.75)
@@ -189,3 +191,15 @@ def test_every_triangle_positively_oriented(nx, diagonal):
     mesh = build_two_domain_mesh(nx, 0.75, diagonal=diagonal)
     assert np.all(triangle_areas(mesh.vertices, mesh.triangles_f) > 0)
     assert np.all(triangle_areas(mesh.vertices, mesh.triangles_s) > 0)
+
+
+@pytest.mark.parametrize("diagonal", ["criss", "alternating"])
+@pytest.mark.parametrize("nx, split_y", [(2, 0.5), (4, 0.75), (5, 0.4), (8, 0.75), (12, 0.25)])
+def test_mesh_arrays_match_loop_construction(nx, split_y, diagonal):
+    got = build_two_domain_mesh(nx, split_y, diagonal)
+    want = two_domain_mesh_loops(nx, split_y, diagonal)
+    for name in ("vertices", "triangles_f", "triangles_s", "boundary_edges", "interface_nodes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.boundary_tags == want.boundary_tags
+    assert type(got.boundary_tags) is tuple

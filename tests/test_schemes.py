@@ -9,7 +9,7 @@ from robinsplit import linalg, schemes
 from robinsplit.cli import level_config
 from robinsplit.diagnostics import zs_functionals
 from robinsplit.errors import ConfigurationError, SingularSystemError
-from robinsplit.fem import interpolate, l2_error, sigma_l2_error
+from robinsplit.fem import assemble_load, interpolate, l2_error, sigma_l2_error
 from robinsplit.manufactured import (
     case_example1,
     case_example2,
@@ -226,7 +226,7 @@ def test_startup_factors_freed_after_level_3(monkeypatch):
     def tracked(self):
         startup = build(self)
         refs.extend(weakref.ref(f) for field in startup.fields for f in (field.k_ii, field.b_ii))
-        refs.append(weakref.ref(startup.gamma_factor))
+        refs.append(weakref.ref(startup.band_factor))
         return startup
 
     monkeypatch.setattr(schemes.Discretization, "first_block_factorization", tracked)
@@ -238,11 +238,80 @@ def test_startup_factors_freed_after_level_3(monkeypatch):
     assert freed == [True] * 5
 
 
+@pytest.mark.parametrize("name, order, steps", [("example1", 1, 1), ("example3", 2, 2)])
+def test_band_preconditioner_exact_when_band_covers_interior(monkeypatch, name, order, steps):
+    # nx = 8: every interior dof lies within 8 cell layers of the interface,
+    # so the band LU is an LU of the whole start-up system, and one GMRES
+    # iteration takes the preconditioned residual to rounding level.  That
+    # level is the start-up system's: the preconditioned Schur operator is
+    # the identity to 6e-13 at P1 and 3e-12 at P2, so at P2 a second
+    # iteration is needed to reach the 1e-13 tolerance.
+    monkeypatch.setattr(schemes, "STARTUP_BAND_LAYERS", 8)
+    iterations = []
+    gmres = linalg.spla.gmres
+
+    def counted(*args, callback, **kwargs):
+        def count(residual):
+            iterations.append(residual)
+            callback(residual)
+
+        return gmres(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "gmres", counted)
+    case = get_case(name)
+    config = _config(nx=8, variant="improved", fe_order=order)
+    disc = build_discretization(config)
+    startup = disc.first_block_factorization()
+    for field in startup.fields:
+        assert np.array_equal(field.band, field.interior)
+    got = solve_first_block_improved(case, config, disc)
+    assert iterations[0] <= 1e-10
+    assert len(iterations) == steps
+    want = first_block_reference(case, config, disc)
+    for g, w in zip(got, want, strict=True):
+        for field in ("u", "w", "lam"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b), (g.n, field)
+
+
+def test_band_is_the_interior_near_the_interface():
+    config = _config(nx=8, variant="improved", fe_order=2)
+    disc = build_discretization(config)
+    startup = disc.first_block_factorization()
+    for field, space in zip(startup.fields, (disc.solid, disc.fluid)):
+        layers = np.abs(space.dof_coords[:, 1] - config.split_y) * config.nx
+        assert np.isin(field.band, field.interior).all()
+        near = field.interior[layers[field.interior] <= schemes.STARTUP_BAND_LAYERS]
+        assert np.array_equal(field.band, near)
+    # P2 dofs lie half a layer apart; the fluid has six layers of cells
+    fluid_layers = np.abs(disc.fluid.dof_coords[startup.fields[1].band, 1] - config.split_y) * config.nx
+    half_layers = np.arange(1, 2 * schemes.STARTUP_BAND_LAYERS + 1) / 2
+    assert np.array_equal(np.unique(fluid_layers), half_layers)
+
+
 def test_startup_gmres_failure_is_loud(monkeypatch):
     monkeypatch.setattr(linalg, "GMRES_MAXITER", 2)
     config = _config(nx=8, variant="improved")
     with pytest.raises(SingularSystemError, match=r"residual .* after 10 iterations"):
         solve_first_block_improved(case_example1(), config, build_discretization(config))
+
+
+def test_loads_scale_one_assembly():
+    case = case_example3()
+    disc = build_discretization(_config(fe_order=2))
+    for t in (0.0, 0.0625, 0.25):
+        for load, space, f in ((disc.load_f, disc.fluid, case.f_f), (disc.load_s, disc.solid, case.f_s)):
+            want = assemble_load(space, f, t)
+            got = load(case, t)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert not disc.load_f(case_example1(), 0.5).any()
+
+
+def test_discretization_rejects_non_separable_forcing():
+    case = dataclasses.replace(case_example3(), forcing_factor=case_example2().forcing_factor)
+    disc = build_discretization(_config())
+    with pytest.raises(ConfigurationError, match="f_s is not forcing_factor"):
+        disc.load_s(case, 0.0625)
 
 
 def test_dirichlet_rows_preserved_by_all_variants():
