@@ -26,7 +26,16 @@ norms of increments are split once per run (``_DerivativeNorm``): the exact
 derivative is c(t) times a fixed profile, and the FE derivative is a
 polynomial of degree r = 0 or 1 on each cell, so only the profile's
 projection onto P_r enters each step, at 1 (r = 0) or 3 (r = 1) points per
-cell; the rest is one scalar per run.
+cell; the rest is one scalar per run.  Each step maps the coefficient
+increment to its derivative at those points through one sparse operator
+per norm (``fem.derivative_operator``).
+
+Work at the degree-6 rule's 12 points per cell (the exact profiles, their
+projections and remainders, and the final-time sums) runs over chunks of
+``CHUNK_CELLS`` cells, so no (ncell, 12, ...) array exists whole.  The
+derivative norms are built at the first increment (level 2): for
+``improved`` that is after the start-up has returned and freed its factors,
+so the two never hold memory at the same time.
 
 ``ErrorAccumulator`` consumes the states that ``schemes.run`` yields and
 keeps the previous level's coefficients and the last fluid increment, so
@@ -49,6 +58,16 @@ from .schemes import build_discretization, run
 FINAL_QUANTITIES = ("e_u", "e_du", "e_dw", "e_gdu")
 SUMMED_QUANTITIES = ("e_gdus", "e_gdws", "e_gdu2s", "e_dls", "e_ggdus")
 ALL_QUANTITIES = FINAL_QUANTITIES + SUMMED_QUANTITIES
+
+# cells per chunk of every evaluation at the 12 points of the norms' rule
+CHUNK_CELLS = 2048
+_RULE = fem.triangle_rule(fem.ERROR_DEGREE)
+# derivative norms: (discretization's space, exact field, derivative order)
+_DERIVATIVES = {
+    "gf": ("fluid", "grad_u", 1),
+    "gs": ("solid", "grad_w", 1),
+    "hf": ("fluid", "hess_u", 2),
+}
 
 
 @dataclass
@@ -78,9 +97,11 @@ class ErrorAccumulator:
     Exact gradients and Hessians enter only through a profile per run, taken
     at t = 0 and scaled by ``case.time_factor`` (see the separability
     contract in ``manufactured``), so each derivative norm of an increment
-    is split once per run by ``_DerivativeNorm``.  Between levels only the
-    previous level's coefficients, interface errors and fluid increment are
-    kept; the final-time values use the degree-6 rule directly.
+    is split once per run by ``_DerivativeNorm``.  The contract is checked
+    here, at one cell's points; the norms themselves are built at the first
+    increment (level 2), after the improved start-up has freed its factors.
+    Between levels only the previous level's coefficients, interface errors
+    and fluid increment are kept.
     """
 
     def __init__(self, case, disc, dt, n_steps):
@@ -88,23 +109,18 @@ class ErrorAccumulator:
         self.disc = disc
         self.dt = dt
         self.n_steps = n_steps
-        self.ftab = disc.fluid.tables(fem.ERROR_DEGREE)
-        self.stab = disc.solid.tables(fem.ERROR_DEGREE)
         self.ltab = disc.fluid._line_tables()
         T = dt * n_steps
-        self._norms = {
-            "gf": _DerivativeNorm(disc.fluid, _profile(case, "grad_u", self.ftab["qp"], T), 1),
-            "gs": _DerivativeNorm(disc.solid, _profile(case, "grad_w", self.stab["qp"], T), 1),
-            "hf": _DerivativeNorm(disc.fluid, _profile(case, "hess_u", self.ftab["qp"], T), 2),
-        }
-        self._wf = self.ftab["wdet"].ravel()
-        self._ws = self.stab["wdet"].ravel()
+        for space, name, _ in _DERIVATIVES.values():
+            qp = _points(getattr(disc, space), slice(0, 1))
+            check_separable(case, name, "time_factor", qp, T)
         self._wl = self.ltab["wdet"].ravel()
+        self._norms = None
         self._prev = None
         self._inc = None
+        self._gdu = None
         self._sums = dict.fromkeys(SUMMED_QUANTITIES, 0.0)
         self._final = {}
-        self._fvals = {}
 
     def observe(self, state):
         case, disc = self.case, self.disc
@@ -127,13 +143,18 @@ class ErrorAccumulator:
         prev, self._prev = self._prev, cur
 
         if n >= 2:
+            if self._norms is None:
+                self._norms = {
+                    key: _DerivativeNorm(getattr(disc, space), case, name, nder)
+                    for key, (space, name, nder) in _DERIVATIVES.items()
+                }
             # difference coefficients and time factors, not point values:
             # differencing O(1) errors at the points would cost digits
             norms = self._norms
             dc = cur["c"] - prev["c"]
             du = cur["u"] - prev["u"]
-            gdu = norms["gf"](dc, du)
-            self._sums["e_gdus"] += gdu
+            self._gdu = norms["gf"](dc, du)
+            self._sums["e_gdus"] += self._gdu
             self._sums["e_gdws"] += norms["gs"](dc, cur["w"] - prev["w"])
             self._sums["e_dls"] += _wsq(self._wl, cur["lf"] - prev["lf"])
             self._sums["e_ggdus"] += norms["hf"](dc, du)
@@ -142,20 +163,16 @@ class ErrorAccumulator:
                 self._sums["e_gdu2s"] += norms["gf"](dc - dc_prev, du - du_prev)
             self._inc = (dc, du)
 
-        if n >= self.n_steps - 1:
-            self._fvals[n] = {
-                "vf": np.asarray(case.u_exact(t, self.ftab["qp"]))
-                - fem.fe_values_at_qp(disc.fluid, state.u, self.ftab),
-                "vs": np.asarray(case.w_exact(t, self.stab["qp"]))
-                - fem.fe_values_at_qp(disc.solid, state.w, self.stab),
-            }
         if n == self.n_steps:
-            prev = self._fvals[n - 1]
-            cur = self._fvals[n]
-            self._final["e_u"] = math.sqrt(_wsq(self._wf, cur["vf"]))
-            self._final["e_du"] = math.sqrt(_wsq(self._wf, cur["vf"] - prev["vf"]))
-            self._final["e_dw"] = math.sqrt(_wsq(self._ws, cur["vs"] - prev["vs"]))
-            self._final["e_gdu"] = math.sqrt(gdu)
+            t_prev = (n - 1) * self.dt
+            e_u, e_du = _final_sums(disc.fluid, case.u_exact, t, state.u, t_prev, prev["u"])
+            _, e_dw = _final_sums(disc.solid, case.w_exact, t, state.w, t_prev, prev["w"])
+            self._final = {
+                "e_u": math.sqrt(e_u),
+                "e_du": math.sqrt(e_du),
+                "e_dw": math.sqrt(e_dw),
+                "e_gdu": math.sqrt(self._gdu),
+            }
 
     def report(self, k=None):
         if "e_u" not in self._final:
@@ -166,75 +183,103 @@ class ErrorAccumulator:
         return out
 
 
+def _final_sums(space, exact, t, v, t_before, v_before):
+    """Squared norms of the error exact(t) - v and of its increment from
+    exact(t_before) - v_before, at the rule's points."""
+    vals = fem._shape_values(space.order, _RULE.points).T
+    total = increment = 0.0
+    for cells, wdet, qp in _chunks(space):
+        dofs = space.cell_dofs[cells]
+        err = np.asarray(exact(t, qp)) - v[dofs] @ vals
+        err_before = np.asarray(exact(t_before, qp)) - v_before[dofs] @ vals
+        total += _wsq(wdet.ravel(), err)
+        increment += _wsq(wdet.ravel(), err - err_before)
+    return total, increment
+
+
+def _points(space, cells):
+    """(len(cells), 12, 2): the rule's points on a slice of cells."""
+    return np.matmul(_RULE.points, space._corners[cells])
+
+
+def _chunks(space):
+    """(cells, weights, points) of the rule, ``CHUNK_CELLS`` cells at a time."""
+    for start in range(0, len(space.cell_dofs), CHUNK_CELLS):
+        cells = slice(start, start + CHUNK_CELLS)
+        yield cells, space._areas[cells, None] * _RULE.weights, _points(space, cells)
+
+
 class _DerivativeNorm:
     """Squared L2 norms of ``dc * g - D(v)``, one increment at a time.
 
-    ``g`` is the profile of an exact derivative of order ``nder`` (1 for
-    gradients, 2 for Hessians) at the points of the degree-6 rule, and D(v)
-    the same derivative of the FE field v.  On each cell D(v) is a
-    polynomial of degree r = order - nder (r < 0: it vanishes).  Let Pi be
-    the per-cell discrete L2 projection onto P_r under the degree-6 rule and
-    R the degree-6 sum of w |g - Pi g|^2.  Since g - Pi g is discretely
-    orthogonal to P_r, the degree-6 sum splits exactly into
+    ``g`` is the profile at t = 0 of the case's exact derivative ``name`` of
+    order ``nder`` (1 for gradients, 2 for Hessians), and D(v) the same
+    derivative of the FE field v.  On each cell D(v) is a polynomial of
+    degree r = order - nder (r < 0: it vanishes).  Let Pi be the per-cell
+    discrete L2 projection onto P_r under the degree-6 rule and R the
+    degree-6 sum of w |g - Pi g|^2.  Since g - Pi g is discretely orthogonal
+    to P_r, the degree-6 sum splits exactly into
 
         sum w |dc g - D(v)|^2 = dc^2 R + sum_low w |dc Pi g - D(v)|^2,
 
     where "low" is the rule exact for degree 2r: the centroid for r = 0 and
-    three points for r = 1.  Only R and Pi g at the low points are kept.
+    three points for r = 1.  Only R, Pi g at the low points and the sparse
+    map from coefficients to D(v) there are kept; the profile is evaluated
+    ``CHUNK_CELLS`` cells at a time.
     """
 
-    def __init__(self, space, profile, nder):
-        tab = space.tables(fem.ERROR_DEGREE)
-        wdet = tab["wdet"].ravel()
+    def __init__(self, space, case, name, nder):
         r = space.order - nder
-        self.space = space
-        self.low = None
+        self.operator = None
+        profile = getattr(case, name)
+        chunks = ((w.ravel(), np.asarray(profile(0.0, qp))) for _, w, qp in _chunks(space))
         if r < 0:
-            self.rest = _wsq(wdet, profile)
+            self.rest = sum(_wsq(w, g) for w, g in chunks)
             return
-        self.low = space.tables(2 * r)
-        self.derivative = (fem.fe_grads_at_qp, fem.fe_hessians_at_qp)[nder - 1]
-        rule = tab["rule"]
-        self.rest = _wsq(wdet, profile - _project(rule, rule.points, r, profile))
-        self.projected = _project(rule, self.low["rule"].points, r, profile)
-        self.weights = self.low["wdet"].ravel()
+        low = fem.triangle_rule(2 * r)
+        self.operator = fem.derivative_operator(space, low, nder)
+        self.weights = (space._areas[:, None] * low.weights).ravel()
+        to_rule, to_low = _projector(_RULE.points, r), _projector(low.points, r)
+        self.rest = 0.0
+        projected = []
+        for w, g in chunks:
+            self.rest += _wsq(w, g - _project(to_rule, g))
+            projected.append(_project(to_low, g).ravel())
+        self.projected = np.concatenate(projected)
 
     def __call__(self, dc, v):
         total = dc * dc * self.rest
-        if self.low is not None:
-            fe = self.derivative(self.space, v, self.low)
-            total += _wsq(self.weights, dc * self.projected - fe)
+        if self.operator is not None:
+            total += _wsq(self.weights, dc * self.projected - self.operator @ v)
         return total
 
 
-def _project(rule, points, r, values):
-    """Per-cell discrete L2 projection onto P_r under ``rule``, at ``points``.
+def _projector(points, r):
+    """Per-cell discrete L2 projection onto P_r under the degree-6 rule.
 
-    ``values`` has shape (ncell, nq, ...) at the rule's points; ``points``
-    are barycentric.  The cell's area scales both sides of the normal
-    equations, so one reference matrix serves every cell.
+    The matrix maps values at the rule's points to the projection's values
+    at ``points`` (barycentric).  The cell's area scales both sides of the
+    normal equations, so one reference matrix serves every cell.
     """
 
     def basis(bary):  # 1, then lambda_1 and lambda_2 for r = 1
         return np.column_stack([np.ones(len(bary)), bary[:, 1 : 1 + 2 * r]])
 
-    b = basis(rule.points)
-    wb = rule.weights[:, None] * b
-    proj = basis(points) @ np.linalg.solve(b.T @ wb, wb.T)
+    b = basis(_RULE.points)
+    wb = _RULE.weights[:, None] * b
+    return basis(points) @ np.linalg.solve(b.T @ wb, wb.T)
+
+
+def _project(proj, values):
+    """Apply ``_projector``'s matrix to ``values`` of shape (ncell, 12, ...)."""
     ncell, nq, *shape = values.shape
-    return (proj @ values.reshape(ncell, nq, -1)).reshape(ncell, len(points), *shape)
+    return (proj @ values.reshape(ncell, nq, -1)).reshape(ncell, len(proj), *shape)
 
 
 def _wsq(weights, arr):
     """Quadrature sum of squared point values; one weight per point."""
     flat = arr.reshape(weights.size, -1)
     return float(np.sum(weights @ (flat * flat)))
-
-
-def _profile(case, name, qp, t_check):
-    """Field ``name`` of ``case`` at t = 0, checked to scale by time_factor."""
-    check_separable(case, name, "time_factor", qp[:1], t_check)
-    return np.asarray(getattr(case, name)(0.0, qp))
 
 
 def run_with_errors(case, config, disc=None, k=None):

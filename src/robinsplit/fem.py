@@ -289,14 +289,13 @@ class FeSpace:
             "vals": vals,
             # (nloc, nq * 2): reference gradients, one row per basis function
             "ref_grads": ref_grads.transpose(1, 0, 2).reshape(vals.shape[1], -1),
-            "hess": self._hessians,
         }
         self._tables[key] = tab
         return tab
 
     @functools.cached_property
     def _hessians(self):
-        """(ncell, nloc, 2, 2): J^-T H_ref J^-1 per cell, shared by every table."""
+        """(ncell, nloc, 2, 2): J^-T H_ref J^-1 per cell, computed on first use."""
         jac_inv = self._jac_inv
         ref_hess = _shape_ref_hessians(self.order)  # (nloc, 2, 2)
         return np.swapaxes(jac_inv, 1, 2)[:, None] @ ref_hess[None] @ jac_inv[:, None]
@@ -457,8 +456,33 @@ def fe_grads_at_qp(space, coeffs, tab):
 
 
 def fe_hessians_at_qp(space, coeffs, tab):
-    h = np.einsum("cl,cldg->cdg", coeffs[space.cell_dofs], tab["hess"])
+    h = np.einsum("cl,cldg->cdg", coeffs[space.cell_dofs], space._hessians)
     return h[:, None, :, :]
+
+
+def derivative_operator(space, rule, nder):
+    """CSR map from coefficients to the FE derivative at the rule's points.
+
+    ``nder`` is 1 (gradient) or 2 (Hessian).  Rows are ordered (cell, point,
+    component), so ``(op @ coeffs).reshape(ncell, nq, 2)`` (or ``(..., 2, 2)``)
+    has the layout of ``fe_grads_at_qp`` (``fe_hessians_at_qp``).  Every row
+    holds the derivatives of the cell's ``nloc`` basis functions, so the CSR
+    arrays are written directly.
+    """
+    ncell, nloc = space.cell_dofs.shape
+    nq = len(rule.points)
+    if nder == 1:
+        ref = _shape_ref_grads(space.order, rule.points).reshape(nq * nloc, 2)
+        vals = (ref @ space._jac_inv).reshape(ncell, nq, nloc, 2).transpose(0, 1, 3, 2)
+    else:  # piecewise constant: the same rows at every point
+        hess = space._hessians.reshape(ncell, 1, nloc, 4).transpose(0, 1, 3, 2)
+        vals = np.broadcast_to(hess, (ncell, nq, 4, nloc))
+    per_cell = vals.shape[1] * vals.shape[2]
+    indices = np.broadcast_to(space.cell_dofs[:, None, :], (ncell, per_cell, nloc))
+    indptr = np.arange(0, ncell * per_cell * nloc + 1, nloc)
+    return sp.csr_matrix(
+        (vals.ravel(), indices.ravel(), indptr), shape=(ncell * per_cell, space.ndof)
+    )
 
 
 def l2_error(space, coeffs, exact, t):

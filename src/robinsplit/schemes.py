@@ -329,16 +329,15 @@ class _FieldRows:
         self.band = self.interior[layers[self.interior] <= STARTUP_BAND_LAYERS + 1e-9]
         k = nu * stiff
         e = mass / dt
-        b = e + k
 
         def rows(r, c):
-            kk, ee, bb = (m[r][:, c] for m in (k, e, b))
-            return sp.bmat([[kk, None, None], [-ee, kk, None], [None, -ee, bb]], format="csr")
+            return _bidiagonal(k[r][:, c], e[r][:, c])
 
         i, g, n = self.interior, self.trace, self.band
         self.e_ii = e[i][:, i]
-        self.k_ii = linalg.factorize(k[i][:, i])
-        self.b_ii = linalg.factorize(b[i][:, i])
+        k_ii = k[i][:, i]
+        self.k_ii = linalg.factorize(k_ii)
+        self.b_ii = linalg.factorize(k_ii + self.e_ii)
         self.interior_trace = rows(i, g)
         self.trace_interior = rows(g, i)
         self.trace_trace = rows(g, g)
@@ -357,6 +356,37 @@ class _FieldRows:
     def eliminated(self, trace_values):
         """What the interior adds to the trace rows for these trace values."""
         return self.trace_interior @ self.solve_interior(self.interior_trace @ trace_values)
+
+
+def _bidiagonal(kk, ee):
+    """CSR of [[K, 0, 0], [-E, K, 0], [0, -E, K + E]], written row by row.
+
+    Each row of the result is the matching rows of its block row's blocks,
+    left to right, so the arrays are placed without a COO round trip.
+    """
+    kk, ee = kk.sorted_indices(), ee.sorted_indices()
+    nr, nc = kk.shape
+    # each block row as (block, sign, column offset), left to right
+    block_rows = (
+        [(kk, 1.0, 0)],
+        [(ee, -1.0, 0), (kk, 1.0, nc)],
+        [(ee, -1.0, nc), (kk + ee, 1.0, 2 * nc)],
+    )
+    lengths = np.concatenate(
+        [sum(np.diff(m.indptr) for m, _, _ in blocks) for blocks in block_rows]
+    )
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=kk.indices.dtype)
+    for row0, blocks in zip((0, nr, 2 * nr), block_rows):
+        start = indptr[row0 : row0 + nr]
+        for m, sign, offset in blocks:
+            count = np.diff(m.indptr)
+            dest = np.repeat(start - m.indptr[:-1], count) + np.arange(m.nnz)
+            data[dest] = sign * m.data
+            indices[dest] = m.indices + offset
+            start = start + count
+    return sp.csr_matrix((data, indices, indptr), shape=(3 * nr, 3 * nc))
 
 
 class _Startup:

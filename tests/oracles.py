@@ -9,7 +9,8 @@
   ``w1 w2 w3 u1 u2 u3 l1 l2 l3``, with Dirichlet dofs kept as identity rows
   and solved by one sparse LU, with its loads assembled at each level's
   time: the cross-check for the interface solve of
-  ``schemes.solve_first_block_improved``.
+  ``schemes.solve_first_block_improved``; and each field's start-up rows
+  joined by ``sp.bmat``, the cross-check for ``schemes._bidiagonal``.
 * Mass and stiffness matrices assembled by quadrature at the points of every
   cell, and P2 dofs numbered through a dict of vertex pairs: the cross-checks
   for ``fem``'s reference-tensor assembly and array-based numbering.
@@ -250,6 +251,21 @@ def first_block_reference(case, config, disc):
         )
         for level in (1, 2, 3)
     )
+
+
+def field_rows_bmat(disc, field, r, c):
+    """One field's (D, v2, v3) rows restricted to dofs ``r`` and ``c``, joined
+    from separately sliced stiffness, mass and sum blocks by ``sp.bmat``."""
+    cfg = disc.config
+    if field == "solid":
+        mass, stiff, nu = disc.mass_s, disc.stiff_s, cfg.nu_s
+    else:
+        mass, stiff, nu = disc.mass_f, disc.stiff_f, cfg.nu_f
+    k = nu * stiff
+    e = mass / cfg.dt
+    b = e + k
+    kk, ee, bb = (m[r][:, c] for m in (k, e, b))
+    return sp.bmat([[kk, None, None], [-ee, kk, None], [None, -ee, bb]], format="csr")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from robinsplit import diagnostics, schemes
+from robinsplit.cli import level_config
 from robinsplit.diagnostics import (
     ALL_QUANTITIES,
     FINAL_QUANTITIES,
@@ -240,6 +243,61 @@ def test_accumulator_rejects_non_separable_case():
     disc = build_discretization(config)
     with pytest.raises(ConfigurationError, match="grad_u"):
         ErrorAccumulator(case, disc, config.dt, config.n_steps)
+
+
+@pytest.mark.parametrize("case_name,fe_order", [("example1", 1), ("example3", 2)])
+def test_chunk_size_does_not_change_quantities(monkeypatch, case_name, fe_order):
+    # nx = 8: 96 fluid cells, so chunks of 7 leave a remainder; measured
+    # 1.4e-16 (P1) and 2.4e-16 (P2), from the order of the chunk sums
+    case = get_case(case_name)
+    config = SchemeConfig(dt=1.0 / 32.0, T=0.25, nx=8, fe_order=fe_order, variant="improved")
+    disc = build_discretization(config)
+    want = run_with_errors(case, config, disc=disc)
+    monkeypatch.setattr(diagnostics, "CHUNK_CELLS", 7)
+    got = run_with_errors(case, config, disc=disc)
+    for q in ALL_QUANTITIES:
+        a, b = getattr(got, q), getattr(want, q)
+        assert abs(a - b) <= 1e-13 * max(abs(a), abs(b)), q
+
+
+def test_derivative_norms_built_after_startup(monkeypatch):
+    # the norms are built at level 2, when the start-up's factors are dead
+    factors = []
+    build = schemes.Discretization.first_block_factorization
+
+    def tracked(self):
+        startup = build(self)
+        factors.extend(weakref.ref(f) for field in startup.fields for f in (field.k_ii, field.b_ii))
+        factors.append(weakref.ref(startup.band_factor))
+        return startup
+
+    alive_at_build = []
+    norm = diagnostics._DerivativeNorm
+
+    def checked(*args):
+        alive_at_build.append(sum(ref() is not None for ref in factors))
+        return norm(*args)
+
+    monkeypatch.setattr(schemes.Discretization, "first_block_factorization", tracked)
+    monkeypatch.setattr(diagnostics, "_DerivativeNorm", checked)
+    case = get_case("example3")
+    config = level_config(3, "improved", 2, 0.25)
+    disc = build_discretization(config)
+    acc = ErrorAccumulator(case, disc, config.dt, config.n_steps)
+    for state in run(case, config, disc=disc):
+        acc.observe(state)
+        assert (acc._norms is None) == (state.n < 2), state.n
+    assert len(factors) == 5
+    assert alive_at_build == [0, 0, 0]
+
+
+def test_p1_run_computes_no_hessians():
+    # example3 is forced, so its loads build quadrature tables too
+    config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=8)
+    disc = build_discretization(config)
+    run_with_errors(get_case("example3"), config, disc=disc)
+    for space in (disc.fluid, disc.solid):
+        assert "_hessians" not in vars(space), space.subdomain
 
 
 def test_report_values_mapping():

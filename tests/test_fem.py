@@ -14,9 +14,11 @@ from robinsplit.fem import (
     assemble_mass,
     assemble_stiffness,
     broken_h2_seminorm_diff,
+    derivative_operator,
     element_mass,
     element_stiffness,
     fe_grads_at_qp,
+    fe_hessians_at_qp,
     fe_values_at_qp,
     h1_semi_error,
     interface_mass_matrix,
@@ -440,6 +442,31 @@ def test_fe_grads_match_tabulated_gradients(order):
     got = fe_grads_at_qp(fluid, c, tab)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_operator_matches_pointwise_evaluation(order):
+    # the operator sums basis gradients already mapped by J^-1, where
+    # fe_grads_at_qp maps the summed reference gradient, so gradients agree
+    # to rounding (measured 1.3e-16 at P1 and 1.8e-16 at P2); the Hessian is
+    # the same sum over the basis in the same order
+    rng = np.random.default_rng(5)
+    for space in _spaces(8, order):
+        c = rng.normal(size=space.ndof)
+        for nder, evaluate in ((1, fe_grads_at_qp), (2, fe_hessians_at_qp)):
+            r = order - nder
+            if r < 0:
+                continue
+            tab = space.tables(2 * r)
+            op = derivative_operator(space, tab["rule"], nder)
+            nloc = space.cell_dofs.shape[1]
+            assert np.array_equal(np.diff(op.indptr), np.full(op.shape[0], nloc))
+            want = evaluate(space, c, tab)
+            got = (op @ c).reshape(want.shape)
+            if nder == 2:
+                assert np.array_equal(got, want), space.subdomain
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), space.subdomain
 
 
 def test_galerkin_reproduction_smoke():

@@ -31,7 +31,7 @@ from robinsplit.schemes import (
     weak_residuals_original,
 )
 
-from oracles import first_block_reference
+from oracles import field_rows_bmat, first_block_reference
 
 
 def _config(nx=4, variant="original", **kw):
@@ -217,6 +217,28 @@ def test_startup_matches_nine_block_lu(name, order):
         for field in ("u", "w", "lam"):
             a, b = getattr(g, field), getattr(w, field)
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b), (g.n, field)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_field_rows_match_bmat(order):
+    config = _config(nx=8, variant="improved", fe_order=order, nu_f=0.37)
+    disc = build_discretization(config)
+    startup = disc.first_block_factorization()
+    blocks = {
+        "interior_trace": ("interior", "trace"),
+        "trace_interior": ("trace", "interior"),
+        "trace_trace": ("trace", "trace"),
+        "band_band": ("band", "band"),
+        "band_trace": ("band", "trace"),
+        "trace_band": ("trace", "band"),
+    }
+    for field, name in zip(startup.fields, ("solid", "fluid")):
+        for block, (r, c) in blocks.items():
+            got = getattr(field, block)
+            want = field_rows_bmat(disc, name, getattr(field, r), getattr(field, c))
+            assert got.shape == want.shape, (name, block)
+            for arr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, arr), getattr(want, arr)), (name, block, arr)
 
 
 def test_startup_factors_freed_after_level_3(monkeypatch):
