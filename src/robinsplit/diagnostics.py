@@ -32,10 +32,11 @@ per norm (``fem.derivative_operator``).
 
 Work at the degree-6 rule's 12 points per cell (the exact profiles, their
 projections and remainders, and the final-time sums) runs over chunks of
-``CHUNK_CELLS`` cells, so no (ncell, 12, ...) array exists whole.  The
-derivative norms are built at the first increment (level 2): for
-``improved`` that is after the start-up has returned and freed its factors,
-so the two never hold memory at the same time.
+``fem.CHUNK_CELLS`` cells (``fem.quadrature_chunks``), so no (ncell, 12,
+...) array exists whole.  The derivative norms are built at the first
+increment (level 2): for ``improved`` that is after the start-up has
+returned and freed its factors, so the two never hold memory at the same
+time.
 
 ``ErrorAccumulator`` consumes the states that ``schemes.run`` yields and
 keeps the previous level's coefficients and the last fluid increment, so
@@ -59,8 +60,6 @@ FINAL_QUANTITIES = ("e_u", "e_du", "e_dw", "e_gdu")
 SUMMED_QUANTITIES = ("e_gdus", "e_gdws", "e_gdu2s", "e_dls", "e_ggdus")
 ALL_QUANTITIES = FINAL_QUANTITIES + SUMMED_QUANTITIES
 
-# cells per chunk of every evaluation at the 12 points of the norms' rule
-CHUNK_CELLS = 2048
 _RULE = fem.triangle_rule(fem.ERROR_DEGREE)
 # derivative norms: (discretization's space, exact field, derivative order)
 _DERIVATIVES = {
@@ -112,7 +111,7 @@ class ErrorAccumulator:
         self.ltab = disc.fluid._line_tables()
         T = dt * n_steps
         for space, name, _ in _DERIVATIVES.values():
-            qp = _points(getattr(disc, space), slice(0, 1))
+            _, _, qp = next(fem.quadrature_chunks(getattr(disc, space), _RULE, size=1))
             check_separable(case, name, "time_factor", qp, T)
         self._wl = self.ltab["wdet"].ravel()
         self._norms = None
@@ -188,25 +187,13 @@ def _final_sums(space, exact, t, v, t_before, v_before):
     exact(t_before) - v_before, at the rule's points."""
     vals = fem._shape_values(space.order, _RULE.points).T
     total = increment = 0.0
-    for cells, wdet, qp in _chunks(space):
+    for cells, wdet, qp in fem.quadrature_chunks(space, _RULE):
         dofs = space.cell_dofs[cells]
         err = np.asarray(exact(t, qp)) - v[dofs] @ vals
         err_before = np.asarray(exact(t_before, qp)) - v_before[dofs] @ vals
         total += _wsq(wdet.ravel(), err)
         increment += _wsq(wdet.ravel(), err - err_before)
     return total, increment
-
-
-def _points(space, cells):
-    """(len(cells), 12, 2): the rule's points on a slice of cells."""
-    return np.matmul(_RULE.points, space._corners[cells])
-
-
-def _chunks(space):
-    """(cells, weights, points) of the rule, ``CHUNK_CELLS`` cells at a time."""
-    for start in range(0, len(space.cell_dofs), CHUNK_CELLS):
-        cells = slice(start, start + CHUNK_CELLS)
-        yield cells, space._areas[cells, None] * _RULE.weights, _points(space, cells)
 
 
 class _DerivativeNorm:
@@ -225,14 +212,17 @@ class _DerivativeNorm:
     where "low" is the rule exact for degree 2r: the centroid for r = 0 and
     three points for r = 1.  Only R, Pi g at the low points and the sparse
     map from coefficients to D(v) there are kept; the profile is evaluated
-    ``CHUNK_CELLS`` cells at a time.
+    ``fem.CHUNK_CELLS`` cells at a time.
     """
 
     def __init__(self, space, case, name, nder):
         r = space.order - nder
         self.operator = None
         profile = getattr(case, name)
-        chunks = ((w.ravel(), np.asarray(profile(0.0, qp))) for _, w, qp in _chunks(space))
+        chunks = (
+            (w.ravel(), np.asarray(profile(0.0, qp)))
+            for _, w, qp in fem.quadrature_chunks(space, _RULE)
+        )
         if r < 0:
             self.rest = sum(_wsq(w, g) for w, g in chunks)
             return

@@ -317,6 +317,22 @@ def _form_degree(order):
     return 4 if order == 1 else 6
 
 
+# cells per chunk of every evaluation of a field at a rule's points
+CHUNK_CELLS = 2048
+
+
+def quadrature_chunks(space, rule, size=None):
+    """The rule on consecutive slices of ``size`` (default ``CHUNK_CELLS``)
+    cells: ``(cells, wdet, qp)`` with the weights times the cell areas
+    (n, nq) and the points (n, nq, 2), so no (ncell, nq, ...) array exists
+    whole."""
+    size = CHUNK_CELLS if size is None else size
+    for start in range(0, len(space.cell_dofs), size):
+        cells = slice(start, start + size)
+        wdet = space._areas[cells, None] * rule.weights
+        yield cells, wdet, np.matmul(rule.points, space._corners[cells])
+
+
 # ---------------------------------------------------------------------------
 # assembly: exact reference tensors contracted with per-cell geometry
 
@@ -392,9 +408,13 @@ def assemble_stiffness(space, viscosity=1.0):
 
 
 def assemble_load(space, f, t):
-    """Load vector ``(f(t, .), phi_i)`` over the subdomain."""
-    tab = space.tables(_form_degree(space.order))
-    local = (tab["wdet"] * np.asarray(f(t, tab["qp"]))) @ tab["vals"]
+    """Load vector ``(f(t, .), phi_i)`` over the subdomain, evaluated
+    ``CHUNK_CELLS`` cells at a time and summed by one ``bincount``."""
+    rule = triangle_rule(_form_degree(space.order))
+    vals = _shape_values(space.order, rule.points)
+    local = np.concatenate(
+        [(wdet * np.asarray(f(t, qp))) @ vals for _, wdet, qp in quadrature_chunks(space, rule)]
+    )
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.ndof)
 
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from robinsplit import diagnostics, schemes
+from robinsplit import diagnostics, fem, schemes
 from robinsplit.cli import level_config
 from robinsplit.diagnostics import (
     ALL_QUANTITIES,
@@ -253,7 +253,7 @@ def test_chunk_size_does_not_change_quantities(monkeypatch, case_name, fe_order)
     config = SchemeConfig(dt=1.0 / 32.0, T=0.25, nx=8, fe_order=fe_order, variant="improved")
     disc = build_discretization(config)
     want = run_with_errors(case, config, disc=disc)
-    monkeypatch.setattr(diagnostics, "CHUNK_CELLS", 7)
+    monkeypatch.setattr(fem, "CHUNK_CELLS", 7)
     got = run_with_errors(case, config, disc=disc)
     for q in ALL_QUANTITIES:
         a, b = getattr(got, q), getattr(want, q)

@@ -29,6 +29,7 @@ from robinsplit.fem import (
 )
 from robinsplit.errors import ConfigurationError
 from robinsplit.linalg import factorize
+from robinsplit.manufactured import case_example3
 from robinsplit.mesh import build_two_domain_mesh
 from robinsplit.schemes import SchemeConfig, build_discretization
 from oracles import (
@@ -274,6 +275,20 @@ def test_load_cosine_sums_to_zero():
     fluid, _ = _spaces(8, 2)
     b = assemble_load(fluid, _profile, 0.0)
     assert abs(b.sum()) < 1e-10
+
+
+def test_load_vector_chunk_independent(monkeypatch):
+    # nx = 8: 96 fluid and 32 solid cells, so chunks of 7 leave a remainder
+    case = case_example3()
+    fluid, solid = _spaces(8, 2)
+    forcing = {fluid: case.f_f, solid: case.f_s}
+    want = {space: assemble_load(space, f, 0.5) for space, f in forcing.items()}
+    monkeypatch.setattr(fem, "CHUNK_CELLS", 7)
+    for space, load in want.items():
+        got = assemble_load(space, forcing[space], 0.5)
+        assert np.max(np.abs(got - load)) <= 1e-14 * np.max(np.abs(load)), space.subdomain
+        # the load keeps no quadrature table
+        assert space._tables == {}, space.subdomain
 
 
 # -- interface coupling -----------------------------------------------------

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from robinsplit import linalg, schemes
+from robinsplit import fem, linalg, schemes
 from robinsplit.cli import level_config
 from robinsplit.diagnostics import zs_functionals
 from robinsplit.errors import ConfigurationError, SingularSystemError
@@ -258,6 +258,67 @@ def test_startup_factors_freed_after_level_3(monkeypatch):
             # checked while the run is suspended at level 3, not after it ends
             freed = [ref() is None for ref in refs]
     assert freed == [True] * 5
+
+
+def test_startup_allocation_order(monkeypatch):
+    # every start-up load is assembled before the first factorization; the
+    # larger field (the fluid) is factored first, (M/dt + nu K)_II before
+    # nu K_II, then the solid the same way, then the band LU; the Robin pair
+    # is factored fluid first
+    config = level_config(3, "improved", 2, 0.25)
+    disc = build_discretization(config)
+    stiff_ii = {}
+    for name, space, stiff, nu in (
+        ("fluid", disc.fluid, disc.stiff_f, config.nu_f),
+        ("solid", disc.solid, disc.stiff_s, config.nu_s),
+    ):
+        interior = ~space.dirichlet_mask
+        interior[space.interface_dofs] = False
+        i = np.flatnonzero(interior)
+        stiff_ii[name] = (nu * stiff)[i][:, i]
+
+    def label(matrix, permc_spec):
+        if permc_spec == "NATURAL":
+            return "band"
+        for name, space in (("fluid", disc.fluid), ("solid", disc.solid)):
+            if matrix.shape[0] == space.ndof:
+                return f"{name} robin"
+            if matrix.shape == stiff_ii[name].shape:
+                same = abs(matrix - stiff_ii[name]).max() == 0
+                return f"{name} k_ii" if same else f"{name} b_ii"
+        raise AssertionError(f"unexpected factorization of shape {matrix.shape}")
+
+    events = []
+    factorize = linalg.factorize
+
+    def logged_factorize(matrix, *, permc_spec="MMD_AT_PLUS_A"):
+        events.append(("factor", label(matrix, permc_spec)))
+        return factorize(matrix, permc_spec=permc_spec)
+
+    monkeypatch.setattr(linalg, "factorize", logged_factorize)
+    for attr in ("assemble_load", "assemble_interface_load"):
+
+        def logged_load(*args, assembler=getattr(fem, attr)):
+            events.append(("load", assembler.__name__))
+            return assembler(*args)
+
+        monkeypatch.setattr(fem, attr, logged_load)
+    for _ in run(case_example3(), config, disc=disc):
+        pass
+    kinds = [kind for kind, _ in events]
+    factors = [what for kind, what in events if kind == "factor"]
+    # the two forcing profiles, ddw, ddu and four interface loads
+    assert kinds.count("load") == 8
+    assert kinds.index("factor") == 8
+    assert factors == [
+        "fluid b_ii",
+        "fluid k_ii",
+        "solid b_ii",
+        "solid k_ii",
+        "band",
+        "fluid robin",
+        "solid robin",
+    ]
 
 
 @pytest.mark.parametrize("name, order, steps", [("example1", 1, 1), ("example3", 2, 2)])
