@@ -12,12 +12,11 @@ from .diagnostics import (
     ErrorReport,
     convergence_orders,
     run_with_errors,
-    zs_functionals,
 )
 from .errors import ConfigurationError, SingularSystemError
 from .fem import FeSpace
 from .manufactured import ManufacturedCase, case_names, default_order, get_case
-from .mesh import TwoDomainMesh, build_two_domain_mesh, mesh_to_text
+from .mesh import TwoDomainMesh, build_two_domain_mesh
 from .schemes import (
     VARIANTS,
     Discretization,
@@ -47,8 +46,6 @@ __all__ = [
     "convergence_orders",
     "default_order",
     "get_case",
-    "mesh_to_text",
     "run",
     "run_with_errors",
-    "zs_functionals",
 ]

@@ -1,4 +1,4 @@
-"""Error measures, energy functionals, and convergence tables.
+"""Error measures and convergence tables.
 
 Error fields are always (exact solution evaluated under quadrature) minus
 (finite element field); interpolants of the exact solution are never used
@@ -280,44 +280,6 @@ def run_with_errors(case, config, disc=None, k=None):
     for state in run(case, config, disc=disc):
         acc.observe(state)
     return acc.report(k=k)
-
-
-# ---------------------------------------------------------------------------
-# energy functionals
-
-def zs_functionals(*, solid, fluid, trace, alpha, dt, disc, nu_f=1.0, nu_s=1.0):
-    """Discrete energy Z and dissipation S of one step.
-
-    Each of ``solid``/``fluid``/``trace`` is a pair (next, prev) of
-    coefficient vectors (solid field, fluid field, interface flux).  Z only
-    involves the next level; S also weighs the increments.
-    """
-    psi1, psi0 = solid
-    phi1, phi0 = fluid
-    theta1, theta0 = trace
-    msig = disc.msig
-
-    def msq(mat, v):
-        return float(v @ (mat @ v))
-
-    phi1_tr = phi1[disc.if_f]
-    phi0_tr = phi0[disc.if_f]
-    z = (
-        0.5 * msq(disc.mass_f, phi1)
-        + 0.5 * msq(disc.mass_s, psi1)
-        + 0.5 * dt * alpha * msq(msig, phi1_tr)
-        + 0.5 * dt / alpha * msq(msig, theta1)
-    )
-    s = (
-        dt * (nu_f * msq(disc.stiff_f, phi1) + nu_s * msq(disc.stiff_s, psi1))
-        + 0.5 * msq(disc.mass_s, psi1 - psi0)
-        + 0.5 * msq(disc.mass_f, phi1 - phi0)
-        + 0.5
-        * dt
-        * alpha
-        * msq(msig, (phi1_tr - phi0_tr) + (theta1 - theta0) / alpha)
-    )
-    return z, s
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Provides P1/P2 spaces restricted to one subdomain, vectorized assembly of
 mass/stiffness/load operators, one-dimensional assembly along the shared
-interface, and quadrature-based error norms against smooth reference fields.
+interface, interpolation, and the chunked quadrature (``quadrature_chunks``)
+and derivative operators that the error norms of ``diagnostics`` evaluate.
 
 Mass and stiffness are contracted from reference tensors (the tensor
 representation of Kirby & Logg, ACM TOMS 32(3), 2006).  A cell's mass
@@ -224,7 +225,6 @@ class FeSpace:
         self._build_geometry()
         self._build_dirichlet()
         self._build_interface()
-        self._tables = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -268,30 +268,6 @@ class FeSpace:
         self.interface_x = self.dof_coords[self.interface_dofs, 0]
         nodes_xy = self.mesh.vertices[self.mesh.interface_nodes]
         self._interface_lengths = np.diff(nodes_xy[:, 0])
-
-    # -- evaluation tables ---------------------------------------------------
-
-    def tables(self, degree):
-        """Per-element quadrature tables for the given exactness degree."""
-        rule = triangle_rule(degree)
-        key = rule.degree
-        if key in self._tables:
-            return self._tables[key]
-        bary = rule.points
-        vals = _shape_values(self.order, bary)  # (nq, nloc)
-        ref_grads = _shape_ref_grads(self.order, bary)  # (nq, nloc, 2)
-        qp = np.matmul(bary, self._corners)  # (ncell, nq, 2)
-        wdet = self._areas[:, None] * rule.weights[None, :]
-        tab = {
-            "rule": rule,
-            "qp": qp,
-            "wdet": wdet,
-            "vals": vals,
-            # (nloc, nq * 2): reference gradients, one row per basis function
-            "ref_grads": ref_grads.transpose(1, 0, 2).reshape(vals.shape[1], -1),
-        }
-        self._tables[key] = tab
-        return tab
 
     @functools.cached_property
     def _hessians(self):
@@ -437,20 +413,8 @@ def assemble_interface_load(space, g, t):
     )
 
 
-def element_mass(coords, order):
-    """Local mass matrix of a single triangle (for checks and small uses)."""
-    det, _ = _affine_maps(np.asarray(coords, dtype=float)[None])
-    return _local_mass(0.5 * np.abs(det), order)[0]
-
-
-def element_stiffness(coords, order, viscosity=1.0):
-    """Local stiffness matrix of a single triangle."""
-    det, jac_inv = _affine_maps(np.asarray(coords, dtype=float)[None])
-    return _local_stiffness(0.5 * np.abs(det), jac_inv, order, viscosity)[0]
-
-
 # ---------------------------------------------------------------------------
-# interpolation and error norms
+# interpolation and evaluation at quadrature points
 
 ERROR_DEGREE = 6  # over-integration degree used by every error norm
 
@@ -465,28 +429,12 @@ def interpolate_interface(space, g, t):
     return np.asarray(g(t, space.interface_x))
 
 
-def fe_values_at_qp(space, coeffs, tab):
-    return coeffs[space.cell_dofs] @ tab["vals"].T
-
-
-def fe_grads_at_qp(space, coeffs, tab):
-    # reference gradients mapped cell by cell: exact for affine triangles
-    gref = coeffs[space.cell_dofs] @ tab["ref_grads"]
-    return gref.reshape(len(gref), -1, 2) @ space._jac_inv
-
-
-def fe_hessians_at_qp(space, coeffs, tab):
-    h = np.einsum("cl,cldg->cdg", coeffs[space.cell_dofs], space._hessians)
-    return h[:, None, :, :]
-
-
 def derivative_operator(space, rule, nder):
     """CSR map from coefficients to the FE derivative at the rule's points.
 
     ``nder`` is 1 (gradient) or 2 (Hessian).  Rows are ordered (cell, point,
     component), so ``(op @ coeffs).reshape(ncell, nq, 2)`` (or ``(..., 2, 2)``)
-    has the layout of ``fe_grads_at_qp`` (``fe_hessians_at_qp``).  Every row
-    holds the derivatives of the cell's ``nloc`` basis functions, so the CSR
+    is the derivative at each cell's points.  Every row holds the derivatives of the cell's ``nloc`` basis functions, so the CSR
     arrays are written directly.
     """
     ncell, nloc = space.cell_dofs.shape
@@ -503,37 +451,3 @@ def derivative_operator(space, rule, nder):
     return sp.csr_matrix(
         (vals.ravel(), indices.ravel(), indptr), shape=(ncell * per_cell, space.ndof)
     )
-
-
-def l2_error(space, coeffs, exact, t):
-    """L2 norm over the subdomain of ``exact(t, .)`` minus the FE field."""
-    tab = space.tables(ERROR_DEGREE)
-    err = np.asarray(exact(t, tab["qp"])) - fe_values_at_qp(space, coeffs, tab)
-    return float(np.sqrt(np.sum(tab["wdet"] * err**2)))
-
-
-def h1_semi_error(space, coeffs, exact_gradient, t):
-    """L2 norm of the gradient of the error field."""
-    tab = space.tables(ERROR_DEGREE)
-    err = np.asarray(exact_gradient(t, tab["qp"])) - fe_grads_at_qp(space, coeffs, tab)
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(err**2, axis=-1))))
-
-
-def broken_h2_seminorm_diff(space, coeffs, exact_hessian, t):
-    """Elementwise L2 norm of the Hessian of the error field.
-
-    Second derivatives of the FE field are taken element by element, so this
-    is a broken seminorm.  For P1 the FE Hessian vanishes identically and the
-    result reduces to the norm of the reference Hessian alone.
-    """
-    tab = space.tables(ERROR_DEGREE)
-    err = np.asarray(exact_hessian(t, tab["qp"])) - fe_hessians_at_qp(space, coeffs, tab)
-    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(err**2, axis=(-2, -1)))))
-
-
-def sigma_l2_error(space, interface_coeffs, exact, t):
-    """L2 norm over the interface of ``exact(t, .)`` minus the trace field."""
-    tab = space._line_tables()
-    fe = np.einsum("el,ql->eq", interface_coeffs[space._interface_cells_local], tab["vals"])
-    err = np.asarray(exact(t, tab["qp_x"])) - fe
-    return float(np.sqrt(np.sum(tab["wdet"] * err**2)))

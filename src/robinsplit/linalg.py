@@ -150,15 +150,3 @@ def gmres(apply, rhs, precond):
             f"{len(residuals)} iterations (tolerance {GMRES_RTOL:.0e})"
         )
     return x
-
-
-def eliminate_dirichlet(matrix, mask):
-    """Zero rows and columns at masked dofs and put ones on their diagonal.
-
-    Valid for homogeneous boundary values: matching right-hand-side entries
-    must be set to zero by the caller.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    free = sp.diags((~mask).astype(float))
-    fixed = sp.diags(mask.astype(float))
-    return finalize_csr(free @ matrix @ free + fixed)

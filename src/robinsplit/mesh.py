@@ -130,39 +130,3 @@ def build_two_domain_mesh(nx, split_y, diagonal="criss"):
         nx=nx,
         diagonal=diagonal,
     )
-
-
-def triangle_areas(vertices, triangles):
-    """Signed areas of the given triangles (positive for ccw orientation)."""
-    p0 = vertices[triangles[:, 0]]
-    d1 = vertices[triangles[:, 1]] - p0
-    d2 = vertices[triangles[:, 2]] - p0
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def interface_edges(mesh):
-    """Interface segments as (node_a, node_b, length), ordered by x."""
-    nodes = mesh.interface_nodes
-    xs = mesh.vertices[nodes, 0]
-    out = []
-    for a, b, xa, xb in zip(nodes[:-1], nodes[1:], xs[:-1], xs[1:]):
-        out.append((int(a), int(b), float(xb - xa)))
-    return out
-
-
-def mesh_to_text(mesh):
-    """Plain-text dump (one record per line) for debugging.
-
-    Records: ``v i x y`` vertices, ``tf a b c`` / ``ts a b c`` fluid/solid
-    triangles, ``e a b tag`` tagged boundary and interface edges.
-    """
-    lines = [f"# two-domain mesh nx={mesh.nx} split_y={mesh.split_y!r} diagonal={mesh.diagonal}"]
-    for i, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"v {i} {float(x)!r} {float(y)!r}")
-    for a, b, c in mesh.triangles_f:
-        lines.append(f"tf {a} {b} {c}")
-    for a, b, c in mesh.triangles_s:
-        lines.append(f"ts {a} {b} {c}")
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        lines.append(f"e {a} {b} {tag}")
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ Three variants share one spatial discretization:
   reference; the interface flux is recovered from the fluid-side residual.
 
 The flux unknown lives on the interface trace space; its coefficients are
-ordered like ``FeSpace.interface_dofs``.  All Dirichlet values are zero.
+ordered like ``FeSpace.interface_dofs``.  All Dirichlet values are zero, and
+every system is solved on the free dofs alone.
 """
 
 from dataclasses import dataclass
@@ -101,6 +102,9 @@ class Discretization:
         self.if_f = self.fluid.interface_dofs
         self.if_s = self.solid.interface_dofs
         self.n_sig = len(self.if_f)
+        # every solve is posed on the dofs off the Dirichlet boundary
+        self.free_f = np.flatnonzero(~self.fluid.dirichlet_mask)
+        self.free_s = np.flatnonzero(~self.solid.dirichlet_mask)
         self._facts = {}
 
     # -- small helpers -------------------------------------------------------
@@ -114,20 +118,6 @@ class Discretization:
         out = np.zeros(self.solid.ndof)
         out[self.if_s] = local
         return out
-
-    def lifted_interface_matrix(self, row, col):
-        """Interface mass scattered into ('f'|'s'|'l') x ('f'|'s'|'l') blocks."""
-        maps = {
-            "f": (self.if_f, self.fluid.ndof),
-            "s": (self.if_s, self.solid.ndof),
-            "l": (np.arange(self.n_sig), self.n_sig),
-        }
-        coo = self.msig.tocoo()
-        rmap, rn = maps[row]
-        cmap, cn = maps[col]
-        return linalg.finalize_csr(
-            sp.coo_matrix((coo.data, (rmap[coo.row], cmap[coo.col])), shape=(rn, cn))
-        )
 
     def load_f(self, case, t):
         """Fluid load of ``case`` at time t."""
@@ -155,7 +145,7 @@ class Discretization:
     # -- factorizations, built once per run ----------------------------------
 
     def robin_factorizations(self):
-        """Robin factors (solid, fluid).
+        """Robin factors (solid, fluid), each on its field's free dofs.
 
         The fluid, the larger field at ``split_y`` = 0.75, is factored
         first, so the largest factorization workspace meets no resident
@@ -163,14 +153,19 @@ class Discretization:
         """
         if "robin" not in self._facts:
             cfg = self.config
+            coo = self.msig.tocoo()
 
-            def factor(space, side, mass, stiff, nu):
-                interface = self.lifted_interface_matrix(side, side)
-                a = mass / cfg.dt + nu * stiff + cfg.alpha * interface
-                return linalg.factorize(linalg.eliminate_dirichlet(a, space.dirichlet_mask))
+            def factor(free, trace, mass, stiff, nu):
+                # alpha M_Sigma at the trace's positions among the free dofs
+                at = np.searchsorted(free, trace)
+                interface = sp.coo_matrix(
+                    (coo.data, (at[coo.row], at[coo.col])), shape=(free.size, free.size)
+                )
+                a = (mass / cfg.dt + nu * stiff)[free][:, free] + cfg.alpha * interface
+                return linalg.factorize(a)
 
-            fact_f = factor(self.fluid, "f", self.mass_f, self.stiff_f, cfg.nu_f)
-            fact_s = factor(self.solid, "s", self.mass_s, self.stiff_s, cfg.nu_s)
+            fact_f = factor(self.free_f, self.if_f, self.mass_f, self.stiff_f, cfg.nu_f)
+            fact_s = factor(self.free_s, self.if_s, self.mass_s, self.stiff_s, cfg.nu_s)
             self._facts["robin"] = (fact_s, fact_f)
         return self._facts["robin"]
 
@@ -205,14 +200,14 @@ class Discretization:
             mono_stiff = cfg.nu_f * reindex(self.stiff_f, ident, ident) + cfg.nu_s * reindex(
                 self.stiff_s, s2m, s2m
             )
-            mask = np.zeros(dim, dtype=bool)
-            mask[np.flatnonzero(self.fluid.dirichlet_mask)] = True
-            mask[s2m[self.solid.dirichlet_mask]] = True
-            a = linalg.eliminate_dirichlet(mono_mass / cfg.dt + mono_stiff, mask)
+            fixed = np.zeros(dim, dtype=bool)
+            fixed[np.flatnonzero(self.fluid.dirichlet_mask)] = True
+            fixed[s2m[self.solid.dirichlet_mask]] = True
+            free = np.flatnonzero(~fixed)
             self._facts["mono"] = (
-                linalg.factorize(a),
+                linalg.factorize((mono_mass / cfg.dt + mono_stiff)[free][:, free]),
                 linalg.finalize_csr(mono_mass),
-                mask,
+                free,
             )
         return self._facts["mono"]
 
@@ -238,6 +233,13 @@ def initialize(case, config, disc):
     return DiscreteState(n=0, u=u0, w=w0, lam=lam0)
 
 
+def _solve_free(fact, rhs, free):
+    """Solve on the free dofs; the Dirichlet dofs of the result are zero."""
+    out = np.zeros(rhs.size)
+    out[free] = fact.solve(rhs[free])
+    return out
+
+
 def step_original(state, case, config, disc):
     """One step of the loosely coupled splitting: solid, fluid, flux update."""
     dt, alpha = config.dt, config.alpha
@@ -249,16 +251,14 @@ def step_original(state, case, config, disc):
         + disc.lift_s(disc.msig @ (alpha * state.u[disc.if_f] - state.lam))
         + disc.load_s(case, t1)
     )
-    rhs_s[disc.solid.dirichlet_mask] = 0.0
-    w1 = fact_s.solve(rhs_s)
+    w1 = _solve_free(fact_s, rhs_s, disc.free_s)
 
     rhs_f = (
         disc.mass_f @ state.u / dt
         + disc.lift_f(disc.msig @ (state.lam + alpha * w1[disc.if_s]))
         + disc.load_f(case, t1)
     )
-    rhs_f[disc.fluid.dirichlet_mask] = 0.0
-    u1 = fact_f.solve(rhs_f)
+    u1 = _solve_free(fact_f, rhs_f, disc.free_f)
 
     lam1 = state.lam - alpha * (u1[disc.if_f] - w1[disc.if_s])
     return DiscreteState(n=state.n + 1, u=u1, w=w1, lam=lam1)
@@ -526,7 +526,7 @@ def step_monolithic(state, case, config, disc):
     """
     dt = config.dt
     t1 = (state.n + 1) * dt
-    fact, mono_mass, mask = disc.monolithic_factorization()
+    fact, mono_mass, free = disc.monolithic_factorization()
     s2m, dim = disc.monolithic_maps()
     nf = disc.fluid.ndof
 
@@ -537,8 +537,7 @@ def step_monolithic(state, case, config, disc):
     rhs = mono_mass @ y / dt
     rhs[:nf] += load_f
     rhs[s2m] += disc.load_s(case, t1)
-    rhs[mask] = 0.0
-    y1 = fact.solve(rhs)
+    y1 = _solve_free(fact, rhs, free)
 
     u1 = y1[:nf]
     w1 = y1[s2m]
@@ -568,7 +567,19 @@ def run(case, config, disc=None, initial_state=None):
         Level 0, then one state per level up to ``config.n_steps``.  The run
         holds only the state it steps from, so memory does not grow with the
         number of steps; ``list(run(...))`` keeps them all, indexed by level.
+
+    Raises
+    ------
+    ConfigurationError
+        If the config's ``nu_f``, ``nu_s`` or ``split_y``, which build every
+        operator, differ from the case's, which its exact solution uses.
     """
+    for field in ("nu_f", "nu_s", "split_y"):
+        if getattr(config, field) != getattr(case, field):
+            raise ConfigurationError(
+                f"config {field} = {getattr(config, field)!r} contradicts the case's "
+                f"{field} = {getattr(case, field)!r}"
+            )
     if disc is None:
         disc = build_discretization(config)
     state = initialize(case, config, disc) if initial_state is None else initial_state
@@ -601,8 +612,6 @@ def weak_residuals_original(prev, state, case, config, disc):
     """Relative residuals of the three split equations for one step."""
     dt, alpha = config.dt, config.alpha
     t1 = state.n * dt
-    free_s = ~disc.solid.dirichlet_mask
-    free_f = ~disc.fluid.dirichlet_mask
 
     terms_s = [
         disc.mass_s @ (state.w - prev.w) / dt,
@@ -621,8 +630,8 @@ def weak_residuals_original(prev, state, case, config, disc):
         disc.msig @ (state.lam - prev.lam),
     ]
     return {
-        "solid": _relative(sum(terms_s), terms_s, free_s),
-        "fluid": _relative(sum(terms_f), terms_f, free_f),
+        "solid": _relative(sum(terms_s), terms_s, disc.free_s),
+        "fluid": _relative(sum(terms_f), terms_f, disc.free_f),
         "flux": _relative(sum(terms_l), terms_l),
     }
 
@@ -634,8 +643,6 @@ def block_residuals(states, case, config, disc):
     """
     s1, s2, s3 = states
     dt, alpha = config.dt, config.alpha
-    free_s = ~disc.solid.dirichlet_mask
-    free_f = ~disc.fluid.dirichlet_mask
     msig = disc.msig
     ddw, ddu, g1_2, g1_3, g2_2, g2_3 = _first_step_loads(case, config, disc)
 
@@ -651,7 +658,7 @@ def block_residuals(states, case, config, disc):
         -disc.lift_s(alpha * dt * g1_2 - dt * g2_2),
         -disc.load_s(case, dt),
     ]
-    out["solid_1"] = _relative(sum(terms), terms, free_s)
+    out["solid_1"] = _relative(sum(terms), terms, disc.free_s)
 
     du32 = s3.u[disc.if_f] - s2.u[disc.if_f]
     du21 = s2.u[disc.if_f] - s1.u[disc.if_f]
@@ -663,7 +670,7 @@ def block_residuals(states, case, config, disc):
         -disc.lift_f(alpha * dt * g1_3 + dt * g2_3),
         -disc.load_f(case, dt),
     ]
-    out["fluid_1"] = _relative(sum(terms), terms, free_f)
+    out["fluid_1"] = _relative(sum(terms), terms, disc.free_f)
 
     terms = [
         msig @ (alpha * (-s3.u[disc.if_f] + 2 * s2.u[disc.if_f] - s1.w[disc.if_s])),
@@ -677,37 +684,3 @@ def block_residuals(states, case, config, disc):
         for name, value in weak_residuals_original(prev, state, case, config, disc).items():
             out[f"{name}_{level}"] = value
     return out
-
-
-def weak_residuals_monolithic(prev, state, case, config, disc):
-    """Relative residuals of the coupled step and the flux recovery."""
-    dt = config.dt
-    t1 = state.n * dt
-    _, mono_mass, mask = disc.monolithic_factorization()
-    s2m, dim = disc.monolithic_maps()
-    nf = disc.fluid.ndof
-
-    def embed(u, w):
-        y = np.zeros(dim)
-        y[s2m] = w
-        y[:nf] = u
-        return y
-
-    y0, y1 = embed(prev.u, prev.w), embed(state.u, state.w)
-    load = np.zeros(dim)
-    load_f = disc.load_f(case, t1)
-    load[:nf] += load_f
-    load[s2m] += disc.load_s(case, t1)
-    stiff = np.zeros(dim)
-    stiff[:nf] += config.nu_f * (disc.stiff_f @ state.u)
-    stiff[s2m] += config.nu_s * (disc.stiff_s @ state.w)
-    terms = [mono_mass @ (y1 - y0) / dt, stiff, -load]
-    coupled = _relative(sum(terms), terms, ~mask)
-
-    terms = [
-        disc.msig @ state.lam,
-        -(disc.mass_f @ (state.u - prev.u) / dt + config.nu_f * (disc.stiff_f @ state.u) - load_f)[
-            disc.if_f
-        ],
-    ]
-    return {"coupled": coupled, "flux": _relative(sum(terms), terms)}

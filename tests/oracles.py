@@ -1,9 +1,10 @@
-"""Reference computations that the package replaces with faster ones.
+"""Reference computations that the package replaces with faster ones, and
+the test-only helpers that no run of the package needs.
 
 * The error quantities recomputed from every stored level of a run, the
   cross-check for ``diagnostics.ErrorAccumulator``: they take
   ``states = list(run(...))``, indexed by level, and evaluate each quantity
-  pair by pair through the plain error norms of ``fem``, with the exact field
+  pair by pair through the plain error norms below, with the exact field
   sampled at each time rather than scaled by ``time_factor``.
 * The improved start-up as one nine-block linear system over
   ``w1 w2 w3 u1 u2 u3 l1 l2 l3``, with Dirichlet dofs kept as identity rows
@@ -16,6 +17,15 @@
   for ``fem``'s reference-tensor assembly and array-based numbering.
 * The two-subdomain mesh built by a Python loop over the grid squares: the
   cross-check for ``mesh.build_two_domain_mesh``'s array construction.
+* Whole-array quadrature tables (every point of every cell at once) and the
+  plain error norms built on them, which the error quantities above use;
+  single-element mass and stiffness matrices; mesh areas, interface edges
+  and a text dump of the mesh; the discrete energy Z and dissipation S of a
+  split step.
+* Dirichlet dofs kept as identity rows (``eliminate_dirichlet``), which the
+  package no longer builds: it solves every system on the free dofs.  The
+  interface mass lifted into field-sized blocks, for the nine-block start-up
+  matrix, and the weak residuals of a monolithic step.
 """
 
 import math
@@ -44,10 +54,10 @@ def final_time_errors(states, case, disc):
     return ErrorReport(
         dt=config.dt,
         h=1.0 / config.nx,
-        e_u=fem.l2_error(fluid, sN.u, case.u_exact, T),
-        e_du=fem.l2_error(fluid, sN.u - sP.u, _frozen_diff(case.u_exact, T, tp), 0.0),
-        e_dw=fem.l2_error(solid, sN.w - sP.w, _frozen_diff(case.w_exact, T, tp), 0.0),
-        e_gdu=fem.h1_semi_error(fluid, sN.u - sP.u, _frozen_diff(case.grad_u, T, tp), 0.0),
+        e_u=l2_error(fluid, sN.u, case.u_exact, T),
+        e_du=l2_error(fluid, sN.u - sP.u, _frozen_diff(case.u_exact, T, tp), 0.0),
+        e_dw=l2_error(solid, sN.w - sP.w, _frozen_diff(case.w_exact, T, tp), 0.0),
+        e_gdu=h1_semi_error(fluid, sN.u - sP.u, _frozen_diff(case.grad_u, T, tp), 0.0),
     )
 
 
@@ -62,13 +72,13 @@ def summed_errors(states, case, disc):
         a, b = states[n], states[n + 1]
         ta, tb = n * dt, (n + 1) * dt
         sums["e_gdus"] += (
-            fem.h1_semi_error(fluid, b.u - a.u, _frozen_diff(case.grad_u, tb, ta), 0.0) ** 2
+            h1_semi_error(fluid, b.u - a.u, _frozen_diff(case.grad_u, tb, ta), 0.0) ** 2
         )
         sums["e_gdws"] += (
-            fem.h1_semi_error(solid, b.w - a.w, _frozen_diff(case.grad_w, tb, ta), 0.0) ** 2
+            h1_semi_error(solid, b.w - a.w, _frozen_diff(case.grad_w, tb, ta), 0.0) ** 2
         )
         sums["e_dls"] += (
-            fem.sigma_l2_error(
+            sigma_l2_error(
                 fluid,
                 b.lam - a.lam,
                 lambda _t, x1, _ta=ta, _tb=tb: case.l_exact(_tb, x1) - case.l_exact(_ta, x1),
@@ -77,7 +87,7 @@ def summed_errors(states, case, disc):
             ** 2
         )
         sums["e_ggdus"] += (
-            fem.broken_h2_seminorm_diff(
+            broken_h2_seminorm_diff(
                 fluid, b.u - a.u, _frozen_diff(case.hess_u, tb, ta), 0.0
             )
             ** 2
@@ -90,7 +100,7 @@ def summed_errors(states, case, disc):
             return case.grad_u(tc, x) - 2 * case.grad_u(tb, x) + case.grad_u(ta, x)
 
         sums["e_gdu2s"] += (
-            fem.h1_semi_error(fluid, c.u - 2 * b.u + a.u, second_diff, 0.0) ** 2
+            h1_semi_error(fluid, c.u - 2 * b.u + a.u, second_diff, 0.0) ** 2
         )
     out = ErrorReport(dt=dt, h=1.0 / config.nx)
     for name, total in sums.items():
@@ -125,13 +135,13 @@ def _first_block_matrix(disc):
     """
     cfg = disc.config
     dt, alpha = cfg.dt, cfg.alpha
-    css = disc.lifted_interface_matrix("s", "s")
-    csf = disc.lifted_interface_matrix("s", "f")
-    csl = disc.lifted_interface_matrix("s", "l")
-    cff = disc.lifted_interface_matrix("f", "f")
-    cfl = disc.lifted_interface_matrix("f", "l")
-    clf = disc.lifted_interface_matrix("l", "f")
-    cls = disc.lifted_interface_matrix("l", "s")
+    css = lifted_interface_matrix(disc, "s", "s")
+    csf = lifted_interface_matrix(disc, "s", "f")
+    csl = lifted_interface_matrix(disc, "s", "l")
+    cff = lifted_interface_matrix(disc, "f", "f")
+    cfl = lifted_interface_matrix(disc, "f", "l")
+    clf = lifted_interface_matrix(disc, "l", "f")
+    cls = lifted_interface_matrix(disc, "l", "s")
     msig = disc.msig
     mass_s, stiff_s = disc.mass_s, disc.stiff_s
     mass_f, stiff_f = disc.mass_f, disc.stiff_f
@@ -197,7 +207,7 @@ def _first_block_matrix(disc):
     # the triplets outsize the summed matrix; kept through the Dirichlet
     # products they raise a start-up run's peak memory (by 28 MB at P2 k = 5)
     del rows, cols, data
-    return linalg.eliminate_dirichlet(matrix, mask)
+    return eliminate_dirichlet(matrix, mask)
 
 
 def _first_block_dirichlet_mask(disc):
@@ -273,7 +283,7 @@ def field_rows_bmat(disc, field, r, c):
 
 def mass_at_quadrature_points(space):
     """Mass matrix from the basis products summed over the quadrature points."""
-    tab = space.tables(fem._form_degree(space.order))
+    tab = tables(space, fem._form_degree(space.order))
     ref = np.einsum("q,qi,qj->ij", tab["rule"].weights, tab["vals"], tab["vals"])
     local = space._areas[:, None, None] * ref[None, :, :]
     return fem._scatter(space.cell_dofs, local, space.ndof)
@@ -281,7 +291,7 @@ def mass_at_quadrature_points(space):
 
 def stiffness_at_quadrature_points(space, viscosity=1.0):
     """Stiffness matrix from physical gradients at every quadrature point."""
-    tab = space.tables(fem._form_degree(space.order))
+    tab = tables(space, fem._form_degree(space.order))
     ref = tab["ref_grads"]
     # physical gradient: g[c,q,l,d] = sum_e ref[l,q,e] * jac_inv[c,e,d];
     # C order fixes the summation order, and so the rounding, of the next sum
@@ -400,3 +410,225 @@ def two_domain_mesh_loops(nx, split_y, diagonal="criss"):
         nx=nx,
         diagonal=diagonal,
     )
+
+
+# ---------------------------------------------------------------------------
+# whole-array quadrature tables and the plain error norms
+
+def tables(space, degree):
+    """Per-element quadrature tables for the given exactness degree, built
+    whole on every call."""
+    rule = fem.triangle_rule(degree)
+    bary = rule.points
+    vals = fem._shape_values(space.order, bary)  # (nq, nloc)
+    ref_grads = fem._shape_ref_grads(space.order, bary)  # (nq, nloc, 2)
+    return {
+        "rule": rule,
+        "qp": np.matmul(bary, space._corners),  # (ncell, nq, 2)
+        "wdet": space._areas[:, None] * rule.weights[None, :],
+        "vals": vals,
+        # (nloc, nq * 2): reference gradients, one row per basis function
+        "ref_grads": ref_grads.transpose(1, 0, 2).reshape(vals.shape[1], -1),
+    }
+
+
+def fe_values_at_qp(space, coeffs, tab):
+    return coeffs[space.cell_dofs] @ tab["vals"].T
+
+
+def fe_grads_at_qp(space, coeffs, tab):
+    # reference gradients mapped cell by cell: exact for affine triangles
+    gref = coeffs[space.cell_dofs] @ tab["ref_grads"]
+    return gref.reshape(len(gref), -1, 2) @ space._jac_inv
+
+
+def fe_hessians_at_qp(space, coeffs, tab):
+    h = np.einsum("cl,cldg->cdg", coeffs[space.cell_dofs], space._hessians)
+    return h[:, None, :, :]
+
+
+def l2_error(space, coeffs, exact, t):
+    """L2 norm over the subdomain of ``exact(t, .)`` minus the FE field."""
+    tab = tables(space, fem.ERROR_DEGREE)
+    err = np.asarray(exact(t, tab["qp"])) - fe_values_at_qp(space, coeffs, tab)
+    return float(np.sqrt(np.sum(tab["wdet"] * err**2)))
+
+
+def h1_semi_error(space, coeffs, exact_gradient, t):
+    """L2 norm of the gradient of the error field."""
+    tab = tables(space, fem.ERROR_DEGREE)
+    err = np.asarray(exact_gradient(t, tab["qp"])) - fe_grads_at_qp(space, coeffs, tab)
+    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(err**2, axis=-1))))
+
+
+def broken_h2_seminorm_diff(space, coeffs, exact_hessian, t):
+    """Elementwise L2 norm of the Hessian of the error field.
+
+    Second derivatives of the FE field are taken element by element, so this
+    is a broken seminorm.  For P1 the FE Hessian vanishes identically and the
+    result reduces to the norm of the reference Hessian alone.
+    """
+    tab = tables(space, fem.ERROR_DEGREE)
+    err = np.asarray(exact_hessian(t, tab["qp"])) - fe_hessians_at_qp(space, coeffs, tab)
+    return float(np.sqrt(np.sum(tab["wdet"] * np.sum(err**2, axis=(-2, -1)))))
+
+
+def sigma_l2_error(space, interface_coeffs, exact, t):
+    """L2 norm over the interface of ``exact(t, .)`` minus the trace field."""
+    tab = space._line_tables()
+    fe = np.einsum("el,ql->eq", interface_coeffs[space._interface_cells_local], tab["vals"])
+    err = np.asarray(exact(t, tab["qp_x"])) - fe
+    return float(np.sqrt(np.sum(tab["wdet"] * err**2)))
+
+
+def element_mass(coords, order):
+    """Local mass matrix of a single triangle (for checks and small uses)."""
+    det, _ = fem._affine_maps(np.asarray(coords, dtype=float)[None])
+    return fem._local_mass(0.5 * np.abs(det), order)[0]
+
+
+def element_stiffness(coords, order, viscosity=1.0):
+    """Local stiffness matrix of a single triangle."""
+    det, jac_inv = fem._affine_maps(np.asarray(coords, dtype=float)[None])
+    return fem._local_stiffness(0.5 * np.abs(det), jac_inv, order, viscosity)[0]
+
+
+# ---------------------------------------------------------------------------
+# mesh helpers
+
+def triangle_areas(vertices, triangles):
+    """Signed areas of the given triangles (positive for ccw orientation)."""
+    p0 = vertices[triangles[:, 0]]
+    d1 = vertices[triangles[:, 1]] - p0
+    d2 = vertices[triangles[:, 2]] - p0
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def interface_edges(mesh):
+    """Interface segments as (node_a, node_b, length), ordered by x."""
+    nodes = mesh.interface_nodes
+    xs = mesh.vertices[nodes, 0]
+    out = []
+    for a, b, xa, xb in zip(nodes[:-1], nodes[1:], xs[:-1], xs[1:]):
+        out.append((int(a), int(b), float(xb - xa)))
+    return out
+
+
+def mesh_to_text(mesh):
+    """Plain-text dump (one record per line) for debugging.
+
+    Records: ``v i x y`` vertices, ``tf a b c`` / ``ts a b c`` fluid/solid
+    triangles, ``e a b tag`` tagged boundary and interface edges.
+    """
+    lines = [f"# two-domain mesh nx={mesh.nx} split_y={mesh.split_y!r} diagonal={mesh.diagonal}"]
+    for i, (x, y) in enumerate(mesh.vertices):
+        lines.append(f"v {i} {float(x)!r} {float(y)!r}")
+    for a, b, c in mesh.triangles_f:
+        lines.append(f"tf {a} {b} {c}")
+    for a, b, c in mesh.triangles_s:
+        lines.append(f"ts {a} {b} {c}")
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        lines.append(f"e {a} {b} {tag}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# energy functionals
+
+def zs_functionals(*, solid, fluid, trace, alpha, dt, disc, nu_f=1.0, nu_s=1.0):
+    """Discrete energy Z and dissipation S of one step.
+
+    Each of ``solid``/``fluid``/``trace`` is a pair (next, prev) of
+    coefficient vectors (solid field, fluid field, interface flux).  Z only
+    involves the next level; S also weighs the increments.
+    """
+    psi1, psi0 = solid
+    phi1, phi0 = fluid
+    theta1, theta0 = trace
+    msig = disc.msig
+
+    def msq(mat, v):
+        return float(v @ (mat @ v))
+
+    phi1_tr = phi1[disc.if_f]
+    phi0_tr = phi0[disc.if_f]
+    z = (
+        0.5 * msq(disc.mass_f, phi1)
+        + 0.5 * msq(disc.mass_s, psi1)
+        + 0.5 * dt * alpha * msq(msig, phi1_tr)
+        + 0.5 * dt / alpha * msq(msig, theta1)
+    )
+    s = (
+        dt * (nu_f * msq(disc.stiff_f, phi1) + nu_s * msq(disc.stiff_s, psi1))
+        + 0.5 * msq(disc.mass_s, psi1 - psi0)
+        + 0.5 * msq(disc.mass_f, phi1 - phi0)
+        + 0.5
+        * dt
+        * alpha
+        * msq(msig, (phi1_tr - phi0_tr) + (theta1 - theta0) / alpha)
+    )
+    return z, s
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet rows, lifted interface blocks and the monolithic residuals
+
+def eliminate_dirichlet(matrix, mask):
+    """Zero rows and columns at masked dofs and put ones on their diagonal.
+
+    Valid for homogeneous boundary values: matching right-hand-side entries
+    must be set to zero by the caller.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    free = sp.diags((~mask).astype(float))
+    fixed = sp.diags(mask.astype(float))
+    return linalg.finalize_csr(free @ matrix @ free + fixed)
+
+
+def lifted_interface_matrix(disc, row, col):
+    """Interface mass scattered into ('f'|'s'|'l') x ('f'|'s'|'l') blocks."""
+    maps = {
+        "f": (disc.if_f, disc.fluid.ndof),
+        "s": (disc.if_s, disc.solid.ndof),
+        "l": (np.arange(disc.n_sig), disc.n_sig),
+    }
+    coo = disc.msig.tocoo()
+    rmap, rn = maps[row]
+    cmap, cn = maps[col]
+    return linalg.finalize_csr(
+        sp.coo_matrix((coo.data, (rmap[coo.row], cmap[coo.col])), shape=(rn, cn))
+    )
+
+
+def weak_residuals_monolithic(prev, state, case, config, disc):
+    """Relative residuals of the coupled step and the flux recovery."""
+    dt = config.dt
+    t1 = state.n * dt
+    _, mono_mass, free = disc.monolithic_factorization()
+    s2m, dim = disc.monolithic_maps()
+    nf = disc.fluid.ndof
+
+    def embed(u, w):
+        y = np.zeros(dim)
+        y[s2m] = w
+        y[:nf] = u
+        return y
+
+    y0, y1 = embed(prev.u, prev.w), embed(state.u, state.w)
+    load = np.zeros(dim)
+    load_f = disc.load_f(case, t1)
+    load[:nf] += load_f
+    load[s2m] += disc.load_s(case, t1)
+    stiff = np.zeros(dim)
+    stiff[:nf] += config.nu_f * (disc.stiff_f @ state.u)
+    stiff[s2m] += config.nu_s * (disc.stiff_s @ state.w)
+    terms = [mono_mass @ (y1 - y0) / dt, stiff, -load]
+    coupled = schemes._relative(sum(terms), terms, free)
+
+    terms = [
+        disc.msig @ state.lam,
+        -(disc.mass_f @ (state.u - prev.u) / dt + config.nu_f * (disc.stiff_f @ state.u) - load_f)[
+            disc.if_f
+        ],
+    ]
+    return {"coupled": coupled, "flux": schemes._relative(sum(terms), terms)}

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from robinsplit.diagnostics import zs_functionals
-from robinsplit.fem import element_mass, element_stiffness, assemble_mass, assemble_stiffness
+from robinsplit.fem import assemble_mass, assemble_stiffness
 from robinsplit.linalg import factorize
 from robinsplit.manufactured import case_example1, get_case
 from robinsplit.schemes import (
@@ -21,11 +20,11 @@ from robinsplit.schemes import (
     block_residuals,
     build_discretization,
     run,
-    weak_residuals_monolithic,
     weak_residuals_original,
 )
 
 from conftest import STUDY_T, level_config
+from oracles import element_mass, element_stiffness, weak_residuals_monolithic, zs_functionals
 
 
 def _verdict(label, ok, detail):

@@ -17,10 +17,9 @@ from robinsplit.diagnostics import (
     convergence_orders,
     format_columns,
     run_with_errors,
-    zs_functionals,
 )
 from robinsplit.errors import ConfigurationError
-from robinsplit.fem import interpolate, interpolate_interface, l2_error
+from robinsplit.fem import interpolate, interpolate_interface
 from robinsplit.manufactured import case_example1, get_case
 from robinsplit.schemes import (
     DiscreteState,
@@ -29,7 +28,7 @@ from robinsplit.schemes import (
     run,
 )
 
-from oracles import final_time_errors, summed_errors
+from oracles import final_time_errors, l2_error, summed_errors, zs_functionals
 
 
 def test_quantity_partition():

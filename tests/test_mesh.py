@@ -11,12 +11,9 @@ from robinsplit.mesh import (
     TAG_NEUMANN_F,
     TAG_NEUMANN_S,
     build_two_domain_mesh,
-    interface_edges,
-    mesh_to_text,
-    triangle_areas,
 )
 
-from oracles import two_domain_mesh_loops
+from oracles import interface_edges, mesh_to_text, triangle_areas, two_domain_mesh_loops
 
 
 def test_counts_nx4():

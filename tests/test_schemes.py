@@ -7,9 +7,8 @@ import pytest
 
 from robinsplit import fem, linalg, schemes
 from robinsplit.cli import level_config
-from robinsplit.diagnostics import zs_functionals
 from robinsplit.errors import ConfigurationError, SingularSystemError
-from robinsplit.fem import assemble_load, interpolate, l2_error, sigma_l2_error
+from robinsplit.fem import assemble_load, interpolate
 from robinsplit.manufactured import (
     case_example1,
     case_example2,
@@ -27,11 +26,17 @@ from robinsplit.schemes import (
     solve_first_block_improved,
     step_monolithic,
     step_original,
-    weak_residuals_monolithic,
     weak_residuals_original,
 )
 
-from oracles import field_rows_bmat, first_block_reference
+from oracles import (
+    field_rows_bmat,
+    first_block_reference,
+    l2_error,
+    sigma_l2_error,
+    weak_residuals_monolithic,
+    zs_functionals,
+)
 
 
 def _config(nx=4, variant="original", **kw):
@@ -263,8 +268,8 @@ def test_startup_factors_freed_after_level_3(monkeypatch):
 def test_startup_allocation_order(monkeypatch):
     # every start-up load is assembled before the first factorization; the
     # larger field (the fluid) is factored first, (M/dt + nu K)_II before
-    # nu K_II, then the solid the same way, then the band LU; the Robin pair
-    # is factored fluid first
+    # nu K_II, then the solid the same way, then the band LU; the Robin pair,
+    # each posed on its field's free dofs, is factored fluid first
     config = level_config(3, "improved", 2, 0.25)
     disc = build_discretization(config)
     stiff_ii = {}
@@ -281,7 +286,7 @@ def test_startup_allocation_order(monkeypatch):
         if permc_spec == "NATURAL":
             return "band"
         for name, space in (("fluid", disc.fluid), ("solid", disc.solid)):
-            if matrix.shape[0] == space.ndof:
+            if matrix.shape[0] == np.count_nonzero(~space.dirichlet_mask):
                 return f"{name} robin"
             if matrix.shape == stiff_ii[name].shape:
                 same = abs(matrix - stiff_ii[name]).max() == 0
@@ -395,6 +400,39 @@ def test_discretization_rejects_non_separable_forcing():
     disc = build_discretization(_config())
     with pytest.raises(ConfigurationError, match="f_s is not forcing_factor"):
         disc.load_s(case, 0.0625)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("nx", [4, 8])
+def test_factors_posed_on_free_dofs(order, nx):
+    # no factor carries an identity row for a Dirichlet dof, and every state
+    # is exactly zero there
+    case = case_example2()
+    for variant in VARIANTS:
+        config = _config(nx=nx, variant=variant, fe_order=order)
+        disc = build_discretization(config)
+        free_f = np.count_nonzero(~disc.fluid.dirichlet_mask)
+        free_s = np.count_nonzero(~disc.solid.dirichlet_mask)
+        for s in run(case, config, disc):
+            assert np.all(s.u[disc.fluid.dirichlet_mask] == 0.0), (variant, s.n)
+            assert np.all(s.w[disc.solid.dirichlet_mask] == 0.0), (variant, s.n)
+        if variant == "monolithic":
+            # the interface dofs are free and shared by the two fields
+            fact, _, _ = disc.monolithic_factorization()
+            assert fact.shape == (free_f + free_s - disc.n_sig,) * 2
+        else:
+            fact_s, fact_f = disc.robin_factorizations()
+            assert fact_f.shape == (free_f, free_f)
+            assert fact_s.shape == (free_s, free_s)
+
+
+@pytest.mark.parametrize("field, value", [("nu_f", 2.0), ("nu_s", 2.0), ("split_y", 0.5)])
+def test_run_rejects_config_contradicting_case(field, value):
+    # the config builds the operators and the case's values its exact
+    # solution, so a run with the two apart would solve another problem
+    config = _config(nx=8, **{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        next(run(case_example1(), config))
 
 
 def test_dirichlet_rows_preserved_by_all_variants():
