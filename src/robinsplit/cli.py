@@ -3,17 +3,22 @@
 Level k maps to dt = (1/2)^(k+1) and nx = 2^(k+1), so the mesh size h
 equals dt on the unit square.  Levels 7 and 8 multiply runtime and memory
 considerably and are only admitted behind ``--large``; nothing above 8 is
-accepted.
+accepted.  A ``--config`` file's ``key = value`` lines stand for the flags
+of the same names and go through the same parser; they fill only what the
+command line left unset.
 
-Exit codes: 0 on success, 1 when a solve fails, 2 for configuration or
-usage errors.  All CSV output is UTF-8 with LF line endings and a header
-row; floats are written at full precision so parsing a table back yields
-exactly the in-memory values.
+Exit codes: 0 on success; 2 for a usage or configuration error, found
+before any level runs: a malformed flag or file value, a (level, variant)
+pair that ``SchemeConfig`` refuses, or an output directory that does not
+exist; 1 when a level fails to solve, after the tables of the levels that
+completed.  Every CSV goes through ``diagnostics.write_csv``, whose floats
+are written at full precision so parsing a table back yields exactly the
+in-memory values.
 """
 
 import argparse
-import csv
 import functools
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -25,17 +30,19 @@ from .diagnostics import (
     SUMMED_QUANTITIES,
     ConvergenceTable,
     format_columns,
+    order_cell,
     run_with_errors,
+    write_csv,
 )
 from .errors import ConfigurationError
 from .manufactured import case_names, default_order, get_case
-from .schemes import VARIANTS, SchemeConfig
+from .schemes import SchemeConfig
 
 HARD_CEILING = 8
 LARGE_THRESHOLD = 7
 
 
-def level_config(k, variant, fe_order, T, alpha=4.0):
+def level_config(k, variant, fe_order, T, alpha=SchemeConfig.alpha):
     """Scheme configuration of level k: dt = (1/2)^(k+1), nx = 2^(k+1)."""
     return SchemeConfig(
         dt=0.5 ** (k + 1),
@@ -49,13 +56,18 @@ def level_config(k, variant, fe_order, T, alpha=4.0):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One CLI invocation's worth of experiment parameters."""
+    """One CLI invocation's worth of experiment parameters.
+
+    Every (level, variant) pair is built here through ``SchemeConfig``, the
+    one place that says what a level admits, so a sweep is refused whole
+    before any level runs.
+    """
 
     case: str
     variants: tuple
     k_min: int
     k_max: int
-    alpha: float = 4.0
+    alpha: float = SchemeConfig.alpha
     T: float = 1.0
     fe_order: int = None
     out: str = None
@@ -66,11 +78,6 @@ class ExperimentConfig:
         get_case(self.case)
         if not self.variants:
             raise ConfigurationError("at least one variant is required")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ConfigurationError(
-                    f"unknown variant {v!r}; choose from {', '.join(VARIANTS)}"
-                )
         if len(set(self.variants)) != len(self.variants):
             raise ConfigurationError("variants must not repeat")
         if self.k_min < 1:
@@ -88,10 +95,16 @@ class ExperimentConfig:
                 f"levels {LARGE_THRESHOLD} and above need --large "
                 "(they take far longer and much more memory)"
             )
-        if self.fe_order is not None and self.fe_order not in (1, 2):
-            raise ConfigurationError(f"order must be 1 or 2, got {self.fe_order}")
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigurationError(f"the directory of --out {self.out!r} does not exist")
+        for k in range(self.k_min, self.k_max + 1):
+            for v in self.variants:
+                try:
+                    self.scheme_config(k, v)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"level k={k} ({v}): {exc}") from None
 
     @property
     def order(self):
@@ -106,18 +119,18 @@ def _run_one(exp, variant, k):
     return run_with_errors(case, exp.scheme_config(k, variant), k=k)
 
 
-def _sweep(exp, variants=None):
+def _sweep(exp):
     """Run all (k, variant) pairs; results keyed in deterministic order.
 
     Returns ({variant: {k: ErrorReport}}, [(k, variant, exception), ...]).
     """
-    variants = exp.variants if variants is None else variants
     # finest level first, so a pool does not end on one long level alone
-    jobs = [(v, k) for k in range(exp.k_max, exp.k_min - 1, -1) for v in variants]
+    jobs = [(v, k) for k in range(exp.k_max, exp.k_min - 1, -1) for v in exp.variants]
     results = {}
     failures = []
     if exp.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=exp.jobs) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(exp.jobs, len(jobs))) as pool:
             futures = [pool.submit(_run_one, exp, v, k) for v, k in jobs]
         outcomes = [fut.result for fut in futures]
     else:
@@ -129,7 +142,7 @@ def _sweep(exp, variants=None):
             failures.append((k, v, RuntimeError("worker process died; level not completed")))
         except Exception as exc:  # collected, reported in order below
             failures.append((k, v, exc))
-    failures.sort(key=lambda item: (item[0], variants.index(item[1])))
+    failures.sort(key=lambda item: (item[0], exp.variants.index(item[1])))
     return results, failures
 
 
@@ -141,16 +154,6 @@ def _raise_failures(failures):
 
 def _csv_base(path):
     return path[:-4] if path.endswith(".csv") else path
-
-
-def _write_run_csv(path, report):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "dt", "h"] + list(ALL_QUANTITIES))
-        writer.writerow(
-            [report.k, repr(report.dt), repr(report.h)]
-            + [repr(float(getattr(report, q))) for q in ALL_QUANTITIES]
-        )
 
 
 def _reported(quantities, order):
@@ -181,7 +184,8 @@ def cmd_run(exp):
     for q in ALL_QUANTITIES:
         print(f"  {q:8s} = {getattr(report, q):.6e}")
     if exp.out:
-        _write_run_csv(exp.out, report)
+        values = [report.k, report.dt, report.h] + [getattr(report, q) for q in ALL_QUANTITIES]
+        write_csv(exp.out, ["k", "dt", "h", *ALL_QUANTITIES], [values])
         print(f"wrote {exp.out}")
     return report
 
@@ -193,70 +197,54 @@ def _print_tables(title, final, sums):
     print(sums.format_text())
 
 
-def cmd_convergence(exp, variant=None):
-    """Sweep kmin..kmax for one variant and emit final + sums tables."""
-    if variant is None:
-        if len(exp.variants) != 1:
-            raise ConfigurationError("convergence takes exactly one --variant")
-        variant = exp.variants[0]
-    results, failures = _sweep(exp, variants=(variant,))
-    reports = results.get(variant, {})
-    if failures:
-        if reports:
-            final, sums = _tables(reports, exp.order)
-            _print_tables(
-                f"partial results ({exp.case}, {variant}): levels "
-                f"{sorted(reports)} completed",
-                final,
-                sums,
-            )
-        _raise_failures(failures)
-    final, sums = _tables(reports, exp.order)
-    _print_tables(f"case={exp.case} variant={variant} order={exp.order}", final, sums)
-    if exp.out:
-        base = _csv_base(exp.out)
-        final.to_csv(base + "_final.csv")
-        sums.to_csv(base + "_sums.csv")
-        print(f"wrote {base}_final.csv and {base}_sums.csv")
-    return final, sums
-
-
 def cmd_compare(exp):
-    """Sweep the same levels under several variants; compare their orders."""
-    if len(exp.variants) == 1:
-        final, sums = cmd_convergence(exp)
-        return {exp.variants[0]: (final, sums)}
+    """Sweep kmin..kmax under each variant and emit its final + sums tables;
+    with several variants, also their observed orders side by side.
+
+    When a level fails, every variant's completed levels are printed as
+    partial tables and the failures are raised.
+    """
     results, failures = _sweep(exp)
+    several = len(exp.variants) > 1
+    base = _csv_base(exp.out) if exp.out else None
+    out = {}
+    for v in (v for v in exp.variants if v in results):
+        final, sums = out[v] = _tables(results[v], exp.order)
+        if failures:
+            title = f"partial results ({exp.case}, {v}): levels {sorted(results[v])} completed"
+        else:
+            title = f"case={exp.case} variant={v} order={exp.order}"
+        _print_tables(title, final, sums)
+        if several:
+            print()
+        if base and not failures:
+            stem = f"{base}_{v}" if several else base
+            final.to_csv(stem + "_final.csv")
+            sums.to_csv(stem + "_sums.csv")
     if failures:
         _raise_failures(failures)
-    out = {}
-    base = _csv_base(exp.out) if exp.out else None
-    for v in exp.variants:
-        final, sums = _tables(results[v], exp.order)
-        out[v] = (final, sums)
-        _print_tables(f"case={exp.case} variant={v} order={exp.order}", final, sums)
-        print()
+    if not several:
         if base:
-            final.to_csv(f"{base}_{v}_final.csv")
-            sums.to_csv(f"{base}_{v}_sums.csv")
+            print(f"wrote {base}_final.csv and {base}_sums.csv")
+        return out
     orders = {v: {**final.orders, **sums.orders} for v, (final, sums) in out.items()}
-    ks = list(range(exp.k_min, exp.k_max + 1))
+    ks = range(exp.k_min, exp.k_max + 1)
     shown = ("e_u", "e_gdus", "e_gdu2s")
     print("observed orders by variant")
     header = ["k"] + [f"{v}:{q}" for q in shown for v in exp.variants]
-    rows = []
-    for i, k in enumerate(ks):
-        vals = [orders[v][q][i] for q in shown for v in exp.variants]
-        rows.append([str(k)] + ["-" if x != x else f"{x:.2f}" for x in vals])
+    rows = [
+        [str(k)] + [order_cell(orders[v][q][i], text=True) for q in shown for v in exp.variants]
+        for i, k in enumerate(ks)
+    ]
     print(format_columns(header, rows))
     if base:
         quantities = _reported(ALL_QUANTITIES, exp.order)
-        with open(f"{base}_orders.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k"] + [f"{v}_{q}_order" for v in exp.variants for q in quantities])
-            for i, k in enumerate(ks):
-                vals = [orders[v][q][i] for v in exp.variants for q in quantities]
-                writer.writerow([k] + ["" if x != x else repr(float(x)) for x in vals])
+        header = ["k"] + [f"{v}_{q}_order" for v in exp.variants for q in quantities]
+        rows = [
+            [k] + [order_cell(orders[v][q][i]) for v in exp.variants for q in quantities]
+            for i, k in enumerate(ks)
+        ]
+        write_csv(f"{base}_orders.csv", header, rows)
         print(f"wrote {base}_orders.csv")
     return out
 
@@ -264,7 +252,15 @@ def cmd_compare(exp):
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _read_config_file(path):
+_FILE_KEYS = ("case", "variant", "kmin", "kmax", "alpha", "T", "order", "out", "jobs", "large")
+
+
+def _file_flags(path):
+    """The flags that a config file's ``key = value`` lines stand for.
+
+    ``#`` starts a comment and a key's last line wins.  ``variant`` takes a
+    comma-separated list, and ``large`` is set by 1, true, yes or on.
+    """
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -276,62 +272,49 @@ def _read_config_file(path):
                     f"{path}:{lineno}: expected key=value, got {line!r}"
                 )
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _FILE_KEYS:
+                raise ConfigurationError(f"unknown config file key {key!r}")
             values[key] = value
-    return values
+    flags = []
+    for key, value in values.items():
+        if key == "variant":
+            flags += [f"--variant={v.strip()}" for v in value.split(",") if v.strip()]
+        elif key == "large":
+            flags += ["--large"] if value.lower() in ("1", "true", "yes", "on") else []
+        else:
+            flags.append(f"--{key}={value}")
+    return flags
 
 
-_FILE_KEYS = {
-    "case": str,
-    "variant": str,
-    "kmin": int,
-    "kmax": int,
-    "alpha": float,
-    "T": float,
-    "order": int,
-    "out": str,
-    "jobs": int,
-    "large": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+def _merge(parser, args):
+    """The experiment of the flags given, then of the config file's lines.
 
-
-def _merge(args, file_values):
-    def pick(flag_value, key, cast, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return cast(file_values[key])
-        return default
-
-    for key in file_values:
-        if key not in _FILE_KEYS:
-            raise ConfigurationError(f"unknown config file key {key!r}")
-    variants = args.variant
-    if variants is None and "variant" in file_values:
-        variants = [v.strip() for v in file_values["variant"].split(",") if v.strip()]
-    if variants is None:
-        variants = ["improved"]
-    k_min = pick(args.kmin, "kmin", int, 3)
-    k_max = pick(args.kmax, "kmax", int, None)
-    if k_max is None:
-        k_max = k_min if args.command == "run" else max(k_min, 6)
-    return ExperimentConfig(
-        case=pick(args.case, "case", str, "example1"),
-        variants=tuple(variants),
-        k_min=k_min,
-        k_max=k_max,
-        alpha=pick(args.alpha, "alpha", float, 4.0),
-        T=pick(args.T, "T", float, 1.0),
-        fe_order=pick(args.order, "order", int),
-        out=pick(args.out, "out", str),
-        jobs=pick(args.jobs, "jobs", int, 1),
-        allow_large=bool(args.large or _FILE_KEYS["large"](file_values.get("large", ""))),
-    )
+    A field that neither sets keeps its ``ExperimentConfig`` default; the
+    four fields without one take the study defaults below.
+    """
+    values = dict(vars(args))
+    if "config" in values:
+        path = values.pop("config")
+        try:
+            file_args = parser.parse_args([args.command, *_file_flags(path)])
+        except argparse.ArgumentError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+        values = {**vars(file_args), **values}
+    command = values.pop("command")
+    values["variants"] = tuple(values.get("variants", ["improved"]))
+    values.setdefault("case", "example1")
+    k_min = values.setdefault("k_min", 3)
+    values.setdefault("k_max", k_min if command == "run" else max(k_min, 6))
+    return ExperimentConfig(**values)
 
 
 def build_parser():
+    # unset flags stay out of the namespace, so a config file can fill them;
+    # bad values raise instead of exiting, to be reported as config errors
     parser = argparse.ArgumentParser(
         prog="robinsplit",
         description="Interface-problem splitting schemes: runs and level sweeps.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
@@ -339,23 +322,30 @@ def build_parser():
         ("convergence", "sweep levels for one variant and tabulate orders"),
         ("compare", "sweep levels for several variants side by side"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--case", choices=case_names(), default=None)
+        p = sub.add_parser(
+            name, help=helptext, argument_default=argparse.SUPPRESS, exit_on_error=False
+        )
+        p.add_argument("--case", choices=case_names())
+        # dest: the ExperimentConfig field the flag sets
         p.add_argument(
             "--variant",
+            dest="variants",
+            metavar="VARIANT",
             action="append",
-            default=None,
             help="scheme variant; repeat the flag under compare",
         )
-        p.add_argument("--kmin", type=int, default=None, help="first level (default 3)")
-        p.add_argument("--kmax", type=int, default=None, help="last level (default 6)")
-        p.add_argument("--alpha", type=float, default=None, help="Robin parameter (default 4)")
-        p.add_argument("--T", type=float, default=None, help="final time (default 1.0)")
-        p.add_argument("--order", type=int, default=None, help="FE order 1 or 2 (default per case)")
-        p.add_argument("--out", default=None, help="output CSV path (or path stem)")
-        p.add_argument("--jobs", type=int, default=None, help="parallel level workers")
-        p.add_argument("--config", default=None, help="key=value file; flags override it")
-        p.add_argument("--large", action="store_true", help="admit levels 7 and 8")
+        p.add_argument("--kmin", dest="k_min", metavar="KMIN", type=int, help="first level (default 3)")
+        p.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, help="last level (default 6)")
+        p.add_argument("--alpha", type=float, help=f"Robin parameter (default {SchemeConfig.alpha:g})")
+        p.add_argument("--T", type=float, help=f"final time (default {ExperimentConfig.T})")
+        p.add_argument(
+            "--order", dest="fe_order", metavar="ORDER", type=int,
+            help="FE order 1 or 2 (default per case)",
+        )
+        p.add_argument("--out", help="output CSV path (or path stem)")
+        p.add_argument("--jobs", type=int, help="parallel level workers")
+        p.add_argument("--config", help="key=value file; flags override it")
+        p.add_argument("--large", dest="allow_large", action="store_true", help="admit levels 7 and 8")
     return parser
 
 
@@ -363,22 +353,17 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        exp = _merge(parser, args)
+        if args.command == "run":
+            cmd_run(exp)
+        elif args.command == "convergence" and len(exp.variants) != 1:
+            raise ConfigurationError("convergence takes exactly one --variant")
+        else:
+            cmd_compare(exp)
     except SystemExit as exc:
         # argparse exits on usage errors (code 2) and on --help (code 0)
         return int(exc.code or 0)
-    try:
-        file_values = _read_config_file(args.config) if args.config else {}
-        exp = _merge(args, file_values)
-        if args.command == "run":
-            cmd_run(exp)
-        elif args.command == "convergence":
-            cmd_convergence(exp)
-        else:
-            cmd_compare(exp)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (argparse.ArgumentError, ConfigurationError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -103,16 +103,15 @@ class ErrorAccumulator:
     and fluid increment are kept.
     """
 
-    def __init__(self, case, disc, dt, n_steps):
+    def __init__(self, case, disc):
         self.case = case
         self.disc = disc
-        self.dt = dt
-        self.n_steps = n_steps
+        self.dt = disc.config.dt
+        self.n_steps = disc.config.n_steps
         self.ltab = disc.fluid._line_tables()
-        T = dt * n_steps
         for space, name, _ in _DERIVATIVES.values():
             _, _, qp = next(fem.quadrature_chunks(getattr(disc, space), _RULE, size=1))
-            check_separable(case, name, "time_factor", qp, T)
+            check_separable(case, name, "time_factor", qp, disc.config.T)
         self._wl = self.ltab["wdet"].ravel()
         self._norms = None
         self._prev = None
@@ -276,7 +275,7 @@ def run_with_errors(case, config, disc=None, k=None):
     """Run one configuration and stream its full error report."""
     if disc is None:
         disc = build_discretization(config)
-    acc = ErrorAccumulator(case, disc, config.dt, config.n_steps)
+    acc = ErrorAccumulator(case, disc)
     for state in run(case, config, disc=disc):
         acc.observe(state)
     return acc.report(k=k)
@@ -302,6 +301,22 @@ def format_columns(header, rows):
     return "\n".join("  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in [header, *rows])
 
 
+def order_cell(order, text=False):
+    """An observed order as a cell: '-' or .2f in text, blank or the number in a CSV."""
+    if math.isnan(order):
+        return "-" if text else ""
+    return f"{order:.2f}" if text else order
+
+
+def write_csv(path, header, rows):
+    """The one CSV format: UTF-8, LF line endings, header row, floats as ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, (int, str)) else repr(float(c)) for c in row])
+
+
 @dataclass
 class ConvergenceTable:
     """Per-level values and observed orders for a set of quantities."""
@@ -324,19 +339,12 @@ class ConvergenceTable:
         return ConvergenceTable(tuple(quantities), ks, values, orders)
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["k"]
-            for q in self.quantities:
-                header += [q, f"{q}_order"]
-            writer.writerow(header)
-            for i, k in enumerate(self.ks):
-                row = [k]
-                for q in self.quantities:
-                    row.append(repr(float(self.values[q][i])))
-                    order = self.orders[q][i]
-                    row.append("" if math.isnan(order) else repr(float(order)))
-                writer.writerow(row)
+        header, rows = ["k"], [[k] for k in self.ks]
+        for q in self.quantities:
+            header += [q, f"{q}_order"]
+            for row, value, order in zip(rows, self.values[q], self.orders[q]):
+                row += [value, order_cell(order)]
+        write_csv(path, header, rows)
 
     @staticmethod
     def read_csv(path):
@@ -363,8 +371,6 @@ class ConvergenceTable:
         for i, k in enumerate(self.ks):
             row = [str(k)]
             for q in self.quantities:
-                row.append(f"{self.values[q][i]:.2e}")
-                order = self.orders[q][i]
-                row.append("-" if math.isnan(order) else f"{order:.2f}")
+                row += [f"{self.values[q][i]:.2e}", order_cell(self.orders[q][i], text=True)]
             rows.append(row)
         return format_columns(cols, rows)

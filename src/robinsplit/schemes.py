@@ -19,6 +19,7 @@ ordered like ``FeSpace.interface_dofs``.  All Dirichlet values are zero, and
 every system is solved on the free dofs alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,10 @@ class SchemeConfig:
             )
         if self.fe_order not in (1, 2):
             raise ConfigurationError(f"fe_order must be 1 or 2, got {self.fe_order!r}")
-        if self.dt <= 0 or self.T <= 0:
-            raise ConfigurationError("dt and T must be positive")
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
-        if self.nu_f <= 0 or self.nu_s <= 0:
-            raise ConfigurationError("viscosities must be positive")
+        for name in ("dt", "T", "alpha", "nu_f", "nu_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
         n = self.T / self.dt
         if abs(n - round(n)) > 1e-9 or round(n) < 4:
             raise ConfigurationError(
@@ -572,7 +571,9 @@ def run(case, config, disc=None, initial_state=None):
     ------
     ConfigurationError
         If the config's ``nu_f``, ``nu_s`` or ``split_y``, which build every
-        operator, differ from the case's, which its exact solution uses.
+        operator, differ from the case's, which its exact solution uses; or
+        if ``disc`` was built for another config, since its factors and the
+        right-hand sides would then use different steps.
     """
     for field in ("nu_f", "nu_s", "split_y"):
         if getattr(config, field) != getattr(case, field):
@@ -582,6 +583,9 @@ def run(case, config, disc=None, initial_state=None):
             )
     if disc is None:
         disc = build_discretization(config)
+    elif disc.config != config:
+        differ = [f for f, value in vars(config).items() if getattr(disc.config, f) != value]
+        raise ConfigurationError(f"disc was built for another config: {', '.join(differ)} differ")
     state = initialize(case, config, disc) if initial_state is None else initial_state
     yield state
     if config.variant == "improved":

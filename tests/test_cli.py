@@ -1,11 +1,12 @@
 import os
+from concurrent.futures import Future
 
 import pytest
 
 from robinsplit import cli, linalg
 from robinsplit.cli import ExperimentConfig, level_config, main
 from robinsplit.diagnostics import ALL_QUANTITIES, ConvergenceTable
-from robinsplit.errors import ConfigurationError
+from robinsplit.errors import ConfigurationError, SingularSystemError
 
 
 def test_run_prints_all_quantities(capsys):
@@ -115,28 +116,37 @@ def test_startup_gmres_failure_exit_code(monkeypatch, capsys):
     assert "GMRES did not converge" in capsys.readouterr().err
 
 
-def test_convergence_partial_failure_exit_code(capsys):
-    # k=2 gives only two steps at T=0.25, which the start-up block rejects;
-    # k=3 still completes and the partial table is flagged
-    code = main(
-        [
-            "convergence",
-            "--case",
-            "example1",
-            "--variant",
-            "improved",
-            "--kmin",
-            "2",
-            "--kmax",
-            "3",
-            "--T",
-            "0.25",
-        ]
-    )
+_RUN_ONE = cli._run_one
+
+
+def _fail_at_k2(monkeypatch):
+    def run_one(exp, variant, k):
+        if k == 2:
+            raise SingularSystemError("singular matrix")
+        return _RUN_ONE(exp, variant, k)
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+
+
+def test_convergence_partial_failure_exit_code(monkeypatch, capsys):
+    # k=2 fails to solve; k=1 still completes and the partial table is flagged
+    _fail_at_k2(monkeypatch)
+    args = ["convergence", "--case", "example1", "--variant", "improved"]
+    code = main(args + ["--kmin", "1", "--kmax", "2", "--T", "1.0"])
     assert code == 1
     captured = capsys.readouterr()
     assert "partial results" in captured.out
     assert "run failed" in captured.err
+
+
+def test_compare_partial_failure_prints_every_variant(monkeypatch, capsys):
+    _fail_at_k2(monkeypatch)
+    args = ["compare", "--case", "example1", "--variant", "original", "--variant", "improved"]
+    assert main(args + ["--kmin", "1", "--kmax", "2", "--T", "1.0"]) == 1
+    captured = capsys.readouterr()
+    for variant in ("original", "improved"):
+        assert f"partial results (example1, {variant}): levels [1] completed" in captured.out
+        assert f"level k=2 ({variant}) failed: singular matrix" in captured.err
 
 
 def test_compare_writes_variant_files(tmp_path, capsys):
@@ -193,7 +203,30 @@ def test_parallel_sweep_matches_serial(tmp_path, capsys):
     assert (tmp_path / "serial_sums.csv").read_bytes() == (tmp_path / "par_sums.csv").read_bytes()
 
 
-_RUN_ONE = cli._run_one
+def test_pool_never_outnumbers_level_runs(monkeypatch, capsys):
+    # a forked pool starts all max_workers at the first submit; this stand-in
+    # records the count and runs each level inline, starting no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    args = ["convergence", "--case", "example1", "--variant", "original"]
+    assert main(args + ["--kmin", "1", "--kmax", "2", "--T", "1.0", "--jobs", "512"]) == 0
+    assert sizes == [2]
 
 
 def _run_one_dying_at_k2(exp, variant, k):
@@ -313,6 +346,39 @@ def test_unknown_config_key(tmp_path, capsys):
     assert code == 2
 
 
+_SWEEP = ["convergence", "--case", "example1", "--variant", "original", "--kmin", "1"]
+
+
+@pytest.mark.parametrize(
+    "file_text, args",
+    [
+        ("kmin = abc\n", ["run"]),
+        ("jobs = 2\n", _SWEEP + ["--kmax", "2", "--T", "1.0", "--jobs", "0"]),
+        (None, _SWEEP + ["--kmax", "3", "--T", "0.25"]),  # k=1 has one step
+        (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--alpha", "-1"]),
+        (None, ["run", "--case", "example1", "--variant", "original", "--kmin", "1", "--T", "nan"]),
+        (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/missing/study"]),
+    ],
+    ids=["file-value", "flag-over-file", "infeasible-level", "alpha", "nan", "out-dir"],
+)
+def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_text, args):
+    levels = []
+    real = cli.run_with_errors
+
+    def recorded(*args, **kwargs):
+        levels.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_with_errors", recorded)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    if file_text is not None:
+        (tmp_path / "exp.cfg").write_text(file_text)
+        argv += ["--config", str(tmp_path / "exp.cfg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert levels == []
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(case="example1", variants=("original", "original"), k_min=1, k_max=1)
@@ -322,6 +388,10 @@ def test_experiment_config_validation():
         ExperimentConfig(case="example1", variants=("improved",), k_min=1, k_max=1, jobs=0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(case="example1", variants=("improved",), k_min=1, k_max=1, fe_order=3)
+    with pytest.raises(ConfigurationError, match="variant"):
+        ExperimentConfig(case="example1", variants=("magic",), k_min=1, k_max=1)
+    with pytest.raises(ConfigurationError, match="k=1 .* T/dt"):
+        ExperimentConfig(case="example1", variants=("improved",), k_min=1, k_max=3, T=0.25)
 
 
 def test_experiment_config_level_mapping():

@@ -223,7 +223,7 @@ def test_accumulator_rejects_level_gaps():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
     disc = build_discretization(config)
-    acc = ErrorAccumulator(case, disc, config.dt, config.n_steps)
+    acc = ErrorAccumulator(case, disc)
     zero = lambda n: DiscreteState(
         n=n,
         u=np.zeros(disc.fluid.ndof),
@@ -241,7 +241,7 @@ def test_accumulator_rejects_non_separable_case():
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
     disc = build_discretization(config)
     with pytest.raises(ConfigurationError, match="grad_u"):
-        ErrorAccumulator(case, disc, config.dt, config.n_steps)
+        ErrorAccumulator(case, disc)
 
 
 @pytest.mark.parametrize("case_name,fe_order", [("example1", 1), ("example3", 2)])
@@ -282,7 +282,7 @@ def test_derivative_norms_built_after_startup(monkeypatch):
     case = get_case("example3")
     config = level_config(3, "improved", 2, 0.25)
     disc = build_discretization(config)
-    acc = ErrorAccumulator(case, disc, config.dt, config.n_steps)
+    acc = ErrorAccumulator(case, disc)
     for state in run(case, config, disc=disc):
         acc.observe(state)
         assert (acc._norms is None) == (state.n < 2), state.n

@@ -94,6 +94,13 @@ def test_config_rejects_bad_values():
         _config(nu_f=-1.0)
 
 
+@pytest.mark.parametrize("field", ["dt", "T", "alpha", "nu_f", "nu_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite and positive"):
+        _config(**{field: value})
+
+
 def test_config_step_count():
     assert _config().n_steps == 4
     assert SchemeConfig(dt=0.125, T=1.0, nx=8).n_steps == 8
@@ -433,6 +440,14 @@ def test_run_rejects_config_contradicting_case(field, value):
     config = _config(nx=8, **{field: value})
     with pytest.raises(ConfigurationError, match=field):
         next(run(case_example1(), config))
+
+
+def test_run_rejects_discretization_of_another_config():
+    # the factors would step with the disc's dt, the loads with the config's
+    config = _config(nx=8, dt=1.0 / 32.0)
+    disc = build_discretization(dataclasses.replace(config, dt=1.0 / 16.0))
+    with pytest.raises(ConfigurationError, match="dt differ"):
+        next(run(case_example1(), config, disc=disc))
 
 
 def test_dirichlet_rows_preserved_by_all_variants():
