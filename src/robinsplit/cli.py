@@ -8,12 +8,13 @@ of the same names and go through the same parser; they fill only what the
 command line left unset.
 
 Exit codes: 0 on success; 2 for a usage or configuration error, found
-before any level runs: a malformed flag or file value, a (level, variant)
-pair that ``SchemeConfig`` refuses, or an output directory that does not
-exist; 1 when a level fails to solve, after the tables of the levels that
-completed.  Every CSV goes through ``diagnostics.write_csv``, whose floats
-are written at full precision so parsing a table back yields exactly the
-in-memory values.
+before any level runs: a malformed flag or file value, a config file that
+cannot be read, a (level, variant) pair that ``SchemeConfig`` refuses, or
+an ``--out`` that is a directory or whose directory does not exist; 1 when
+a level fails to solve, after the tables of the levels that completed.
+Every CSV goes through ``diagnostics.write_csv``, whose floats are written
+at full precision so parsing a table back yields exactly the in-memory
+values.
 """
 
 import argparse
@@ -97,6 +98,10 @@ class ExperimentConfig:
             )
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        # an --out ending in a separator is refused here when that directory
+        # exists, and by the next check when it does not
+        if self.out and os.path.isdir(self.out):
+            raise ConfigurationError(f"--out {self.out!r} is a directory, not a file path or stem")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigurationError(f"the directory of --out {self.out!r} does not exist")
         for k in range(self.k_min, self.k_max + 1):
@@ -261,20 +266,22 @@ def _file_flags(path):
     ``#`` starts a comment and a key's last line wins.  ``variant`` takes a
     comma-separated list, and ``large`` is set by 1, true, yes or on.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FILE_KEYS:
-                raise ConfigurationError(f"unknown config file key {key!r}")
-            values[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FILE_KEYS:
+            raise ConfigurationError(f"unknown config file key {key!r}")
+        values[key] = value
     flags = []
     for key, value in values.items():
         if key == "variant":
@@ -363,7 +370,7 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits on usage errors (code 2) and on --help (code 0)
         return int(exc.code or 0)
-    except (argparse.ArgumentError, ConfigurationError, FileNotFoundError) as exc:
+    except (argparse.ArgumentError, ConfigurationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -108,7 +108,7 @@ class ErrorAccumulator:
         self.disc = disc
         self.dt = disc.config.dt
         self.n_steps = disc.config.n_steps
-        self.ltab = disc.fluid._line_tables()
+        self.ltab = disc.fluid._line_tables
         for space, name, _ in _DERIVATIVES.values():
             _, _, qp = next(fem.quadrature_chunks(getattr(disc, space), _RULE, size=1))
             check_separable(case, name, "time_factor", qp, disc.config.T)

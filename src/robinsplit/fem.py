@@ -26,6 +26,7 @@ sum of point values times the triangle area.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,19 +49,11 @@ class QuadratureRule:
     degree: int
 
 
-def _perms3(a, b, c):
-    vals = [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
-    uniq = []
-    for v in vals:
-        if v not in uniq:
-            uniq.append(v)
-    return uniq
-
-
 def _dunavant(groups, degree):
     pts, wts = [], []
     for w, bary in groups:
-        for p in _perms3(*bary):
+        # the distinct permutations of the orbit, in first-seen order
+        for p in dict.fromkeys(itertools.permutations(bary)):
             pts.append(p)
             wts.append(w)
     return QuadratureRule(np.asarray(pts), np.asarray(wts), degree)
@@ -217,7 +210,6 @@ class FeSpace:
             a, b = np.divmod(self._edge_keys, nvert)
             coords.append(0.5 * (mesh.vertices[verts_used[a]] + mesh.vertices[verts_used[b]]))
 
-        self.triangles = tris_local
         self.cell_dofs = np.ascontiguousarray(cell_dofs)
         self.dof_coords = np.vstack(coords)
         self.ndof = self.dof_coords.shape[0]
@@ -276,17 +268,17 @@ class FeSpace:
         ref_hess = _shape_ref_hessians(self.order)  # (nloc, 2, 2)
         return np.swapaxes(jac_inv, 1, 2)[:, None] @ ref_hess[None] @ jac_inv[:, None]
 
+    @functools.cached_property
     def _line_tables(self):
-        if hasattr(self, "_ltab"):
-            return self._ltab
+        """Interface quadrature: the rule, its points and weights times the
+        edge lengths per interface cell, and the 1D basis values."""
         rule = _LINE_RULE
         nodes_x = self.mesh.vertices[self.mesh.interface_nodes][:, 0]
         x0 = nodes_x[:-1]
         qp_x = x0[:, None] + self._interface_lengths[:, None] * rule.points[None, :]
         vals = _line_shape_values(self.order, rule.points)  # (nq, nloc)
         wdet = self._interface_lengths[:, None] * rule.weights[None, :]
-        self._ltab = {"rule": rule, "qp_x": qp_x, "wdet": wdet, "vals": vals}
-        return self._ltab
+        return {"rule": rule, "qp_x": qp_x, "wdet": wdet, "vals": vals}
 
 
 def _form_degree(order):
@@ -396,7 +388,7 @@ def assemble_load(space, f, t):
 
 def interface_mass_matrix(space):
     """Interface mass matrix in interface-local dof ordering."""
-    tab = space._line_tables()
+    tab = space._line_tables
     ref = np.einsum("q,qi,qj->ij", tab["rule"].weights, tab["vals"], tab["vals"])
     local = space._interface_lengths[:, None, None] * ref[None, :, :]
     return _scatter(space._interface_cells_local, local, len(space.interface_dofs))
@@ -404,7 +396,7 @@ def interface_mass_matrix(space):
 
 def assemble_interface_load(space, g, t):
     """Interface load ``<g(t, .), trace phi_i>`` in interface-local ordering."""
-    tab = space._line_tables()
+    tab = space._line_tables
     local = (tab["wdet"] * np.asarray(g(t, tab["qp_x"]))) @ tab["vals"]
     return np.bincount(
         space._interface_cells_local.ravel(),

@@ -49,17 +49,16 @@ class Factorization:
 
 
 def _structural_singular_index(m):
-    """Index of the first empty row or column, or None."""
-    csr = m.tocsr()
-    row_counts = np.diff(csr.indptr)
-    empty = np.flatnonzero(row_counts == 0)
-    if empty.size:
-        return int(empty[0])
-    csc = m.tocsc()
-    col_counts = np.diff(csc.indptr)
-    empty = np.flatnonzero(col_counts == 0)
-    if empty.size:
-        return int(empty[0])
+    """Index of the first empty row or column of a CSC matrix, or None.
+
+    Rows are marked from the stored row indices, so neither a copy of ``m``
+    nor of its indices is made.
+    """
+    has_entry = np.zeros(m.shape[0], dtype=bool)
+    has_entry[m.indices] = True
+    for empty in (np.flatnonzero(~has_entry), np.flatnonzero(np.diff(m.indptr) == 0)):
+        if empty.size:
+            return int(empty[0])
     return None
 
 

@@ -313,6 +313,30 @@ def _interface_coupling(alpha):
     )
 
 
+# The volume rows above are kron(_LEVEL_K, nu K) + kron(_LEVEL_E, M/dt): the
+# coefficients of nu K and of M/dt, rows at level 1 - level 2, 2, 3 and
+# columns D, v2, v3.
+_LEVEL_K = np.eye(3)
+_LEVEL_E = np.array([[0, 0, 0], [-1, 0, 0], [0, -1, 1]])
+
+
+def _level_rows(stiff_block, mass_block, nu, dt):
+    """kron(_LEVEL_K, nu K) + kron(_LEVEL_E, M/dt) on one block of K and M.
+
+    nu and 1/dt scale the level matrices, which gives every entry the
+    product it has in nu K and M/dt without a scaled copy of either.
+    """
+    return (
+        sp.kron(nu * _LEVEL_K, stiff_block, format="csr")
+        + sp.kron(_LEVEL_E / dt, mass_block, format="csr")
+    )
+
+
+def _at_levels(positions, n):
+    """Positions among n dofs as positions among the 3 n unknowns (D, v2, v3)."""
+    return np.concatenate([positions, positions + n, positions + 2 * n])
+
+
 class _FieldRows:
     """Volume rows of one field over (D, v2, v3), split into interior and trace.
 
@@ -336,18 +360,22 @@ class _FieldRows:
         # the rows built first)
         self.b_ii = linalg.factorize((nu * stiff + mass / dt)[i][:, i])
         self.k_ii = linalg.factorize((nu * stiff)[i][:, i])
-        k = nu * stiff
-        e = mass / dt
-        # each row set is sliced once and its column blocks taken from that
-        k_r, e_r = k[i], e[i]
-        self.e_ii = e_r[:, i]
-        self.interior_trace = _bidiagonal(k_r[:, g], e_r[:, g])
-        k_r, e_r = k[g], e[g]
-        self.trace_interior, self.trace_trace, self.trace_band = (
-            _bidiagonal(k_r[:, c], e_r[:, c]) for c in (i, g, n)
-        )
-        k_r, e_r = k[n], e[n]
-        self.band_band, self.band_trace = (_bidiagonal(k_r[:, c], e_r[:, c]) for c in (n, g))
+        # each row set is sliced once.  The trace rows are few, so they are
+        # composed over all columns and their blocks picked from that; the
+        # trace runs in interface order, not dof order, so its own block is
+        # sorted back into canonical CSR
+        k_r, m_r = stiff[i], mass[i]
+        self.e_ii = m_r[:, i] / dt
+        self.interior_trace = _level_rows(k_r[:, g], m_r[:, g], nu, dt)
+        trace_rows = _level_rows(stiff[g], mass[g], nu, dt)
+        self.trace_interior = trace_rows[:, _at_levels(i, space.ndof)]
+        self.trace_trace = trace_rows[:, _at_levels(g, space.ndof)].sorted_indices()
+        self.band_band = _level_rows(stiff[n][:, n], mass[n][:, n], nu, dt)
+        # the band is part of the interior, so its blocks against the trace
+        # are the interior's at the band's positions
+        at = _at_levels(np.searchsorted(i, n), i.size)
+        self.band_trace = self.interior_trace[at]
+        self.trace_band = self.trace_interior[:, at]
 
     def solve_interior(self, rhs):
         """Interior (D, v2, v3), stacked, by block forward substitution."""
@@ -360,37 +388,6 @@ class _FieldRows:
     def eliminated(self, trace_values):
         """What the interior adds to the trace rows for these trace values."""
         return self.trace_interior @ self.solve_interior(self.interior_trace @ trace_values)
-
-
-def _bidiagonal(kk, ee):
-    """CSR of [[K, 0, 0], [-E, K, 0], [0, -E, K + E]], written row by row.
-
-    Each row of the result is the matching rows of its block row's blocks,
-    left to right, so the arrays are placed without a COO round trip.
-    """
-    kk, ee = kk.sorted_indices(), ee.sorted_indices()
-    nr, nc = kk.shape
-    # each block row as (block, sign, column offset), left to right
-    block_rows = (
-        [(kk, 1.0, 0)],
-        [(ee, -1.0, 0), (kk, 1.0, nc)],
-        [(ee, -1.0, nc), (kk + ee, 1.0, 2 * nc)],
-    )
-    lengths = np.concatenate(
-        [sum(np.diff(m.indptr) for m, _, _ in blocks) for blocks in block_rows]
-    )
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=kk.indices.dtype)
-    for row0, blocks in zip((0, nr, 2 * nr), block_rows):
-        start = indptr[row0 : row0 + nr]
-        for m, sign, offset in blocks:
-            count = np.diff(m.indptr)
-            dest = np.repeat(start - m.indptr[:-1], count) + np.arange(m.nnz)
-            data[dest] = sign * m.data
-            indices[dest] = m.indices + offset
-            start = start + count
-    return sp.csr_matrix((data, indices, indptr), shape=(3 * nr, 3 * nc))
 
 
 class _Startup:

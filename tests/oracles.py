@@ -11,7 +11,7 @@ the test-only helpers that no run of the package needs.
   and solved by one sparse LU, with its loads assembled at each level's
   time: the cross-check for the interface solve of
   ``schemes.solve_first_block_improved``; and each field's start-up rows
-  joined by ``sp.bmat``, the cross-check for ``schemes._bidiagonal``.
+  joined by ``sp.bmat``, the cross-check for ``schemes._level_rows``.
 * Mass and stiffness matrices assembled by quadrature at the points of every
   cell, and P2 dofs numbered through a dict of vertex pairs: the cross-checks
   for ``fem``'s reference-tensor assembly and array-based numbering.
@@ -475,7 +475,7 @@ def broken_h2_seminorm_diff(space, coeffs, exact_hessian, t):
 
 def sigma_l2_error(space, interface_coeffs, exact, t):
     """L2 norm over the interface of ``exact(t, .)`` minus the trace field."""
-    tab = space._line_tables()
+    tab = space._line_tables
     fe = np.einsum("el,ql->eq", interface_coeffs[space._interface_cells_local], tab["vals"])
     err = np.asarray(exact(t, tab["qp_x"])) - fe
     return float(np.sqrt(np.sum(tab["wdet"] * err**2)))

@@ -358,8 +358,14 @@ _SWEEP = ["convergence", "--case", "example1", "--variant", "original", "--kmin"
         (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--alpha", "-1"]),
         (None, ["run", "--case", "example1", "--variant", "original", "--kmin", "1", "--T", "nan"]),
         (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/missing/study"]),
+        (None, ["run", "--config", "{tmp}"]),
+        (b"case = example\xff1\n", ["run"]),
+        (None, ["run", "--case", "example1", "--variant", "original", "--kmin", "1", "--T", "1.0",
+                "--out", "{tmp}"]),
+        (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/"]),
     ],
-    ids=["file-value", "flag-over-file", "infeasible-level", "alpha", "nan", "out-dir"],
+    ids=["file-value", "flag-over-file", "infeasible-level", "alpha", "nan", "out-dir",
+         "config-is-dir", "config-not-utf8", "run-out-is-dir", "sweep-out-is-dir"],
 )
 def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_text, args):
     levels = []
@@ -372,11 +378,22 @@ def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_
     monkeypatch.setattr(cli, "run_with_errors", recorded)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
     if file_text is not None:
-        (tmp_path / "exp.cfg").write_text(file_text)
+        raw = file_text if isinstance(file_text, bytes) else file_text.encode()
+        (tmp_path / "exp.cfg").write_bytes(raw)
         argv += ["--config", str(tmp_path / "exp.cfg")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert levels == []
+
+
+def test_file_error_inside_a_level_is_a_run_failure(monkeypatch, capsys):
+    # only a file that the command line names is a configuration error
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("no such file: table.dat")
+
+    monkeypatch.setattr(cli, "run_with_errors", missing)
+    assert main(["run", "--case", "example1", "--variant", "original", "--kmin", "1"]) == 1
+    assert capsys.readouterr().err.startswith("run failed: ")
 
 
 def test_experiment_config_validation():

@@ -36,6 +36,20 @@ def test_zero_matrix_singular():
     assert info.value.pivot_index == 0
 
 
+@pytest.mark.parametrize(
+    "dense, index",
+    [
+        ([[0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]], 2),
+        ([[1.0, 0.0, 1.0], [1.0, 0.0, 2.0], [3.0, 0.0, 1.0]], 1),
+    ],
+    ids=["row-before-column", "column"],
+)
+def test_empty_row_or_column_reports_its_index(dense, index):
+    with pytest.raises(SingularSystemError, match="empty row or column") as info:
+        factorize(sp.csr_matrix(dense))
+    assert info.value.pivot_index == index
+
+
 def test_rank_deficient_reports_pivot():
     # last row duplicates the first; elimination dies at the final pivot
     dense = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 2.0, 3.0]])

@@ -1,6 +1,18 @@
+import pathlib
+import re
+
 import robinsplit
 
 
 def test_all_exports_resolve():
     missing = [name for name in robinsplit.__all__ if not hasattr(robinsplit, name)]
     assert missing == []
+
+
+def test_readme_layout_counts_the_package_lines():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"^src/robinsplit/ +the package, ([\d,]+) lines$", readme, re.MULTILINE)
+    assert stated, "README layout has no package line count"
+    lines = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "robinsplit").glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == lines

@@ -253,6 +253,18 @@ def test_field_rows_match_bmat(order):
                 assert np.array_equal(getattr(got, arr), getattr(want, arr)), (name, block, arr)
 
 
+def test_level_matrices_are_the_paper_rows():
+    # coefficients of nu K and M/dt over (v1, v2, v3) in the three volume
+    # rows: level 1 of the modified first step, whose mass term is
+    # M(v2 - v1)/dt, then the two split steps
+    a_k = np.eye(3)
+    a_e = np.array([[-1, 1, 0], [-1, 1, 0], [0, -1, 1]])
+    t = np.array([[1, -1, 0], [0, 1, 0], [0, 0, 1]])  # level 1 - level 2
+    u = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])  # v1 = D + v2
+    assert np.array_equal(t @ a_k @ u, schemes._LEVEL_K)
+    assert np.array_equal(t @ a_e @ u, schemes._LEVEL_E)
+
+
 def test_startup_factors_freed_after_level_3(monkeypatch):
     refs = []
     build = schemes.Discretization.first_block_factorization
