@@ -10,8 +10,9 @@ command line left unset.
 Exit codes: 0 on success; 2 for a usage or configuration error, found
 before any level runs: a malformed flag or file value, a config file that
 cannot be read, a (level, variant) pair that ``SchemeConfig`` refuses, or
-an ``--out`` that is a directory or whose directory does not exist; 1 when
-a level fails to solve, after the tables of the levels that completed.
+an ``--out`` or a CSV named after it that is a directory or whose
+directory does not exist; 1 when a level fails to solve, after the tables
+of the levels that completed.
 Every CSV goes through ``diagnostics.write_csv``, whose floats are written
 at full precision so parsing a table back yields exactly the in-memory
 values.
@@ -60,8 +61,10 @@ class ExperimentConfig:
     """One CLI invocation's worth of experiment parameters.
 
     Every (level, variant) pair is built here through ``SchemeConfig``, the
-    one place that says what a level admits, so a sweep is refused whole
-    before any level runs.
+    one place that says what a level admits, and every CSV the command will
+    write is checked, so a sweep is refused whole before any level runs.
+    ``command`` is the subcommand; ``run`` takes one variant and one level,
+    ``convergence`` one variant.
     """
 
     case: str
@@ -74,6 +77,7 @@ class ExperimentConfig:
     out: str = None
     jobs: int = 1
     allow_large: bool = False
+    command: str = "compare"
 
     def __post_init__(self):
         get_case(self.case)
@@ -81,6 +85,10 @@ class ExperimentConfig:
             raise ConfigurationError("at least one variant is required")
         if len(set(self.variants)) != len(self.variants):
             raise ConfigurationError("variants must not repeat")
+        if self.command != "compare" and len(self.variants) != 1:
+            raise ConfigurationError(f"{self.command} takes exactly one --variant")
+        if self.command == "run" and self.k_max != self.k_min:
+            raise ConfigurationError("run is a single-level command; use --kmin alone")
         if self.k_min < 1:
             raise ConfigurationError(f"kmin must be >= 1, got {self.k_min}")
         if self.k_max < self.k_min:
@@ -98,12 +106,13 @@ class ExperimentConfig:
             )
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        # an --out ending in a separator is refused here when that directory
-        # exists, and by the next check when it does not
-        if self.out and os.path.isdir(self.out):
-            raise ConfigurationError(f"--out {self.out!r} is a directory, not a file path or stem")
-        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
-            raise ConfigurationError(f"the directory of --out {self.out!r} does not exist")
+        # --out itself too: ending in a separator, it is refused as a
+        # directory when that exists, and for its directory when it does not
+        for path in (self.out, *self.csv_paths.values()) if self.out else ():
+            if os.path.isdir(path):
+                raise ConfigurationError(f"--out target {path!r} is a directory, not a file")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigurationError(f"the directory of --out target {path!r} does not exist")
         for k in range(self.k_min, self.k_max + 1):
             for v in self.variants:
                 try:
@@ -117,6 +126,26 @@ class ExperimentConfig:
 
     def scheme_config(self, k, variant):
         return level_config(k, variant, self.order, self.T, self.alpha)
+
+    @property
+    def csv_paths(self):
+        """Every CSV the command writes, keyed by table; empty without --out.
+
+        ``run`` writes ``--out``; a sweep names each variant's final and sums
+        tables after ``--out`` less ``.csv``, with the variant when there
+        are several, and then also writes their orders.
+        """
+        if not self.out:
+            return {}
+        if self.command == "run":
+            return {"run": self.out}
+        stem, several = self.out.removesuffix(".csv"), len(self.variants) > 1
+        paths = {
+            (v, t): f"{stem}_{v}_{t}.csv" if several else f"{stem}_{t}.csv"
+            for v in self.variants
+            for t in ("final", "sums")
+        }
+        return {**paths, "orders": f"{stem}_orders.csv"} if several else paths
 
 
 def _run_one(exp, variant, k):
@@ -157,10 +186,6 @@ def _raise_failures(failures):
     raise RuntimeError("\n".join(lines)) from failures[0][2]
 
 
-def _csv_base(path):
-    return path[:-4] if path.endswith(".csv") else path
-
-
 def _reported(quantities, order):
     """The quantities the tables carry, in their given order."""
     # the broken second-derivative sum carries no FE content for P1
@@ -175,10 +200,6 @@ def _tables(reports, order):
 
 def cmd_run(exp):
     """Execute one (case, variant, level); print and optionally save it."""
-    if len(exp.variants) != 1:
-        raise ConfigurationError("run takes exactly one --variant")
-    if exp.k_max != exp.k_min:
-        raise ConfigurationError("run is a single-level command; use --kmin alone")
     case = get_case(exp.case)
     config = exp.scheme_config(exp.k_min, exp.variants[0])
     report = run_with_errors(case, config, k=exp.k_min)
@@ -190,16 +211,9 @@ def cmd_run(exp):
         print(f"  {q:8s} = {getattr(report, q):.6e}")
     if exp.out:
         values = [report.k, report.dt, report.h] + [getattr(report, q) for q in ALL_QUANTITIES]
-        write_csv(exp.out, ["k", "dt", "h", *ALL_QUANTITIES], [values])
-        print(f"wrote {exp.out}")
+        write_csv(exp.csv_paths["run"], ["k", "dt", "h", *ALL_QUANTITIES], [values])
+        print(f"wrote {exp.csv_paths['run']}")
     return report
-
-
-def _print_tables(title, final, sums):
-    print(title)
-    print(final.format_text())
-    print()
-    print(sums.format_text())
 
 
 def cmd_compare(exp):
@@ -211,7 +225,7 @@ def cmd_compare(exp):
     """
     results, failures = _sweep(exp)
     several = len(exp.variants) > 1
-    base = _csv_base(exp.out) if exp.out else None
+    paths = exp.csv_paths
     out = {}
     for v in (v for v in exp.variants if v in results):
         final, sums = out[v] = _tables(results[v], exp.order)
@@ -219,18 +233,17 @@ def cmd_compare(exp):
             title = f"partial results ({exp.case}, {v}): levels {sorted(results[v])} completed"
         else:
             title = f"case={exp.case} variant={v} order={exp.order}"
-        _print_tables(title, final, sums)
+        print(f"{title}\n{final.format_text()}\n\n{sums.format_text()}")
         if several:
             print()
-        if base and not failures:
-            stem = f"{base}_{v}" if several else base
-            final.to_csv(stem + "_final.csv")
-            sums.to_csv(stem + "_sums.csv")
+        if paths and not failures:
+            final.to_csv(paths[v, "final"])
+            sums.to_csv(paths[v, "sums"])
     if failures:
         _raise_failures(failures)
     if not several:
-        if base:
-            print(f"wrote {base}_final.csv and {base}_sums.csv")
+        if paths:
+            print("wrote " + " and ".join(paths.values()))
         return out
     orders = {v: {**final.orders, **sums.orders} for v, (final, sums) in out.items()}
     ks = range(exp.k_min, exp.k_max + 1)
@@ -242,15 +255,15 @@ def cmd_compare(exp):
         for i, k in enumerate(ks)
     ]
     print(format_columns(header, rows))
-    if base:
+    if paths:
         quantities = _reported(ALL_QUANTITIES, exp.order)
         header = ["k"] + [f"{v}_{q}_order" for v in exp.variants for q in quantities]
         rows = [
             [k] + [order_cell(orders[v][q][i]) for v in exp.variants for q in quantities]
             for i, k in enumerate(ks)
         ]
-        write_csv(f"{base}_orders.csv", header, rows)
-        print(f"wrote {base}_orders.csv")
+        write_csv(paths["orders"], header, rows)
+        print(f"wrote {paths['orders']}")
     return out
 
 
@@ -307,7 +320,7 @@ def _merge(parser, args):
         except argparse.ArgumentError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
         values = {**vars(file_args), **values}
-    command = values.pop("command")
+    command = values["command"]
     values["variants"] = tuple(values.get("variants", ["improved"]))
     values.setdefault("case", "example1")
     k_min = values.setdefault("k_min", 3)
@@ -361,10 +374,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         exp = _merge(parser, args)
-        if args.command == "run":
+        if exp.command == "run":
             cmd_run(exp)
-        elif args.command == "convergence" and len(exp.variants) != 1:
-            raise ConfigurationError("convergence takes exactly one --variant")
         else:
             cmd_compare(exp)
     except SystemExit as exc:

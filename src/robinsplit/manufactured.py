@@ -13,11 +13,13 @@ Every case is separable: each exact field (``u_exact``/``w_exact``, their
 gradients and Hessians, and ``l_exact``) equals ``time_factor(t)`` times
 its value at t = 0, and ``time_factor(0) == 1``.  Likewise each forcing
 (``f_f``/``f_s``) equals ``forcing_factor(t)`` times its value at t = 0.
-Time derivatives carry their own factor.  The error accumulator relies on
-this contract to evaluate exact gradients and Hessians at the quadrature
-points once per run, and the discretization to assemble one load vector
-per field and run; both check it with ``check_separable`` and reject a
-case that breaks it.
+Time derivatives carry their own factor.  Three parts of the package rely
+on this contract: the error accumulator, to evaluate exact gradients and
+Hessians at the quadrature points once per run; the discretization, to
+assemble one load vector per field and run; and the improved start-up, to
+pose its exact first-step data as two scalars times four loads assembled
+at t = 0.  Each checks it with ``check_separable`` and rejects a case that
+breaks it.
 
 Callables follow the package-wide convention: point arrays of shape (..., 2),
 scalar time, vectorized numpy output.
@@ -199,52 +201,13 @@ def default_order(name):
     return 1 if name == "example1" else 2
 
 
-@dataclass(frozen=True)
-class FirstStepData:
-    """Exact-solution data on the right-hand side of the coupled first step.
-
-    With t_j = j * dt, ``G1[n]``/``G2[n]`` (n = 2, 3) are the second-difference
-    quotients (q(t_n) - 2 q(t_{n-1}) + q(t_{n-2})) / dt of the interface
-    trace q = u(., x1, split_y) and of the flux q = l, and ``ddu``/``ddw`` those
-    of u and w at n = 2 over the subdomains.  Every entry is a field
-    ``f(t, x)`` that ignores ``t``, so it goes straight into a load assembler.
-    """
-
-    G1: dict
-    G2: dict
-    ddu: object
-    ddw: object
-
-
 def exact_first_step_data(case, dt):
-    """Sample the exact solution at levels 0..3 for the first-step system."""
+    """(q2, q3): q_n = (c(t_n) - 2 c(t_{n-1}) + c(t_{n-2})) / dt, t_j = j dt.
+
+    c is the case's ``time_factor``, so q_n times an exact field at t = 0 is
+    that field's second-difference quotient at level n.
+    """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    times = [j * dt for j in range(4)]
-
-    def trace(t, x1):
-        return case.u_exact(t, _lift(x1, case.split_y))
-
-    # The interface quotients subtract differences, the volume ones take
-    # q2 - 2 q1 + q0: equal in exact arithmetic, and the study's tables
-    # carry the rounding of exactly these groupings.
-    def interface(q, n):
-        def diff(m, x1):
-            return q(times[m], x1) - q(times[m - 1], x1)
-
-        return lambda _t, x1: (diff(n, x1) - diff(n - 1, x1)) / dt
-
-    def volume(q):
-        return lambda _t, x: (q(times[2], x) - 2 * q(times[1], x) + q(times[0], x)) / dt
-
-    return FirstStepData(
-        G1={n: interface(trace, n) for n in (2, 3)},
-        G2={n: interface(case.l_exact, n) for n in (2, 3)},
-        ddu=volume(case.u_exact),
-        ddw=volume(case.w_exact),
-    )
-
-
-def _lift(x1, y):
-    x1 = np.asarray(x1, dtype=float)
-    return np.stack([x1, np.full_like(x1, y)], axis=-1)
+    c = [case.time_factor(j * dt) for j in range(4)]
+    return tuple((c[n] - 2 * c[n - 1] + c[n - 2]) / dt for n in (2, 3))

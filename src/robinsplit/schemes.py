@@ -168,45 +168,37 @@ class Discretization:
             self._facts["robin"] = (fact_s, fact_f)
         return self._facts["robin"]
 
-    def msig_factorization(self):
-        if "msig" not in self._facts:
-            self._facts["msig"] = linalg.factorize(self.msig)
-        return self._facts["msig"]
+    def monolithic_factorization(self):
+        """The monolithic step's LU on its free dofs, its mass, the free
+        dofs, ``s2m`` and the interface-mass LU, which recovers the flux.
 
-    def monolithic_maps(self):
-        if "mono_maps" not in self._facts:
-            nf, ns = self.fluid.ndof, self.solid.ndof
-            s2m = np.full(ns, -1, dtype=np.int64)
+        ``s2m`` maps each solid dof to its monolithic dof: the fluid's on the
+        interface, one past the fluid's dofs elsewhere.
+        """
+        if "mono" not in self._facts:
+            cfg = self.config
+            nf = self.fluid.ndof
+            s2m = np.full(self.solid.ndof, -1, dtype=np.int64)
             s2m[self.if_s] = self.if_f
             extra = np.flatnonzero(s2m < 0)
             s2m[extra] = nf + np.arange(len(extra))
-            self._facts["mono_maps"] = (s2m, nf + len(extra))
-        return self._facts["mono_maps"]
+            dim = nf + len(extra)
 
-    def monolithic_factorization(self):
-        if "mono" not in self._facts:
-            cfg = self.config
-            s2m, dim = self.monolithic_maps()
-
-            def reindex(matrix, rmap, cmap):
+            def reindex(matrix, at):
                 coo = matrix.tocoo()
-                return sp.coo_matrix(
-                    (coo.data, (rmap[coo.row], cmap[coo.col])), shape=(dim, dim)
-                )
+                return sp.coo_matrix((coo.data, (at[coo.row], at[coo.col])), shape=(dim, dim))
 
-            ident = np.arange(self.fluid.ndof)
-            mono_mass = reindex(self.mass_f, ident, ident) + reindex(self.mass_s, s2m, s2m)
-            mono_stiff = cfg.nu_f * reindex(self.stiff_f, ident, ident) + cfg.nu_s * reindex(
-                self.stiff_s, s2m, s2m
-            )
-            fixed = np.zeros(dim, dtype=bool)
-            fixed[np.flatnonzero(self.fluid.dirichlet_mask)] = True
-            fixed[s2m[self.solid.dirichlet_mask]] = True
-            free = np.flatnonzero(~fixed)
+            ident = np.arange(nf)
+            mono_mass = reindex(self.mass_f, ident) + reindex(self.mass_s, s2m)
+            mono_stiff = cfg.nu_f * reindex(self.stiff_f, ident)
+            mono_stiff += cfg.nu_s * reindex(self.stiff_s, s2m)
+            free = np.union1d(self.free_f, s2m[self.free_s])
             self._facts["mono"] = (
                 linalg.factorize((mono_mass / cfg.dt + mono_stiff)[free][:, free]),
                 linalg.finalize_csr(mono_mass),
                 free,
+                s2m,
+                linalg.factorize(self.msig),
             )
         return self._facts["mono"]
 
@@ -471,19 +463,24 @@ class _Startup:
 
 
 def _first_step_loads(case, config, disc):
-    """Loads of the exact first-step data: ddw, ddu, G1[2], G1[3], G2[2], G2[3].
+    """Loads of the exact first-step data: q2 W, q2 U, q2 G, q3 G, q2 L, q3 L.
 
-    The last four are interface loads in interface-local ordering.
+    W, U, G and L load the separable case's w, u, trace of u and flux l at
+    t = 0; G and L are in interface-local ordering.
     """
-    data = exact_first_step_data(case, config.dt)
-    return (
-        fem.assemble_load(disc.solid, data.ddw, 0.0),
-        fem.assemble_load(disc.fluid, data.ddu, 0.0),
-        *(
-            fem.assemble_interface_load(disc.fluid, g, 0.0)
-            for g in (data.G1[2], data.G1[3], data.G2[2], data.G2[3])
-        ),
-    )
+    x = disc.fluid.dof_coords[disc.if_f[:1]]  # on the interface, in both fields
+    for name, at in (("w_exact", x), ("u_exact", x), ("l_exact", x[:, 0])):
+        check_separable(case, name, "time_factor", at, config.T)
+    q2, q3 = exact_first_step_data(case, config.dt)
+
+    def trace(t, x1):
+        return case.u_exact(t, np.stack([x1, np.full_like(x1, case.split_y)], axis=-1))
+
+    w = fem.assemble_load(disc.solid, case.w_exact, 0.0)
+    u = fem.assemble_load(disc.fluid, case.u_exact, 0.0)
+    g = fem.assemble_interface_load(disc.fluid, trace, 0.0)
+    l = fem.assemble_interface_load(disc.fluid, case.l_exact, 0.0)
+    return q2 * w, q2 * u, q2 * g, q3 * g, q2 * l, q3 * l
 
 
 def _startup_rhs(case, config, disc):
@@ -522,11 +519,10 @@ def step_monolithic(state, case, config, disc):
     """
     dt = config.dt
     t1 = (state.n + 1) * dt
-    fact, mono_mass, free = disc.monolithic_factorization()
-    s2m, dim = disc.monolithic_maps()
+    fact, mono_mass, free, s2m, msig_fact = disc.monolithic_factorization()
     nf = disc.fluid.ndof
 
-    y = np.zeros(dim)
+    y = np.zeros(mono_mass.shape[0])
     y[s2m] = state.w
     y[: nf] = state.u  # fluid values win on the shared interface
     load_f = disc.load_f(case, t1)
@@ -538,7 +534,7 @@ def step_monolithic(state, case, config, disc):
     u1 = y1[:nf]
     w1 = y1[s2m]
     residual = disc.mass_f @ (u1 - state.u) / dt + config.nu_f * (disc.stiff_f @ u1) - load_f
-    lam1 = disc.msig_factorization().solve(residual[disc.if_f])
+    lam1 = msig_fact.solve(residual[disc.if_f])
     return DiscreteState(n=state.n + 1, u=u1, w=w1, lam=lam1)
 
 

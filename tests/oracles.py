@@ -12,6 +12,10 @@ the test-only helpers that no run of the package needs.
   time: the cross-check for the interface solve of
   ``schemes.solve_first_block_improved``; and each field's start-up rows
   joined by ``sp.bmat``, the cross-check for ``schemes._level_rows``.
+* The first-step loads assembled from pointwise second-difference
+  quotients of the exact solution, the cross-check for
+  ``schemes._first_step_loads``, which scales four loads of the profiles
+  at t = 0 by quotients of the time factor.
 * Mass and stiffness matrices assembled by quadrature at the points of every
   cell, and P2 dofs numbered through a dict of vertex pairs: the cross-checks
   for ``fem``'s reference-tensor assembly and array-based numbering.
@@ -222,6 +226,48 @@ def _first_block_dirichlet_mask(disc):
 def _load(space, f, t):
     """The forcing's load assembled at time t, not scaled from t = 0."""
     return np.zeros(space.ndof) if f is None else fem.assemble_load(space, f, t)
+
+
+def first_step_loads_pointwise(case, config, disc):
+    """The loads of ``schemes._first_step_loads`` from pointwise quotients.
+
+    With t_j = j * dt, each load is assembled from a field that samples the
+    exact solution at t_0..t_3 and takes its second-difference quotient
+    (q(t_n) - 2 q(t_{n-1}) + q(t_{n-2})) / dt at every quadrature point:
+    of w and u at n = 2, and of the interface trace of u and the flux l at
+    n = 2, 3.  Nothing assumes the case separable.
+    """
+    dt = config.dt
+    times = [j * dt for j in range(4)]
+
+    def trace(t, x1):
+        return case.u_exact(t, _lift(x1, case.split_y))
+
+    # the interface quotients subtract differences, the volume ones take
+    # q2 - 2 q1 + q0: equal in exact arithmetic
+    def interface(q, n):
+        def diff(m, x1):
+            return q(times[m], x1) - q(times[m - 1], x1)
+
+        return lambda _t, x1: (diff(n, x1) - diff(n - 1, x1)) / dt
+
+    def volume(q):
+        return lambda _t, x: (q(times[2], x) - 2 * q(times[1], x) + q(times[0], x)) / dt
+
+    return (
+        fem.assemble_load(disc.solid, volume(case.w_exact), 0.0),
+        fem.assemble_load(disc.fluid, volume(case.u_exact), 0.0),
+        *(
+            fem.assemble_interface_load(disc.fluid, interface(q, n), 0.0)
+            for q in (trace, case.l_exact)
+            for n in (2, 3)
+        ),
+    )
+
+
+def _lift(x1, y):
+    x1 = np.asarray(x1, dtype=float)
+    return np.stack([x1, np.full_like(x1, y)], axis=-1)
 
 
 def _first_block_rhs(case, config, disc, offsets):
@@ -604,22 +650,21 @@ def weak_residuals_monolithic(prev, state, case, config, disc):
     """Relative residuals of the coupled step and the flux recovery."""
     dt = config.dt
     t1 = state.n * dt
-    _, mono_mass, free = disc.monolithic_factorization()
-    s2m, dim = disc.monolithic_maps()
+    _, mono_mass, free, s2m, _ = disc.monolithic_factorization()
     nf = disc.fluid.ndof
 
     def embed(u, w):
-        y = np.zeros(dim)
+        y = np.zeros(mono_mass.shape[0])
         y[s2m] = w
         y[:nf] = u
         return y
 
     y0, y1 = embed(prev.u, prev.w), embed(state.u, state.w)
-    load = np.zeros(dim)
+    load = np.zeros(y0.size)
     load_f = disc.load_f(case, t1)
     load[:nf] += load_f
     load[s2m] += disc.load_s(case, t1)
-    stiff = np.zeros(dim)
+    stiff = np.zeros(y0.size)
     stiff[:nf] += config.nu_f * (disc.stiff_f @ state.u)
     stiff[s2m] += config.nu_s * (disc.stiff_s @ state.w)
     terms = [mono_mass @ (y1 - y0) / dt, stiff, -load]

@@ -349,25 +349,36 @@ def test_unknown_config_key(tmp_path, capsys):
 _SWEEP = ["convergence", "--case", "example1", "--variant", "original", "--kmin", "1"]
 
 
+_PAIR = ["compare", "--case", "example1", "--variant", "original", "--variant", "improved",
+         "--kmin", "1", "--kmax", "2", "--T", "1.0"]
+
+
 @pytest.mark.parametrize(
-    "file_text, args",
+    "file_text, made, args",
     [
-        ("kmin = abc\n", ["run"]),
-        ("jobs = 2\n", _SWEEP + ["--kmax", "2", "--T", "1.0", "--jobs", "0"]),
-        (None, _SWEEP + ["--kmax", "3", "--T", "0.25"]),  # k=1 has one step
-        (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--alpha", "-1"]),
-        (None, ["run", "--case", "example1", "--variant", "original", "--kmin", "1", "--T", "nan"]),
-        (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/missing/study"]),
-        (None, ["run", "--config", "{tmp}"]),
-        (b"case = example\xff1\n", ["run"]),
-        (None, ["run", "--case", "example1", "--variant", "original", "--kmin", "1", "--T", "1.0",
-                "--out", "{tmp}"]),
-        (None, _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/"]),
+        ("kmin = abc\n", (), ["run"]),
+        ("jobs = 2\n", (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--jobs", "0"]),
+        (None, (), _SWEEP + ["--kmax", "3", "--T", "0.25"]),  # k=1 has one step
+        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--alpha", "-1"]),
+        (None, (), ["run", "--case", "example1", "--variant", "original", "--kmin", "1",
+                    "--T", "nan"]),
+        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/missing/study"]),
+        (None, (), ["run", "--config", "{tmp}"]),
+        (b"case = example\xff1\n", (), ["run"]),
+        (None, (), ["run", "--case", "example1", "--variant", "original", "--kmin", "1",
+                    "--T", "1.0", "--out", "{tmp}"]),
+        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/"]),
+        # a directory in the way of a table that the sweep writes at its end
+        (None, ("study_final.csv",), _SWEEP + ["--kmax", "2", "--T", "1.0",
+                                               "--out", "{tmp}/study"]),
+        (None, ("study_improved_sums.csv",), _PAIR + ["--out", "{tmp}/study.csv"]),
+        (None, ("study_orders.csv",), _PAIR + ["--out", "{tmp}/study"]),
     ],
     ids=["file-value", "flag-over-file", "infeasible-level", "alpha", "nan", "out-dir",
-         "config-is-dir", "config-not-utf8", "run-out-is-dir", "sweep-out-is-dir"],
+         "config-is-dir", "config-not-utf8", "run-out-is-dir", "sweep-out-is-dir",
+         "sweep-table-is-dir", "compare-table-is-dir", "compare-orders-is-dir"],
 )
-def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_text, args):
+def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_text, made, args):
     levels = []
     real = cli.run_with_errors
 
@@ -376,6 +387,8 @@ def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_with_errors", recorded)
+    for name in made:
+        (tmp_path / name).mkdir()
     argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
     if file_text is not None:
         raw = file_text if isinstance(file_text, bytes) else file_text.encode()

@@ -1,5 +1,8 @@
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import robinsplit
 
@@ -16,3 +19,18 @@ def test_readme_layout_counts_the_package_lines():
     assert stated, "README layout has no package line count"
     lines = sum(p.read_bytes().count(b"\n") for p in (root / "src" / "robinsplit").glob("*.py"))
     assert int(stated.group(1).replace(",", "")) == lines
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    # perfbench/tracing.py wraps package names given as strings, so a rename
+    # must fail here rather than in a benchmark run
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(str(root / d) for d in ("perfbench", "src"))
+    code = "import sys, tracing; tracing.install(tracing.Tracer(sys.argv[1]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
