@@ -17,9 +17,9 @@ leaves about 1e-16 to 1e-15 of the largest entry; every entry with
 ``|x| <= 64 eps max|x|`` is set to exactly 0, so the assembled P2 matrices,
 and the LU factors built from them, carry no such entries.
 
-Conventions for callables: a scalar field is ``f(t, x)`` with ``x`` an
+Conventions for callables: a scalar field is ``f(x)`` with ``x`` an
 array of points of shape (..., 2) returning shape (...); gradients return
-(..., 2); Hessians return (..., 2, 2); interface fields are ``g(t, x1)``
+(..., 2); Hessians return (..., 2, 2); interface fields are ``g(x1)``
 with ``x1`` the coordinate along the interface.  Triangle quadrature weights
 are normalized to sum to one, so an integral over a triangle is the weighted
 sum of point values times the triangle area.
@@ -375,13 +375,13 @@ def assemble_stiffness(space, viscosity=1.0):
     return _scatter(space.cell_dofs, local, space.ndof)
 
 
-def assemble_load(space, f, t):
-    """Load vector ``(f(t, .), phi_i)`` over the subdomain, evaluated
+def assemble_load(space, f):
+    """Load vector ``(f, phi_i)`` over the subdomain, evaluated
     ``CHUNK_CELLS`` cells at a time and summed by one ``bincount``."""
     rule = triangle_rule(_form_degree(space.order))
     vals = _shape_values(space.order, rule.points)
     local = np.concatenate(
-        [(wdet * np.asarray(f(t, qp))) @ vals for _, wdet, qp in quadrature_chunks(space, rule)]
+        [(wdet * np.asarray(f(qp))) @ vals for _, wdet, qp in quadrature_chunks(space, rule)]
     )
     return np.bincount(space.cell_dofs.ravel(), weights=local.ravel(), minlength=space.ndof)
 
@@ -394,10 +394,10 @@ def interface_mass_matrix(space):
     return _scatter(space._interface_cells_local, local, len(space.interface_dofs))
 
 
-def assemble_interface_load(space, g, t):
-    """Interface load ``<g(t, .), trace phi_i>`` in interface-local ordering."""
+def assemble_interface_load(space, g):
+    """Interface load ``<g, trace phi_i>`` in interface-local ordering."""
     tab = space._line_tables
-    local = (tab["wdet"] * np.asarray(g(t, tab["qp_x"]))) @ tab["vals"]
+    local = (tab["wdet"] * np.asarray(g(tab["qp_x"]))) @ tab["vals"]
     return np.bincount(
         space._interface_cells_local.ravel(),
         weights=local.ravel(),
@@ -411,14 +411,14 @@ def assemble_interface_load(space, g, t):
 ERROR_DEGREE = 6  # over-integration degree used by every error norm
 
 
-def interpolate(space, f, t):
-    """Nodal interpolant coefficients of ``f(t, .)``."""
-    return np.asarray(f(t, space.dof_coords))
+def interpolate(space, f):
+    """Nodal interpolant coefficients of ``f``."""
+    return np.asarray(f(space.dof_coords))
 
 
-def interpolate_interface(space, g, t):
+def interpolate_interface(space, g):
     """Nodal interpolant of an interface field, in interface-local ordering."""
-    return np.asarray(g(t, space.interface_x))
+    return np.asarray(g(space.interface_x))
 
 
 def derivative_operator(space, rule, nder):

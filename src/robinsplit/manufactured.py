@@ -9,20 +9,21 @@ construction and the flux variable is
 
     l(t, x1) = nu_f * d/dx2 [u](t, x1, split_y).
 
-Every case is separable: each exact field (``u_exact``/``w_exact``, their
-gradients and Hessians, and ``l_exact``) equals ``time_factor(t)`` times
-its value at t = 0, and ``time_factor(0) == 1``.  Likewise each forcing
-(``f_f``/``f_s``) equals ``forcing_factor(t)`` times its value at t = 0.
-Time derivatives carry their own factor.  Three parts of the package rely
-on this contract: the error accumulator, to evaluate exact gradients and
-Hessians at the quadrature points once per run; the discretization, to
-assemble one load vector per field and run; and the improved start-up, to
-pose its exact first-step data as two scalars times four loads assembled
-at t = 0.  Each checks it with ``check_separable`` and rejects a case that
-breaks it.
+Every case is separable by construction: it stores each exact field once,
+as its profile at t = 0, a function of the points alone (``u0``/``w0``,
+their gradients and Hessians, the forcings ``f_f0``/``f_s0`` and the flux
+``l0``), together with three scalar factors of t.  Each exact field
+(``u_exact``, ``grad_u``, ``hess_u``, ``l_exact``, ...) is ``time_factor(t)``
+times its profile, with ``time_factor(0) == 1``; ``dt_u``/``dt_w`` are
+``time_derivative(t)`` times the profiles of u and w, and ``f_f``/``f_s``
+are ``forcing_factor(t)`` times the forcing profiles.  The package reads
+the profiles directly: the discretization assembles one load per field and
+run, the improved start-up poses its exact first-step data as two scalars
+times four loads of profiles, and the error accumulator evaluates the exact
+gradients and Hessians at the quadrature points once per run.
 
-Callables follow the package-wide convention: point arrays of shape (..., 2),
-scalar time, vectorized numpy output.
+Profiles take point arrays of shape (..., 2) (the flux: abscissae x1) and
+return vectorized numpy output; the exact fields take a scalar time first.
 """
 
 from dataclasses import dataclass
@@ -32,34 +33,55 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def _scaled(factor, profile):
+    """The case method (t, x) -> ``factor(t) * profile(x)``; a profile of
+    None is zero."""
+
+    def method(self, t, x):
+        g = getattr(self, profile)
+        if g is None:
+            return np.zeros(np.shape(x)[:-1])
+        return getattr(self, factor)(t) * g(x)
+
+    return method
+
+
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Exact solution bundle driving a manufactured run.
 
-    ``f_f`` / ``f_s`` may be None when the forcing vanishes identically;
-    ``forcing_factor`` is then None too.  ``time_factor(t)`` is the scalar
-    factor that takes each exact field from its value at t = 0 to its value
-    at t, and ``forcing_factor(t)`` the one that does the same for each
-    forcing (see the module docstring).
+    ``f_f0`` / ``f_s0`` are None when the forcing vanishes identically;
+    ``forcing_factor`` is then None too.
     """
 
     name: str
     nu_f: float
     nu_s: float
     split_y: float
-    u_exact: object
-    w_exact: object
-    grad_u: object
-    grad_w: object
-    dt_u: object
-    dt_w: object
-    hess_u: object
-    hess_w: object
-    f_f: object
-    f_s: object
-    l_exact: object
+    u0: object
+    w0: object
+    grad_u0: object
+    grad_w0: object
+    hess_u0: object
+    hess_w0: object
+    l0: object
+    f_f0: object
+    f_s0: object
     time_factor: object
+    time_derivative: object
     forcing_factor: object
+
+    u_exact = _scaled("time_factor", "u0")
+    w_exact = _scaled("time_factor", "w0")
+    grad_u = _scaled("time_factor", "grad_u0")
+    grad_w = _scaled("time_factor", "grad_w0")
+    hess_u = _scaled("time_factor", "hess_u0")
+    hess_w = _scaled("time_factor", "hess_w0")
+    l_exact = _scaled("time_factor", "l0")
+    dt_u = _scaled("time_derivative", "u0")
+    dt_w = _scaled("time_derivative", "w0")
+    f_f = _scaled("forcing_factor", "f_f0")
+    f_s = _scaled("forcing_factor", "f_s0")
 
 
 def _trig_case(name, time_factor, time_derivative, forcing_factor):
@@ -67,66 +89,59 @@ def _trig_case(name, time_factor, time_derivative, forcing_factor):
 
     ``forcing_factor`` is the scalar factor of the forcing in front of the
     spatial profile, or None when the forcing vanishes identically.  The
-    case carries it divided by its value at t = 0.
+    forcing profile carries its value at t = 0, and the case's factor is
+    divided by that value.
     """
     pi = np.pi
     split_y = 0.75
 
-    def profile(x):
+    def u0(x):
         return np.cos(pi * x[..., 0]) * np.sin(pi * x[..., 1])
 
-    def u(t, x):
-        return time_factor(t) * profile(x)
-
-    def dt_u(t, x):
-        return time_derivative(t) * profile(x)
-
-    def grad(t, x):
-        c = time_factor(t)
+    def grad0(x):
         gx = -pi * np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1])
         gy = pi * np.cos(pi * x[..., 0]) * np.cos(pi * x[..., 1])
-        return c * np.stack([gx, gy], axis=-1)
+        return np.stack([gx, gy], axis=-1)
 
-    def hess(t, x):
-        c = time_factor(t)
+    def hess0(x):
         s1, c1 = np.sin(pi * x[..., 0]), np.cos(pi * x[..., 0])
         s2, c2 = np.sin(pi * x[..., 1]), np.cos(pi * x[..., 1])
         hxx = -pi * pi * c1 * s2
         hxy = -pi * pi * s1 * c2
         row1 = np.stack([hxx, hxy], axis=-1)
         row2 = np.stack([hxy, hxx], axis=-1)
-        return c * np.stack([row1, row2], axis=-2)
+        return np.stack([row1, row2], axis=-2)
+
+    def l0(x1):
+        return pi * np.cos(pi * x1) * np.cos(pi * split_y)
 
     if forcing_factor is None:
-        f = scale = None
+        f0 = scale = None
     else:
+        at_0 = forcing_factor(0.0)
 
-        def f(t, x):
-            return forcing_factor(t) * profile(x)
+        def f0(x):
+            return at_0 * u0(x)
 
         def scale(t):
-            return forcing_factor(t) / forcing_factor(0.0)
-
-    def l_exact(t, x1):
-        return time_factor(t) * pi * np.cos(pi * x1) * np.cos(pi * split_y)
+            return forcing_factor(t) / at_0
 
     return ManufacturedCase(
         name=name,
         nu_f=1.0,
         nu_s=1.0,
         split_y=split_y,
-        u_exact=u,
-        w_exact=u,
-        grad_u=grad,
-        grad_w=grad,
-        dt_u=dt_u,
-        dt_w=dt_u,
-        hess_u=hess,
-        hess_w=hess,
-        f_f=f,
-        f_s=f,
-        l_exact=l_exact,
+        u0=u0,
+        w0=u0,
+        grad_u0=grad0,
+        grad_w0=grad0,
+        hess_u0=hess0,
+        hess_w0=hess0,
+        l0=l0,
+        f_f0=f0,
+        f_s0=f0,
         time_factor=time_factor,
+        time_derivative=time_derivative,
         forcing_factor=scale,
     )
 
@@ -164,18 +179,6 @@ def case_example3():
     )
 
 
-def check_separable(case, name, factor, x, t):
-    """Reject ``case`` unless its field ``name`` at (t, x) is factor(t) times
-    its value at (0, x); ``factor`` names the case's scalar factor."""
-    field = getattr(case, name)
-    expected = getattr(case, factor)(t) * np.asarray(field(0.0, x))
-    actual = np.asarray(field(t, x))
-    if not np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected)):
-        raise ConfigurationError(
-            f"case {case.name!r}: {name} is not {factor}(t) times its value at t = 0"
-        )
-
-
 _CASES = {
     "example1": case_example1,
     "example2": case_example2,
@@ -204,8 +207,8 @@ def default_order(name):
 def exact_first_step_data(case, dt):
     """(q2, q3): q_n = (c(t_n) - 2 c(t_{n-1}) + c(t_{n-2})) / dt, t_j = j dt.
 
-    c is the case's ``time_factor``, so q_n times an exact field at t = 0 is
-    that field's second-difference quotient at level n.
+    c is the case's ``time_factor``, so q_n times a profile is that field's
+    second-difference quotient at level n.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt}")

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from . import fem
 from . import linalg
 from .errors import ConfigurationError
-from .manufactured import check_separable, exact_first_step_data
+from .manufactured import exact_first_step_data
 from .mesh import build_two_domain_mesh
 
 VARIANTS = ("original", "improved", "monolithic")
@@ -120,24 +120,19 @@ class Discretization:
 
     def load_f(self, case, t):
         """Fluid load of ``case`` at time t."""
-        return self._load(case, "f_f", self.fluid, t)
+        return self._load(case, "f_f0", self.fluid, t)
 
     def load_s(self, case, t):
         """Solid load of ``case`` at time t."""
-        return self._load(case, "f_s", self.solid, t)
+        return self._load(case, "f_s0", self.solid, t)
 
     def _load(self, case, name, space, t):
-        # one assembly per case and field: the forcing scales by
-        # case.forcing_factor, checked once on a free dof
+        # one assembly of the forcing profile per case and field, scaled by
+        # case.forcing_factor
         key = ("load", name, case)
         if key not in self._facts:
-            f = getattr(case, name)
-            if f is None:
-                self._facts[key] = None
-            else:
-                x = space.dof_coords[~space.dirichlet_mask][:1]
-                check_separable(case, name, "forcing_factor", x, self.config.T)
-                self._facts[key] = fem.assemble_load(space, f, 0.0)
+            f0 = getattr(case, name)
+            self._facts[key] = None if f0 is None else fem.assemble_load(space, f0)
         load = self._facts[key]
         return np.zeros(space.ndof) if load is None else case.forcing_factor(t) * load
 
@@ -216,11 +211,11 @@ def build_discretization(config):
 
 def initialize(case, config, disc):
     """Interpolate the exact initial fields; Dirichlet dofs are zeroed."""
-    u0 = fem.interpolate(disc.fluid, case.u_exact, 0.0)
-    w0 = fem.interpolate(disc.solid, case.w_exact, 0.0)
+    u0 = fem.interpolate(disc.fluid, case.u0)
+    w0 = fem.interpolate(disc.solid, case.w0)
     u0[disc.fluid.dirichlet_mask] = 0.0
     w0[disc.solid.dirichlet_mask] = 0.0
-    lam0 = fem.interpolate_interface(disc.fluid, case.l_exact, 0.0)
+    lam0 = fem.interpolate_interface(disc.fluid, case.l0)
     return DiscreteState(n=0, u=u0, w=w0, lam=lam0)
 
 
@@ -465,21 +460,18 @@ class _Startup:
 def _first_step_loads(case, config, disc):
     """Loads of the exact first-step data: q2 W, q2 U, q2 G, q3 G, q2 L, q3 L.
 
-    W, U, G and L load the separable case's w, u, trace of u and flux l at
-    t = 0; G and L are in interface-local ordering.
+    W, U, G and L load the case's profiles of w, u, the trace of u and the
+    flux l; G and L are in interface-local ordering.
     """
-    x = disc.fluid.dof_coords[disc.if_f[:1]]  # on the interface, in both fields
-    for name, at in (("w_exact", x), ("u_exact", x), ("l_exact", x[:, 0])):
-        check_separable(case, name, "time_factor", at, config.T)
     q2, q3 = exact_first_step_data(case, config.dt)
 
-    def trace(t, x1):
-        return case.u_exact(t, np.stack([x1, np.full_like(x1, case.split_y)], axis=-1))
+    def trace(x1):
+        return case.u0(np.stack([x1, np.full_like(x1, case.split_y)], axis=-1))
 
-    w = fem.assemble_load(disc.solid, case.w_exact, 0.0)
-    u = fem.assemble_load(disc.fluid, case.u_exact, 0.0)
-    g = fem.assemble_interface_load(disc.fluid, trace, 0.0)
-    l = fem.assemble_interface_load(disc.fluid, case.l_exact, 0.0)
+    w = fem.assemble_load(disc.solid, case.w0)
+    u = fem.assemble_load(disc.fluid, case.u0)
+    g = fem.assemble_interface_load(disc.fluid, trace)
+    l = fem.assemble_interface_load(disc.fluid, case.l0)
     return q2 * w, q2 * u, q2 * g, q3 * g, q2 * l, q3 * l
 
 

@@ -25,14 +25,16 @@ the test-only helpers that no run of the package needs.
   plain error norms built on them, which the error quantities above use;
   single-element mass and stiffness matrices; mesh areas, interface edges
   and a text dump of the mesh; the discrete energy Z and dissipation S of a
-  split step.
+  split step, and the case with zero exact fields that runs on zero data.
 * Dirichlet dofs kept as identity rows (``eliminate_dirichlet``), which the
   package no longer builds: it solves every system on the free dofs.  The
   interface mass lifted into field-sized blocks, for the nine-block start-up
   matrix, and the weak residuals of a monolithic step.
 """
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +43,7 @@ from robinsplit import fem, linalg, schemes
 from robinsplit import mesh as meshmod
 from robinsplit.diagnostics import SUMMED_QUANTITIES, ErrorReport
 from robinsplit.errors import ConfigurationError
+from robinsplit.manufactured import case_example1
 
 
 def _frozen_diff(f, ta, tb):
@@ -225,7 +228,7 @@ def _first_block_dirichlet_mask(disc):
 
 def _load(space, f, t):
     """The forcing's load assembled at time t, not scaled from t = 0."""
-    return np.zeros(space.ndof) if f is None else fem.assemble_load(space, f, t)
+    return fem.assemble_load(space, partial(f, t))
 
 
 def first_step_loads_pointwise(case, config, disc):
@@ -249,16 +252,16 @@ def first_step_loads_pointwise(case, config, disc):
         def diff(m, x1):
             return q(times[m], x1) - q(times[m - 1], x1)
 
-        return lambda _t, x1: (diff(n, x1) - diff(n - 1, x1)) / dt
+        return lambda x1: (diff(n, x1) - diff(n - 1, x1)) / dt
 
     def volume(q):
-        return lambda _t, x: (q(times[2], x) - 2 * q(times[1], x) + q(times[0], x)) / dt
+        return lambda x: (q(times[2], x) - 2 * q(times[1], x) + q(times[0], x)) / dt
 
     return (
-        fem.assemble_load(disc.solid, volume(case.w_exact), 0.0),
-        fem.assemble_load(disc.fluid, volume(case.u_exact), 0.0),
+        fem.assemble_load(disc.solid, volume(case.w_exact)),
+        fem.assemble_load(disc.fluid, volume(case.u_exact)),
         *(
-            fem.assemble_interface_load(disc.fluid, interface(q, n), 0.0)
+            fem.assemble_interface_load(disc.fluid, interface(q, n))
             for q in (trace, case.l_exact)
             for n in (2, 3)
         ),
@@ -580,6 +583,18 @@ def mesh_to_text(mesh):
 
 # ---------------------------------------------------------------------------
 # energy functionals
+
+def zero_case():
+    """example1 with zero profiles of u, w and the flux: zero data."""
+
+    def zero_field(x):
+        return np.zeros(np.shape(x)[:-1])
+
+    def zero_line(x1):
+        return np.zeros(np.shape(x1))
+
+    return dataclasses.replace(case_example1(), u0=zero_field, w0=zero_field, l0=zero_line)
+
 
 def zs_functionals(*, solid, fluid, trace, alpha, dt, disc, nu_f=1.0, nu_s=1.0):
     """Discrete energy Z and dissipation S of one step.

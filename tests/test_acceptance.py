@@ -6,7 +6,6 @@ magnitudes are pinned from the benchmark tables this study reproduces; the
 sweeps behind them live in session fixtures (see conftest).
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +23,13 @@ from robinsplit.schemes import (
 )
 
 from conftest import STUDY_T, level_config
-from oracles import element_mass, element_stiffness, weak_residuals_monolithic, zs_functionals
+from oracles import (
+    element_mass,
+    element_stiffness,
+    weak_residuals_monolithic,
+    zero_case,
+    zs_functionals,
+)
 
 
 def _verdict(label, ok, detail):
@@ -167,22 +172,8 @@ def test_start_up_contrast_between_schemes(compare_artifacts):
 # splitting satisfies Z(next) + S(next) = Z(prev) exactly, so the defect is
 # pure rounding.  `pytest tests/test_acceptance.py -k energy -s` prints it.
 
-def _zero_case():
-    case = case_example1()
-
-    def zero_field(t, x):
-        return np.zeros(np.shape(x)[:-1])
-
-    def zero_line(t, x1):
-        return np.zeros(np.shape(x1))
-
-    return dataclasses.replace(
-        case, u_exact=zero_field, w_exact=zero_field, l_exact=zero_line
-    )
-
-
 def test_energy_identity_random_states():
-    case = _zero_case()
+    case = zero_case()
     config = SchemeConfig(dt=1.0 / 16.0, T=STUDY_T, nx=4)
     disc = build_discretization(config)
     worst = 0.0

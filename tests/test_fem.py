@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import hypothesis.strategies as strat
 import numpy as np
@@ -50,11 +51,11 @@ def _profile(t, p):
     return np.cos(np.pi * p[..., 0]) * np.sin(np.pi * p[..., 1])
 
 
-def _zero(t, p):
+def _zero(p):
     return np.zeros(p.shape[:-1])
 
 
-def _one(t, p):
+def _one(p):
     return np.ones(p.shape[:-1])
 
 
@@ -262,20 +263,20 @@ def test_criss_interior_stiffness_diagonal():
 
 def test_load_zero_function():
     fluid, _ = _spaces(4, 1)
-    b = assemble_load(fluid, _zero, 0.0)
+    b = assemble_load(fluid, _zero)
     assert np.all(b == 0)
 
 
 def test_load_constant_sums_to_area():
     fluid, _ = _spaces(4, 2)
-    b = assemble_load(fluid, _one, 0.0)
+    b = assemble_load(fluid, _one)
     assert abs(b.sum() - 0.75) < 1e-13
 
 
 def test_load_cosine_sums_to_zero():
     # integral of cos(pi x) over (0,1) vanishes, so the load total does too
     fluid, _ = _spaces(8, 2)
-    b = assemble_load(fluid, _profile, 0.0)
+    b = assemble_load(fluid, partial(_profile, 0.0))
     assert abs(b.sum()) < 1e-10
 
 
@@ -283,11 +284,11 @@ def test_load_vector_chunk_independent(monkeypatch):
     # nx = 8: 96 fluid and 32 solid cells, so chunks of 7 leave a remainder
     case = case_example3()
     fluid, solid = _spaces(8, 2)
-    forcing = {fluid: case.f_f, solid: case.f_s}
-    want = {space: assemble_load(space, f, 0.5) for space, f in forcing.items()}
+    forcing = {fluid: partial(case.f_f, 0.5), solid: partial(case.f_s, 0.5)}
+    want = {space: assemble_load(space, f) for space, f in forcing.items()}
     monkeypatch.setattr(fem, "CHUNK_CELLS", 7)
     for space, load in want.items():
-        got = assemble_load(space, forcing[space], 0.5)
+        got = assemble_load(space, forcing[space])
         assert np.max(np.abs(got - load)) <= 1e-14 * np.max(np.abs(load)), space.subdomain
         # the load keeps no quadrature table: FeSpace has no table cache
         assert not hasattr(space, "_tables") and not hasattr(space, "tables"), space.subdomain
@@ -362,9 +363,9 @@ def test_l2_error_reproduces_polynomials():
         return x * x - x * y + 0.25 * y * y + x - 2.0
 
     fluid, _ = _spaces(4, 1)
-    assert l2_error(fluid, interpolate(fluid, linear, 0.0), linear, 0.0) < 1e-12
+    assert l2_error(fluid, interpolate(fluid, partial(linear, 0.0)), linear, 0.0) < 1e-12
     fluid2, _ = _spaces(4, 2)
-    assert l2_error(fluid2, interpolate(fluid2, quadratic, 0.0), quadratic, 0.0) < 1e-12
+    assert l2_error(fluid2, interpolate(fluid2, partial(quadratic, 0.0)), quadratic, 0.0) < 1e-12
 
 
 def test_l2_norm_of_initial_profile():
@@ -380,7 +381,7 @@ def test_p1_interpolation_second_order():
     errs = []
     for nx in (4, 8, 16):
         fluid, _ = _spaces(nx, 1)
-        errs.append(l2_error(fluid, interpolate(fluid, _profile, 0.0), _profile, 0.0))
+        errs.append(l2_error(fluid, interpolate(fluid, partial(_profile, 0.0)), _profile, 0.0))
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.7 < coarse / fine < 4.3
 
@@ -396,7 +397,7 @@ def test_h1_semi_error_linear_field():
         return g
 
     fluid, _ = _spaces(4, 1)
-    coeffs = interpolate(fluid, linear, 0.0)
+    coeffs = interpolate(fluid, partial(linear, 0.0))
     assert h1_semi_error(fluid, coeffs, grad, 0.0) < 1e-12
 
 
@@ -414,7 +415,7 @@ def test_p2_hessian_diff_first_order():
     errs = []
     for nx in (4, 8, 16):
         fluid, _ = _spaces(nx, 2)
-        coeffs = interpolate(fluid, _profile, 0.0)
+        coeffs = interpolate(fluid, partial(_profile, 0.0))
         errs.append(broken_h2_seminorm_diff(fluid, coeffs, _profile_hessian, 0.0))
     for coarse, fine in zip(errs, errs[1:]):
         assert 1.6 < coarse / fine < 2.4
@@ -497,7 +498,7 @@ def test_galerkin_reproduction_smoke():
     for order, poly in ((1, linear), (2, quadratic)):
         fluid, _ = _spaces(4, order)
         a = (assemble_mass(fluid) + assemble_stiffness(fluid, 1.0)).tocsr()
-        c = interpolate(fluid, poly, 0.0)
+        c = interpolate(fluid, partial(poly, 0.0))
         x = factorize(a).solve(a @ c)
         np.testing.assert_allclose(x, c, atol=1e-11)
 
@@ -512,6 +513,6 @@ def test_interpolation_bounds_field_range(order, seed):
         return a + (b - a) * 0.5 * (1.0 + np.sin(3.0 * p[..., 0] + p[..., 1]))
 
     fluid, _ = _spaces(4, order)
-    coeffs = interpolate(fluid, f, 0.0)
+    coeffs = interpolate(fluid, partial(f, 0.0))
     assert coeffs.min() >= a - 1e-12
     assert coeffs.max() <= b + 1e-12

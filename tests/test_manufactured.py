@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,8 +48,7 @@ def test_pde_consistency_closed_forms():
             x = _random_points(rng, 1)[0]
             lap = case.hess_u(t, x)[0, 0] + case.hess_u(t, x)[1, 1]
             residual = case.dt_u(t, x) - case.nu_f * lap
-            f = 0.0 if case.f_f is None else case.f_f(t, x)
-            assert abs(residual - f) < 1e-10, case.name
+            assert abs(residual - case.f_f(t, x)) < 1e-10, case.name
 
 
 def test_time_derivative_against_differences():
@@ -133,7 +133,9 @@ def test_multiplier_value_at_origin():
 
 def test_example1_forcing_free():
     case = case_example1()
-    assert case.f_f is None and case.f_s is None
+    assert case.f_f0 is None and case.f_s0 is None
+    pts = np.array([[0.1, 0.6], [0.3, 0.4]])
+    assert not case.f_f(0.5, pts).any() and not case.f_s(0.5, pts).any()
 
 
 @pytest.mark.parametrize("make", [case_example2, case_example3])
@@ -204,22 +206,8 @@ def test_first_step_data_example1_G2():
 
 
 def test_first_step_differences_vanish_for_frozen_time():
-    # freeze the time factor and the fields with it: equal samples cancel
-    case = case_example2()
-    frozen = case.u_exact
-
-    def const_u(t, x):
-        return frozen(0.0, x)
-
-    import dataclasses
-
-    const_case = dataclasses.replace(
-        case,
-        u_exact=const_u,
-        w_exact=const_u,
-        l_exact=lambda t, x1: case.l_exact(0.0, x1),
-        time_factor=lambda t: 1.0,
-    )
+    # freeze the time factor, and the fields with it: equal samples cancel
+    const_case = dataclasses.replace(case_example2(), time_factor=lambda t: 1.0)
     assert exact_first_step_data(const_case, 0.1) == (0.0, 0.0)
 
 

@@ -34,3 +34,19 @@ def test_benchmark_tracer_installs(tmp_path):
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_smoke_outputs_match_references(tmp_path, monkeypatch):
+    # the benchmark refuses outputs that move past workloads.RTOL from its
+    # stored references; its k = 3 workloads run here, so such a change
+    # fails this suite before a benchmark run reports it
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        workload = workloads.get(name, workloads.SMOKE_LEVEL)
+        scratch = tmp_path / name
+        scratch.mkdir()
+        output = workload.output(workload.prepare(scratch)(), scratch)
+        assert workload.check(output, workload.load_reference()) == [], name
