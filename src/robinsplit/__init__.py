@@ -22,7 +22,6 @@ from .schemes import (
     Discretization,
     DiscreteState,
     SchemeConfig,
-    build_discretization,
     run,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "SingularSystemError",
     "TwoDomainMesh",
     "VARIANTS",
-    "build_discretization",
     "build_two_domain_mesh",
     "case_names",
     "convergence_orders",

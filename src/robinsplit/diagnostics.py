@@ -42,7 +42,8 @@ time.
 keeps the previous level's coefficients and the last fluid increment, so
 memory stays bounded for long runs; ``run_with_errors`` is the entry point.
 The tests recompute the same numbers from every stored level through the
-plain error norms of ``fem`` and check the accumulator against them.
+plain error norms of ``tests/oracles.py`` and check the accumulator against
+them.
 """
 
 import csv
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import fem
 from .errors import ConfigurationError
-from .schemes import build_discretization, run
+from .schemes import Discretization, run
 
 FINAL_QUANTITIES = ("e_u", "e_du", "e_dw", "e_gdu")
 SUMMED_QUANTITIES = ("e_gdus", "e_gdws", "e_gdu2s", "e_dls", "e_ggdus")
@@ -272,7 +273,7 @@ def _wsq(weights, arr):
 def run_with_errors(case, config, disc=None, k=None):
     """Run one configuration and stream its full error report."""
     if disc is None:
-        disc = build_discretization(config)
+        disc = Discretization(config)
     acc = ErrorAccumulator(case, disc)
     for state in run(case, config, disc=disc):
         acc.observe(state)

@@ -34,7 +34,6 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .linalg import finalize_csr
-from . import mesh as meshmod
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +41,11 @@ from . import mesh as meshmod
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Symmetric triangle rule; points in barycentric coordinates."""
+    """Points, weights and the polynomial degree integrated exactly.  A
+    triangle rule's points are barycentric (nq, 3); a line rule's are
+    parameters on [0, 1] (nq,)."""
 
-    points: np.ndarray  # (nq, 3)
+    points: np.ndarray
     weights: np.ndarray  # (nq,), sums to 1
     degree: int
 
@@ -92,21 +93,10 @@ def triangle_rule(degree):
     raise ConfigurationError(f"no triangle quadrature rule of degree {degree}")
 
 
-@dataclass(frozen=True)
-class LineRule:
-    """Gauss rule on [0, 1]; weights sum to 1."""
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
-    points: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-
-def line_rule(npoints=4):
-    x, w = np.polynomial.legendre.leggauss(npoints)
-    return LineRule(0.5 * (x + 1.0), 0.5 * w, degree=2 * npoints - 1)
-
-
-_LINE_RULE = line_rule(4)
+# the 4-point Gauss rule on [0, 1], used along the interface
+LINE_RULE = QuadratureRule(0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W, degree=7)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +163,14 @@ class FeSpace:
     """Continuous Lagrange space of order 1 or 2 on one subdomain.
 
     Degrees of freedom are the subdomain vertices (P1) plus edge midpoints
-    (P2), numbered locally to the space.  ``dirichlet_mask`` marks the dofs
-    on the subdomain's Dirichlet boundary; ``interface_dofs`` lists the dofs
-    on the shared interface ordered by increasing x.
+    (P2), numbered locally to the space.  Both boundary sets are read off
+    the dof coordinates: with ``y = dof_coords[:, 1]``, the fluid's
+    Dirichlet dofs are those at ``y == y.min()`` and its interface dofs
+    those at ``y == y.max()``, the solid's the other way round.
+    ``dirichlet_mask`` marks the Dirichlet dofs; ``interface_dofs`` lists
+    the interface dofs ordered by increasing x.  The comparisons are exact,
+    since every boundary dof copies one grid row's y and a P2 midpoint of
+    two equal values is that value.
     """
 
     def __init__(self, mesh, subdomain, order):
@@ -190,7 +185,6 @@ class FeSpace:
 
         verts_used, tris_local = np.unique(tris_global, return_inverse=True)
         tris_local = tris_local.reshape(tris_global.shape)
-        self._global_vertices = verts_used
         nvert = len(verts_used)
         coords = [mesh.vertices[verts_used]]
 
@@ -203,11 +197,11 @@ class FeSpace:
                 [tris_local[:, [0, 1]], tris_local[:, [1, 2]], tris_local[:, [2, 0]]]
             )
             pairs = np.sort(pairs, axis=1)
-            self._edge_keys, inv = np.unique(pairs[:, 0] * nvert + pairs[:, 1], return_inverse=True)
+            keys, inv = np.unique(pairs[:, 0] * nvert + pairs[:, 1], return_inverse=True)
             nt = tris_local.shape[0]
             edge_dofs = nvert + inv.reshape(3, nt).T
             cell_dofs = np.hstack([tris_local, edge_dofs])
-            a, b = np.divmod(self._edge_keys, nvert)
+            a, b = np.divmod(keys, nvert)
             coords.append(0.5 * (mesh.vertices[verts_used[a]] + mesh.vertices[verts_used[b]]))
 
         self.cell_dofs = np.ascontiguousarray(cell_dofs)
@@ -215,16 +209,9 @@ class FeSpace:
         self.ndof = self.dof_coords.shape[0]
 
         self._build_geometry()
-        self._build_dirichlet()
-        self._build_interface()
+        self._build_boundary()
 
     # -- construction helpers ------------------------------------------------
-
-    def _edge_dofs(self, a, b):
-        """P2 dofs of the edges between local vertices ``a`` and ``b``."""
-        nvert = len(self._global_vertices)
-        keys = np.minimum(a, b) * nvert + np.maximum(a, b)
-        return nvert + np.searchsorted(self._edge_keys, keys)
 
     def _build_geometry(self):
         corners = self.mesh.vertices[self.mesh.triangles_f if self.subdomain == "fluid" else self.mesh.triangles_s]
@@ -234,32 +221,18 @@ class FeSpace:
         self._corners = corners
         self._areas = 0.5 * det
 
-    def _build_dirichlet(self):
-        tag = meshmod.TAG_DIRICHLET_F if self.subdomain == "fluid" else meshmod.TAG_DIRICHLET_S
-        on_tag = np.asarray(self.mesh.boundary_tags) == tag
-        edges = np.searchsorted(self._global_vertices, self.mesh.boundary_edges[on_tag])
-        mask = np.zeros(self.ndof, dtype=bool)
-        mask[edges.ravel()] = True
-        if self.order == 2:
-            mask[self._edge_dofs(edges[:, 0], edges[:, 1])] = True
-        self.dirichlet_mask = mask
-
-    def _build_interface(self):
-        nodes = np.searchsorted(self._global_vertices, self.mesh.interface_nodes)
-        if self.order == 1:
-            dofs = nodes
-        else:
-            dofs = np.empty(2 * len(nodes) - 1, dtype=np.int64)
-            dofs[0::2] = nodes
-            dofs[1::2] = self._edge_dofs(nodes[:-1], nodes[1:])
-        self.interface_dofs = dofs
+    def _build_boundary(self):
+        y = self.dof_coords[:, 1]
+        outer, inner = (y.min(), y.max()) if self.subdomain == "fluid" else (y.max(), y.min())
+        self.dirichlet_mask = y == outer
+        dofs = np.flatnonzero(y == inner)
+        self.interface_dofs = dofs[np.argsort(self.dof_coords[dofs, 0], kind="stable")]
+        self.interface_x = self.dof_coords[self.interface_dofs, 0]
+        self._interface_lengths = np.diff(self.interface_x[:: self.order])
         # interface cells in interface-local positions: (end0, end1[, mid])
-        start = self.order * np.arange(len(nodes) - 1)
+        start = self.order * np.arange(len(self._interface_lengths))
         cells = [start, start + self.order] + ([start + 1] if self.order == 2 else [])
         self._interface_cells_local = np.stack(cells, axis=1)
-        self.interface_x = self.dof_coords[self.interface_dofs, 0]
-        nodes_xy = self.mesh.vertices[self.mesh.interface_nodes]
-        self._interface_lengths = np.diff(nodes_xy[:, 0])
 
     @functools.cached_property
     def _hessians(self):
@@ -272,9 +245,8 @@ class FeSpace:
     def _line_tables(self):
         """Interface quadrature: the rule, its points and weights times the
         edge lengths per interface cell, and the 1D basis values."""
-        rule = _LINE_RULE
-        nodes_x = self.mesh.vertices[self.mesh.interface_nodes][:, 0]
-        x0 = nodes_x[:-1]
+        rule = LINE_RULE
+        x0 = self.interface_x[:: self.order][:-1]
         qp_x = x0[:, None] + self._interface_lengths[:, None] * rule.points[None, :]
         vals = _line_shape_values(self.order, rule.points)  # (nq, nloc)
         wdet = self._interface_lengths[:, None] * rule.weights[None, :]
@@ -289,14 +261,12 @@ def _form_degree(order):
 CHUNK_CELLS = 2048
 
 
-def quadrature_chunks(space, rule, size=None):
-    """The rule on consecutive slices of ``size`` (default ``CHUNK_CELLS``)
-    cells: ``(cells, wdet, qp)`` with the weights times the cell areas
-    (n, nq) and the points (n, nq, 2), so no (ncell, nq, ...) array exists
-    whole."""
-    size = CHUNK_CELLS if size is None else size
-    for start in range(0, len(space.cell_dofs), size):
-        cells = slice(start, start + size)
+def quadrature_chunks(space, rule):
+    """The rule on consecutive slices of ``CHUNK_CELLS`` cells:
+    ``(cells, wdet, qp)`` with the weights times the cell areas (n, nq) and
+    the points (n, nq, 2), so no (ncell, nq, ...) array exists whole."""
+    for start in range(0, len(space.cell_dofs), CHUNK_CELLS):
+        cells = slice(start, start + CHUNK_CELLS)
         wdet = space._areas[cells, None] * rule.weights
         yield cells, wdet, np.matmul(rule.points, space._corners[cells])
 
@@ -349,12 +319,12 @@ def _local_mass(areas, order):
     return areas[:, None, None] * _reference_mass(order)
 
 
-def _local_stiffness(areas, jac_inv, order, viscosity):
+def _local_stiffness(areas, jac_inv, order):
     """(ncell, nloc, nloc): one GEMM of ``area * J^-1 J^-T`` (ncell, 4) with R."""
     geometry = areas[:, None, None] * np.einsum("ced,cfd->cef", jac_inv, jac_inv)
     ref = _reference_stiffness(order)
     local = geometry.reshape(-1, 4) @ ref.reshape(-1, 4).T
-    return viscosity * local.reshape(-1, *ref.shape[:2])
+    return local.reshape(-1, *ref.shape[:2])
 
 
 def _scatter(cells, local, n):
@@ -369,9 +339,9 @@ def assemble_mass(space):
     return _scatter(space.cell_dofs, _local_mass(space._areas, space.order), space.ndof)
 
 
-def assemble_stiffness(space, viscosity=1.0):
-    """Stiffness matrix ``viscosity * (grad phi_i, grad phi_j)``."""
-    local = _local_stiffness(space._areas, space._jac_inv, space.order, viscosity)
+def assemble_stiffness(space):
+    """Stiffness matrix ``(grad phi_i, grad phi_j)``."""
+    local = _local_stiffness(space._areas, space._jac_inv, space.order)
     return _scatter(space.cell_dofs, local, space.ndof)
 
 

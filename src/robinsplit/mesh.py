@@ -4,9 +4,8 @@ The unit square is divided at ``y = split_y`` into a lower "fluid" rectangle
 and an upper "solid" rectangle.  Both rectangles are meshed by the same
 uniform grid of squares with spacing ``1/nx``, each square cut into two right
 triangles, so the submeshes are conforming along the dividing line and share
-its vertices.  Boundary edges carry one tag each: the bottom of the fluid
-side and the top of the solid side are Dirichlet, the lateral sides are
-Neumann, and the dividing line is tagged ``interface``.
+its vertices.  The mesh carries no boundary data: each ``fem.FeSpace`` reads
+its Dirichlet side and the interface off its own dof coordinates.
 """
 
 from dataclasses import dataclass
@@ -15,28 +14,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-TAG_DIRICHLET_F = "dirichlet_f"
-TAG_NEUMANN_F = "neumann_f"
-TAG_DIRICHLET_S = "dirichlet_s"
-TAG_NEUMANN_S = "neumann_s"
-TAG_INTERFACE = "interface"
-
 
 @dataclass(frozen=True)
 class TwoDomainMesh:
-    """Conforming triangulation of the split unit square.
-
-    ``boundary_edges[i]`` is a vertex pair and ``boundary_tags[i]`` its tag;
-    interface edges are listed exactly once.  ``interface_nodes`` holds the
-    vertex indices on the dividing line ordered by increasing x.
-    """
+    """Conforming triangulation of the split unit square."""
 
     vertices: np.ndarray
     triangles_f: np.ndarray
     triangles_s: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_tags: tuple
-    interface_nodes: np.ndarray
     split_y: float
     nx: int
     diagonal: str = "criss"
@@ -100,32 +85,10 @@ def build_two_domain_mesh(nx, split_y, diagonal="criss"):
     triangles_f = triangles[: 2 * nx * rows_f]
     triangles_s = triangles[2 * nx * rows_f :]
 
-    # bottom and top, then the lateral sides, then the interface
-    cols = np.arange(nx, dtype=np.int64)
-    bottom = np.column_stack([cols, cols + 1])
-    left = bottom * (nx + 1)
-    edges = np.concatenate(
-        [
-            np.stack([bottom, bottom + nx * (nx + 1)], axis=1).reshape(-1, 2),
-            np.stack([left, left + nx], axis=1).reshape(-1, 2),
-            bottom + rows_f * (nx + 1),
-        ]
-    )
-    tags = (
-        (TAG_DIRICHLET_F, TAG_DIRICHLET_S) * nx
-        + (TAG_NEUMANN_F,) * (2 * rows_f)
-        + (TAG_NEUMANN_S,) * (2 * (nx - rows_f))
-        + (TAG_INTERFACE,) * nx
-    )
-    interface_nodes = rows_f * (nx + 1) + np.arange(nx + 1, dtype=np.int64)
-
     return TwoDomainMesh(
         vertices=vertices,
         triangles_f=triangles_f,
         triangles_s=triangles_s,
-        boundary_edges=edges,
-        boundary_tags=tags,
-        interface_nodes=interface_nodes,
         split_y=float(split_y),
         nx=nx,
         diagonal=diagonal,

@@ -95,8 +95,8 @@ class Discretization:
         self.solid = fem.FeSpace(self.mesh, "solid", config.fe_order)
         self.mass_f = fem.assemble_mass(self.fluid)
         self.mass_s = fem.assemble_mass(self.solid)
-        self.stiff_f = fem.assemble_stiffness(self.fluid, 1.0)
-        self.stiff_s = fem.assemble_stiffness(self.solid, 1.0)
+        self.stiff_f = fem.assemble_stiffness(self.fluid)
+        self.stiff_s = fem.assemble_stiffness(self.solid)
         self.msig = fem.interface_mass_matrix(self.fluid)
         self.if_f = self.fluid.interface_dofs
         self.if_s = self.solid.interface_dofs
@@ -200,10 +200,6 @@ class Discretization:
     def first_block_factorization(self):
         """Factors of the improved start-up; not kept, as it runs once."""
         return _Startup(self)
-
-
-def build_discretization(config):
-    return Discretization(config)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +563,7 @@ def run(case, config, disc=None, initial_state=None):
                 f"{field} = {getattr(case, field)!r}"
             )
     if disc is None:
-        disc = build_discretization(config)
+        disc = Discretization(config)
     elif disc.config != config:
         differ = [f for f, value in vars(config).items() if getattr(disc.config, f) != value]
         raise ConfigurationError(f"disc was built for another config: {', '.join(differ)} differ")

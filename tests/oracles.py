@@ -338,7 +338,7 @@ def mass_at_quadrature_points(space):
     return fem._scatter(space.cell_dofs, local, space.ndof)
 
 
-def stiffness_at_quadrature_points(space, viscosity=1.0):
+def stiffness_at_quadrature_points(space):
     """Stiffness matrix from physical gradients at every quadrature point."""
     tab = tables(space, fem._form_degree(space.order))
     ref = tab["ref_grads"]
@@ -347,41 +347,48 @@ def stiffness_at_quadrature_points(space, viscosity=1.0):
     grads = np.einsum(
         "lqe,ced->cqld", ref.reshape(len(ref), -1, 2), space._jac_inv, order="C"
     )
-    local = viscosity * np.einsum("cq,cqid,cqjd->cij", tab["wdet"], grads, grads)
+    local = np.einsum("cq,cqid,cqjd->cij", tab["wdet"], grads, grads)
     return fem._scatter(space.cell_dofs, local, space.ndof)
 
 
-def p2_numbering_reference(mesh, subdomain):
-    """``cell_dofs``, ``dirichlet_mask`` and ``interface_dofs`` of a P2 space,
-    with edges numbered by ``np.unique`` over vertex pairs and looked up in a
-    dict keyed by vertex-pair tuples."""
+def numbering_reference(mesh, subdomain, order):
+    """``cell_dofs``, ``dirichlet_mask`` and ``interface_dofs`` of a P1 or P2
+    space.  Edges are numbered by ``np.unique`` over vertex pairs and looked
+    up in a dict keyed by vertex-pair tuples.  The boundary sets come from
+    grid rows, not coordinates: global vertex ``g`` lies on row
+    ``g // (nx + 1)``, the Dirichlet side is row 0 (fluid) or nx (solid),
+    the interface is row ``rows_f``, and an edge dof belongs to a side when
+    both its vertices do."""
+    nx = mesh.nx
+    rows_f = int(round(mesh.split_y * nx))
     tris_global = mesh.triangles_f if subdomain == "fluid" else mesh.triangles_s
     verts_used, tris_local = np.unique(tris_global, return_inverse=True)
     tris_local = tris_local.reshape(tris_global.shape)
-    vertex_map = {int(g): i for i, g in enumerate(verts_used)}
     nvert = len(verts_used)
-    pairs = np.concatenate(
-        [tris_local[:, [0, 1]], tris_local[:, [1, 2]], tris_local[:, [2, 0]]]
-    )
-    pairs = np.sort(pairs, axis=1)
-    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
-    nt = tris_local.shape[0]
-    cell_dofs = np.hstack([tris_local, nvert + inv.reshape(3, nt).T])
-    edge_index = {(int(a), int(b)): nvert + k for k, (a, b) in enumerate(edges)}
+    row = verts_used // (nx + 1)
+    edge_index = {}
+    cell_dofs = tris_local
+    if order == 2:
+        pairs = np.concatenate(
+            [tris_local[:, [0, 1]], tris_local[:, [1, 2]], tris_local[:, [2, 0]]]
+        )
+        pairs = np.sort(pairs, axis=1)
+        edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+        nt = tris_local.shape[0]
+        cell_dofs = np.hstack([tris_local, nvert + inv.reshape(3, nt).T])
+        edge_index = {(int(a), int(b)): nvert + k for k, (a, b) in enumerate(edges)}
 
-    tag = meshmod.TAG_DIRICHLET_F if subdomain == "fluid" else meshmod.TAG_DIRICHLET_S
-    mask = np.zeros(nvert + len(edges), dtype=bool)
-    for (a, b), t in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if t != tag:
-            continue
-        la, lb = vertex_map[int(a)], vertex_map[int(b)]
-        mask[la] = mask[lb] = True
-        mask[edge_index[(min(la, lb), max(la, lb))]] = True
+    dirichlet_row = 0 if subdomain == "fluid" else nx
+    mask = np.zeros(nvert + len(edge_index), dtype=bool)
+    mask[:nvert] = row == dirichlet_row
+    for (a, b), dof in edge_index.items():
+        mask[dof] = row[a] == row[b] == dirichlet_row
 
-    nodes = [vertex_map[int(g)] for g in mesh.interface_nodes]
+    # local numbers follow the global ones, which grow with x along a row
+    nodes = [int(v) for v in np.flatnonzero(row == rows_f)]
     dofs = []
     for a, b in zip(nodes[:-1], nodes[1:]):
-        dofs += [a, edge_index[(min(a, b), max(a, b))]]
+        dofs += [a, edge_index[(a, b)]] if order == 2 else [a]
     dofs.append(nodes[-1])
     return cell_dofs, mask, np.asarray(dofs, dtype=np.int64)
 
@@ -429,32 +436,10 @@ def two_domain_mesh_loops(nx, split_y, diagonal="criss"):
     triangles_f = np.asarray(tris_f, dtype=np.int64)
     triangles_s = np.asarray(tris_s, dtype=np.int64)
 
-    edges = []
-    tags = []
-    for ix in range(nx):  # bottom, top
-        edges.append((vid(ix, 0), vid(ix + 1, 0)))
-        tags.append(meshmod.TAG_DIRICHLET_F)
-        edges.append((vid(ix, nx), vid(ix + 1, nx)))
-        tags.append(meshmod.TAG_DIRICHLET_S)
-    for iy in range(nx):  # lateral sides, tagged per subdomain
-        side = meshmod.TAG_NEUMANN_F if iy < rows_f else meshmod.TAG_NEUMANN_S
-        edges.append((vid(0, iy), vid(0, iy + 1)))
-        tags.append(side)
-        edges.append((vid(nx, iy), vid(nx, iy + 1)))
-        tags.append(side)
-    for ix in range(nx):
-        edges.append((vid(ix, rows_f), vid(ix + 1, rows_f)))
-        tags.append(meshmod.TAG_INTERFACE)
-
-    interface_nodes = np.array([vid(ix, rows_f) for ix in range(nx + 1)], dtype=np.int64)
-
     return meshmod.TwoDomainMesh(
         vertices=vertices,
         triangles_f=triangles_f,
         triangles_s=triangles_s,
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=tuple(tags),
-        interface_nodes=interface_nodes,
         split_y=float(split_y),
         nx=nx,
         diagonal=diagonal,
@@ -539,7 +524,7 @@ def element_mass(coords, order):
 def element_stiffness(coords, order, viscosity=1.0):
     """Local stiffness matrix of a single triangle."""
     det, jac_inv = fem._affine_maps(np.asarray(coords, dtype=float)[None])
-    return fem._local_stiffness(0.5 * np.abs(det), jac_inv, order, viscosity)[0]
+    return viscosity * fem._local_stiffness(0.5 * np.abs(det), jac_inv, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +538,11 @@ def triangle_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def interface_edges(mesh):
-    """Interface segments as (node_a, node_b, length), ordered by x."""
-    nodes = mesh.interface_nodes
-    xs = mesh.vertices[nodes, 0]
+def interface_edges(space):
+    """Interface segments of a space as (dof_a, dof_b, length), ordered by x;
+    the lengths are differences of the end dofs' coordinates."""
+    nodes = space.interface_dofs[:: space.order]
+    xs = space.dof_coords[nodes, 0]
     out = []
     for a, b, xa, xb in zip(nodes[:-1], nodes[1:], xs[:-1], xs[1:]):
         out.append((int(a), int(b), float(xb - xa)))
@@ -567,7 +553,7 @@ def mesh_to_text(mesh):
     """Plain-text dump (one record per line) for debugging.
 
     Records: ``v i x y`` vertices, ``tf a b c`` / ``ts a b c`` fluid/solid
-    triangles, ``e a b tag`` tagged boundary and interface edges.
+    triangles.
     """
     lines = [f"# two-domain mesh nx={mesh.nx} split_y={mesh.split_y!r} diagonal={mesh.diagonal}"]
     for i, (x, y) in enumerate(mesh.vertices):
@@ -576,8 +562,6 @@ def mesh_to_text(mesh):
         lines.append(f"tf {a} {b} {c}")
     for a, b, c in mesh.triangles_s:
         lines.append(f"ts {a} {b} {c}")
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        lines.append(f"e {a} {b} {tag}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,8 +24,8 @@ from robinsplit.fem import interpolate, interpolate_interface
 from robinsplit.manufactured import case_example1, get_case
 from robinsplit.schemes import (
     DiscreteState,
+    Discretization,
     SchemeConfig,
-    build_discretization,
     run,
 )
 
@@ -64,7 +64,7 @@ def test_orders_handle_degenerate_values():
 def _disc(nx=4, **kw):
     kw.setdefault("dt", 1.0 / 16.0)
     kw.setdefault("T", 0.25)
-    return build_discretization(SchemeConfig(nx=nx, **kw))
+    return Discretization(SchemeConfig(nx=nx, **kw))
 
 
 def test_zs_zero_fields():
@@ -169,7 +169,7 @@ def _interpolant_trajectory(case, config, disc):
 def test_exact_interpolant_trajectory_has_zero_errors():
     case = _linear_case()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     states = _interpolant_trajectory(case, config, disc)
     finals = final_time_errors(states, case, disc)
     sums = summed_errors(states, case, disc)
@@ -197,7 +197,7 @@ def test_streaming_matches_batch(case_name, fe_order, nx):
     config = SchemeConfig(
         dt=1.0 / 32.0, T=0.25, nx=nx, fe_order=fe_order, variant="improved"
     )
-    disc = build_discretization(config)
+    disc = Discretization(config)
     streamed = run_with_errors(case, config, disc=disc, k=4)
     states = list(run(case, config, disc=disc))
     finals = final_time_errors(states, case, disc)
@@ -216,7 +216,7 @@ def test_streaming_matches_batch(case_name, fe_order, nx):
 def test_final_time_triangle_inequality():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=16)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     states = list(run(case, config, disc=disc))
     report = final_time_errors(states, case, disc)
     n = config.n_steps
@@ -227,7 +227,7 @@ def test_final_time_triangle_inequality():
 def test_accumulator_rejects_level_gaps():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     acc = ErrorAccumulator(case, disc)
     zero = lambda n: DiscreteState(
         n=n,
@@ -246,7 +246,7 @@ def test_chunk_size_does_not_change_quantities(monkeypatch, case_name, fe_order)
     # 1.4e-16 (P1) and 2.4e-16 (P2), from the order of the chunk sums
     case = get_case(case_name)
     config = SchemeConfig(dt=1.0 / 32.0, T=0.25, nx=8, fe_order=fe_order, variant="improved")
-    disc = build_discretization(config)
+    disc = Discretization(config)
     want = run_with_errors(case, config, disc=disc)
     monkeypatch.setattr(fem, "CHUNK_CELLS", 7)
     got = run_with_errors(case, config, disc=disc)
@@ -277,7 +277,7 @@ def test_derivative_norms_built_after_startup(monkeypatch):
     monkeypatch.setattr(diagnostics, "_DerivativeNorm", checked)
     case = get_case("example3")
     config = level_config(3, "improved", 2, 0.25)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     acc = ErrorAccumulator(case, disc)
     for state in run(case, config, disc=disc):
         acc.observe(state)
@@ -289,7 +289,7 @@ def test_derivative_norms_built_after_startup(monkeypatch):
 def test_p1_run_computes_no_hessians():
     # example3 is forced, so its loads build quadrature tables too
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=8)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     run_with_errors(get_case("example3"), config, disc=disc)
     for space in (disc.fluid, disc.solid):
         assert "_hessians" not in vars(space), space.subdomain

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -17,14 +18,13 @@ from robinsplit.fem import (
     derivative_operator,
     interface_mass_matrix,
     interpolate,
-    line_rule,
     triangle_rule,
 )
 from robinsplit.errors import ConfigurationError
 from robinsplit.linalg import factorize
 from robinsplit.manufactured import case_example3
 from robinsplit.mesh import build_two_domain_mesh
-from robinsplit.schemes import SchemeConfig, build_discretization
+from robinsplit.schemes import Discretization, SchemeConfig
 from oracles import (
     broken_h2_seminorm_diff,
     element_mass,
@@ -36,7 +36,7 @@ from oracles import (
     l2_error,
     lifted_interface_matrix,
     mass_at_quadrature_points,
-    p2_numbering_reference,
+    numbering_reference,
     stiffness_at_quadrature_points,
     tables,
 )
@@ -99,7 +99,7 @@ def test_low_rules_leave_form_matrices_unchanged(monkeypatch):
 
 
 def test_line_rule_polynomial_exactness():
-    rule = line_rule(4)
+    rule = fem.LINE_RULE
     assert abs(rule.weights.sum() - 1.0) < 1e-14
     for p in range(rule.degree + 1):
         approx = np.sum(rule.weights * rule.points**p)
@@ -146,19 +146,18 @@ def test_p2_reference_tensors_are_exact_rationals():
 # -- global assembly --------------------------------------------------------
 
 _FORM_CASES = [
-    (order, subdomain, nx, viscosity)
+    (order, subdomain, nx)
     for order in (1, 2)
     for subdomain in ("fluid", "solid")
     for nx in (4, 16)
-    for viscosity in (1.0, 0.37)
 ]
 
 
-@pytest.mark.parametrize("order,subdomain,nx,viscosity", _FORM_CASES)
-def test_forms_match_quadrature_point_assembly(order, subdomain, nx, viscosity):
+@pytest.mark.parametrize("order,subdomain,nx", _FORM_CASES)
+def test_forms_match_quadrature_point_assembly(order, subdomain, nx):
     space = FeSpace(build_two_domain_mesh(nx, 0.75), subdomain, order)
     pairs = [
-        (assemble_stiffness(space, viscosity), stiffness_at_quadrature_points(space, viscosity)),
+        (assemble_stiffness(space), stiffness_at_quadrature_points(space)),
         (assemble_mass(space), mass_at_quadrature_points(space)),
     ]
     # the Dunavant weights carry 15 digits: the mass entries that should be 0
@@ -180,7 +179,7 @@ def test_forms_match_quadrature_point_assembly(order, subdomain, nx, viscosity):
 
 def test_p2_edge_dofs_lexicographic_at_midpoints():
     for space in _spaces(8, 2):
-        nvert = len(space._global_vertices)
+        nvert = int(space.cell_dofs[:, :3].max()) + 1
         # local vertex pair of each edge dof, from the cells that hold it
         ends = np.empty((space.ndof - nvert, 2), dtype=np.int64)
         for k, (i, j) in enumerate([(0, 1), (1, 2), (2, 0)]):
@@ -192,13 +191,17 @@ def test_p2_edge_dofs_lexicographic_at_midpoints():
 
 
 def test_p2_numbering_matches_dict_reference():
-    mesh = build_two_domain_mesh(8, 0.75)
-    for subdomain in ("fluid", "solid"):
-        space = FeSpace(mesh, subdomain, 2)
-        cell_dofs, mask, interface = p2_numbering_reference(mesh, subdomain)
-        assert np.array_equal(space.cell_dofs, cell_dofs)
-        assert np.array_equal(space.dirichlet_mask, mask)
-        assert np.array_equal(space.interface_dofs, interface)
+    # the meshes of test_mesh_arrays_match_loop_construction, at P1 and P2
+    for nx, split_y in ((2, 0.5), (4, 0.75), (5, 0.4), (8, 0.75), (12, 0.25)):
+        for diagonal in ("criss", "alternating"):
+            mesh = build_two_domain_mesh(nx, split_y, diagonal)
+            for order, subdomain in itertools.product((1, 2), ("fluid", "solid")):
+                space = FeSpace(mesh, subdomain, order)
+                cell_dofs, mask, interface = numbering_reference(mesh, subdomain, order)
+                case = (nx, split_y, diagonal, order, subdomain)
+                assert np.array_equal(space.cell_dofs, cell_dofs), case
+                assert np.array_equal(space.dirichlet_mask, mask), case
+                assert np.array_equal(space.interface_dofs, interface), case
 
 
 
@@ -231,7 +234,7 @@ def test_mass_matrix_spd():
 def test_stiffness_symmetric_psd_constant_nullspace():
     for order in (1, 2):
         fluid, _ = _spaces(4, order)
-        k = assemble_stiffness(fluid, 1.0)
+        k = assemble_stiffness(fluid)
         dense = k.toarray()
         np.testing.assert_allclose(dense, dense.T, atol=1e-13)
         assert np.max(np.abs(k @ np.ones(fluid.ndof))) < 1e-12
@@ -239,19 +242,12 @@ def test_stiffness_symmetric_psd_constant_nullspace():
         assert evals.min() > -1e-12
 
 
-def test_stiffness_viscosity_linearity():
-    fluid, _ = _spaces(4, 1)
-    k1 = assemble_stiffness(fluid, 1.0).toarray()
-    k2 = assemble_stiffness(fluid, 2.0).toarray()
-    np.testing.assert_allclose(k2, 2.0 * k1, rtol=1e-14)
-
-
 def test_criss_interior_stiffness_diagonal():
     # the 5-point stencil of the Laplacian on a criss mesh has
     # an h-independent diagonal value of 4
     for nx in (4, 8):
         fluid, _ = _spaces(nx, 1)
-        k = assemble_stiffness(fluid, 1.0).toarray()
+        k = assemble_stiffness(fluid).toarray()
         coords = fluid.dof_coords
         interior = ~fluid.dirichlet_mask
         interior &= (coords[:, 0] > 0) & (coords[:, 0] < 1)
@@ -335,7 +331,7 @@ def test_interface_dofs_match_across_subdomains():
 
 
 def test_lifted_interface_mass_cross_terms():
-    disc = build_discretization(SchemeConfig(dt=0.25, T=1.0, nx=4))
+    disc = Discretization(SchemeConfig(dt=0.25, T=1.0, nx=4))
     m_fs = lifted_interface_matrix(disc, "f", "s")
     cf = np.ones(disc.fluid.ndof)
     cs = np.ones(disc.solid.ndof)
@@ -497,7 +493,7 @@ def test_galerkin_reproduction_smoke():
 
     for order, poly in ((1, linear), (2, quadratic)):
         fluid, _ = _spaces(4, order)
-        a = (assemble_mass(fluid) + assemble_stiffness(fluid, 1.0)).tocsr()
+        a = (assemble_mass(fluid) + assemble_stiffness(fluid)).tocsr()
         c = interpolate(fluid, partial(poly, 0.0))
         x = factorize(a).solve(a @ c)
         np.testing.assert_allclose(x, c, atol=1e-11)

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from robinsplit.errors import ConfigurationError
-from robinsplit.mesh import (
-    TAG_DIRICHLET_F,
-    TAG_DIRICHLET_S,
-    TAG_INTERFACE,
-    TAG_NEUMANN_F,
-    TAG_NEUMANN_S,
-    build_two_domain_mesh,
-)
+from robinsplit.fem import FeSpace
+from robinsplit.mesh import build_two_domain_mesh
 
 from oracles import interface_edges, mesh_to_text, triangle_areas, two_domain_mesh_loops
 
@@ -20,7 +14,7 @@ def test_counts_nx4():
     mesh = build_two_domain_mesh(4, 0.75)
     assert len(mesh.triangles_f) == 24
     assert len(mesh.triangles_s) == 8
-    assert len(mesh.interface_nodes) == 5
+    assert len(FeSpace(mesh, "fluid", 1).interface_dofs) == 5
 
 
 def test_subdomain_areas_nx4():
@@ -49,26 +43,34 @@ def test_rejects_tiny_nx():
 
 
 def test_interface_edges_nx4():
-    mesh = build_two_domain_mesh(4, 0.75)
-    edges = interface_edges(mesh)
+    space = FeSpace(build_two_domain_mesh(4, 0.75), "fluid", 1)
+    edges = interface_edges(space)
     assert len(edges) == 4
     assert abs(sum(e[2] for e in edges) - 1.0) < 1e-14
-    assert mesh.vertices[edges[0][0], 0] == 0.0
+    assert space.dof_coords[edges[0][0], 0] == 0.0
 
 
 def test_interface_edges_nx8_uniform():
     mesh = build_two_domain_mesh(8, 0.75)
-    edges = interface_edges(mesh)
-    assert len(edges) == 8
-    for _, _, length in edges:
-        assert abs(length - 0.125) < 1e-14
+    for order in (1, 2):
+        for subdomain in ("fluid", "solid"):
+            space = FeSpace(mesh, subdomain, order)
+            edges = interface_edges(space)
+            assert len(edges) == 8
+            for _, _, length in edges:
+                assert abs(length - 0.125) < 1e-14
+            assert np.array_equal(space._interface_lengths, [e[2] for e in edges])
 
 
 def test_interface_nodes_sorted_on_line():
     mesh = build_two_domain_mesh(8, 0.75)
-    pts = mesh.vertices[mesh.interface_nodes]
-    assert np.all(pts[:, 1] == 0.75)
-    assert np.all(np.diff(pts[:, 0]) > 0)
+    for order in (1, 2):
+        for subdomain in ("fluid", "solid"):
+            space = FeSpace(mesh, subdomain, order)
+            pts = space.dof_coords[space.interface_dofs]
+            assert len(pts) == 8 * order + 1
+            assert np.all(pts[:, 1] == 0.75)
+            assert np.all(np.diff(pts[:, 0]) > 0)
 
 
 def test_conformity_fluid_vs_solid():
@@ -84,7 +86,10 @@ def test_conformity_fluid_vs_solid():
         for v in tri:
             if mesh.vertices[v, 1] == 0.5:
                 from_solid.add(int(v))
-    assert on_line == from_solid == set(int(v) for v in mesh.interface_nodes)
+    assert on_line == from_solid
+    xs = np.sort(mesh.vertices[list(on_line), 0])
+    for subdomain in ("fluid", "solid"):
+        assert np.array_equal(FeSpace(mesh, subdomain, 1).interface_x, xs)
 
 
 def _euler_characteristic(triangles):
@@ -102,36 +107,16 @@ def test_euler_formula_each_subdomain():
     assert _euler_characteristic(mesh.triangles_s) == 1
 
 
-def test_boundary_tags_partition():
-    mesh = build_two_domain_mesh(4, 0.75)
-    tags = set(mesh.boundary_tags)
-    assert tags == {
-        TAG_DIRICHLET_F,
-        TAG_NEUMANN_F,
-        TAG_DIRICHLET_S,
-        TAG_NEUMANN_S,
-        TAG_INTERFACE,
-    }
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        if tag == TAG_DIRICHLET_F:
-            assert pa[1] == pb[1] == 0.0
-        elif tag == TAG_DIRICHLET_S:
-            assert pa[1] == pb[1] == 1.0
-        elif tag == TAG_INTERFACE:
-            assert pa[1] == pb[1] == 0.75
-        else:
-            assert pa[0] == pb[0] and pa[0] in (0.0, 1.0)
-
-
 def test_refinement_doubles_counts():
     coarse = build_two_domain_mesh(4, 0.75)
     fine = build_two_domain_mesh(8, 0.75)
     assert len(fine.triangles_f) == 4 * len(coarse.triangles_f)
     assert len(fine.triangles_s) == 4 * len(coarse.triangles_s)
-    len_c = interface_edges(coarse)[0][2]
-    len_f = interface_edges(fine)[0][2]
-    assert abs(len_f - 0.5 * len_c) < 1e-14
+    for subdomain in ("fluid", "solid"):
+        len_c = FeSpace(coarse, subdomain, 1)._interface_lengths
+        len_f = FeSpace(fine, subdomain, 1)._interface_lengths
+        assert len(len_f) == 2 * len(len_c)
+        assert np.max(np.abs(len_f - 0.5 * len_c[0])) < 1e-14
 
 
 def test_alternating_diagonal_mirror_symmetric():
@@ -163,7 +148,6 @@ def test_mesh_to_text_round_structure():
     assert kinds["v"] == len(mesh.vertices)
     assert kinds["tf"] == len(mesh.triangles_f)
     assert kinds["ts"] == len(mesh.triangles_s)
-    assert kinds["e"] == len(mesh.boundary_edges)
     # vertex coordinates are written with full repr precision
     first_v = lines[1].split()
     assert float(first_v[2]) == mesh.vertices[0, 0]
@@ -179,7 +163,6 @@ def test_total_area_any_nx(k):
         + triangle_areas(mesh.vertices, mesh.triangles_s).sum()
     )
     assert abs(total - 1.0) < 1e-12
-    assert len(mesh.interface_nodes) == nx + 1
 
 
 @given(strat.sampled_from([4, 8, 12, 16]), strat.sampled_from(["criss", "alternating"]))
@@ -195,8 +178,6 @@ def test_every_triangle_positively_oriented(nx, diagonal):
 def test_mesh_arrays_match_loop_construction(nx, split_y, diagonal):
     got = build_two_domain_mesh(nx, split_y, diagonal)
     want = two_domain_mesh_loops(nx, split_y, diagonal)
-    for name in ("vertices", "triangles_f", "triangles_s", "boundary_edges", "interface_nodes"):
+    for name in ("vertices", "triangles_f", "triangles_s"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.boundary_tags == want.boundary_tags
-    assert type(got.boundary_tags) is tuple

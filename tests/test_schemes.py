@@ -20,9 +20,9 @@ from robinsplit.manufactured import (
 from robinsplit.schemes import (
     VARIANTS,
     DiscreteState,
+    Discretization,
     SchemeConfig,
     block_residuals,
-    build_discretization,
     initialize,
     run,
     solve_first_block_improved,
@@ -101,7 +101,7 @@ def test_config_step_count():
 def test_initialize_interpolates_data():
     case = case_example1()
     config = _config()
-    disc = build_discretization(config)
+    disc = Discretization(config)
     state = initialize(case, config, disc)
     assert state.n == 0
     # u0 vanishes along x1 = 0.5
@@ -116,7 +116,7 @@ def test_initialize_interpolates_data():
 
 def test_initialize_zero_case():
     config = _config()
-    disc = build_discretization(config)
+    disc = Discretization(config)
     state = initialize(zero_case(), config, disc)
     assert not state.u.any() and not state.w.any() and not state.lam.any()
 
@@ -126,7 +126,7 @@ def test_initialize_zero_case():
 def test_zero_state_steps_to_zero():
     case = zero_case()
     config = _config()
-    disc = build_discretization(config)
+    disc = Discretization(config)
     nxt = step_original(_zero_state(disc), case, config, disc)
     assert not nxt.u.any() and not nxt.w.any() and not nxt.lam.any()
     mono = step_monolithic(_zero_state(disc), case, config, disc)
@@ -136,7 +136,7 @@ def test_zero_state_steps_to_zero():
 def test_zero_data_block_solution_is_zero():
     case = zero_case()
     config = _config(variant="improved")
-    disc = build_discretization(config)
+    disc = Discretization(config)
     states = solve_first_block_improved(case, config, disc)
     for s in states:
         assert not s.u.any() and not s.w.any() and not s.lam.any()
@@ -145,7 +145,7 @@ def test_zero_data_block_solution_is_zero():
 def test_original_step_residuals():
     case = case_example1()
     config = _config(nx=8, dt=0.0625, T=0.25)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     prev = initialize(case, config, disc)
     for _ in range(config.n_steps):
         state = step_original(prev, case, config, disc)
@@ -159,7 +159,7 @@ def test_original_step_residuals():
 def test_forced_case_residuals():
     case = case_example3()
     config = _config(nx=4, fe_order=2)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     prev = initialize(case, config, disc)
     state = step_original(prev, case, config, disc)
     res = weak_residuals_original(prev, state, case, config, disc)
@@ -170,7 +170,7 @@ def test_block_solution_residuals():
     for name in ("example1", "example3"):
         case = get_case(name)
         config = _config(nx=8, dt=0.0625, T=0.25, variant="improved")
-        disc = build_discretization(config)
+        disc = Discretization(config)
         states = solve_first_block_improved(case, config, disc)
         res = block_residuals(states, case, config, disc)
         assert len(res) == 9
@@ -181,7 +181,7 @@ def test_block_solution_residuals():
 def test_monolithic_step_residuals():
     case = case_example2()
     config = _config(nx=4, variant="monolithic", fe_order=2)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     prev = initialize(case, config, disc)
     state = step_monolithic(prev, case, config, disc)
     res = weak_residuals_monolithic(prev, state, case, config, disc)
@@ -191,7 +191,7 @@ def test_monolithic_step_residuals():
 
 def test_block_dimension_layout():
     config = _config(nx=8, dt=0.0625, T=0.25, variant="improved")
-    disc = build_discretization(config)
+    disc = Discretization(config)
     startup = disc.first_block_factorization()
     dim_s, dim_f, n_sig = disc.solid.ndof, disc.fluid.ndof, disc.n_sig
     assert dim_f == 9 * 7 and dim_s == 9 * 3 and n_sig == 9
@@ -211,7 +211,7 @@ def test_block_dimension_layout():
 def test_startup_matches_nine_block_lu(name, order):
     case = get_case(name)
     config = level_config(3, "improved", order, 0.25)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     got = solve_first_block_improved(case, config, disc)
     want = first_block_reference(case, config, disc)
     for g, w in zip(got, want, strict=True):
@@ -224,7 +224,7 @@ def test_startup_matches_nine_block_lu(name, order):
 @pytest.mark.parametrize("order", [1, 2])
 def test_field_rows_match_bmat(order):
     config = _config(nx=8, variant="improved", fe_order=order, nu_f=0.37)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     startup = disc.first_block_factorization()
     blocks = {
         "interior_trace": ("interior", "trace"),
@@ -280,7 +280,7 @@ def test_startup_allocation_order(monkeypatch):
     # nu K_II, then the solid the same way, then the band LU; the Robin pair,
     # each posed on its field's free dofs, is factored fluid first
     config = level_config(3, "improved", 2, 0.25)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     stiff_ii = {}
     for name, space, stiff, nu in (
         ("fluid", disc.fluid, disc.stiff_f, config.nu_f),
@@ -357,7 +357,7 @@ def test_band_preconditioner_exact_when_band_covers_interior(monkeypatch, name, 
     monkeypatch.setattr(linalg.spla, "gmres", counted)
     case = get_case(name)
     config = _config(nx=8, variant="improved", fe_order=order)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     startup = disc.first_block_factorization()
     for field in startup.fields:
         assert np.array_equal(field.band, field.interior)
@@ -373,7 +373,7 @@ def test_band_preconditioner_exact_when_band_covers_interior(monkeypatch, name, 
 
 def test_band_is_the_interior_near_the_interface():
     config = _config(nx=8, variant="improved", fe_order=2)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     startup = disc.first_block_factorization()
     for field, space in zip(startup.fields, (disc.solid, disc.fluid)):
         layers = np.abs(space.dof_coords[:, 1] - config.split_y) * config.nx
@@ -390,12 +390,12 @@ def test_startup_gmres_failure_is_loud(monkeypatch):
     monkeypatch.setattr(linalg, "GMRES_MAXITER", 2)
     config = _config(nx=8, variant="improved")
     with pytest.raises(SingularSystemError, match=r"residual .* after 10 iterations"):
-        solve_first_block_improved(case_example1(), config, build_discretization(config))
+        solve_first_block_improved(case_example1(), config, Discretization(config))
 
 
 def test_loads_scale_one_assembly():
     case = case_example3()
-    disc = build_discretization(_config(fe_order=2))
+    disc = Discretization(_config(fe_order=2))
     for t in (0.0, 0.0625, 0.25):
         for load, space, f in ((disc.load_f, disc.fluid, case.f_f), (disc.load_s, disc.solid, case.f_s)):
             want = assemble_load(space, partial(f, t))
@@ -411,7 +411,7 @@ def test_first_step_loads_match_pointwise_quotients(name):
     # at k = 3 (example2), and 5.6e-12 for example2 at k = 5
     case = get_case(name)
     config = level_config(3, "improved", default_order(name), 0.25)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     got = schemes._first_step_loads(case, config, disc)
     want = first_step_loads_pointwise(case, config, disc)
     for i, (g, w) in enumerate(zip(got, want, strict=True)):
@@ -426,7 +426,7 @@ def test_factors_posed_on_free_dofs(order, nx):
     case = case_example2()
     for variant in VARIANTS:
         config = _config(nx=nx, variant=variant, fe_order=order)
-        disc = build_discretization(config)
+        disc = Discretization(config)
         free_f = np.count_nonzero(~disc.fluid.dirichlet_mask)
         free_s = np.count_nonzero(~disc.solid.dirichlet_mask)
         for s in run(case, config, disc):
@@ -454,7 +454,7 @@ def test_run_rejects_config_contradicting_case(field, value):
 def test_run_rejects_discretization_of_another_config():
     # the factors would step with the disc's dt, the loads with the config's
     config = _config(nx=8, dt=1.0 / 32.0)
-    disc = build_discretization(dataclasses.replace(config, dt=1.0 / 16.0))
+    disc = Discretization(dataclasses.replace(config, dt=1.0 / 16.0))
     with pytest.raises(ConfigurationError, match="dt differ"):
         next(run(case_example1(), config, disc=disc))
 
@@ -463,7 +463,7 @@ def test_dirichlet_rows_preserved_by_all_variants():
     case = case_example2()
     for variant in VARIANTS:
         config = _config(nx=4, variant=variant, fe_order=2)
-        disc = build_discretization(config)
+        disc = Discretization(config)
         for s in run(case, config):
             assert np.all(s.u[disc.fluid.dirichlet_mask] == 0.0)
             assert np.all(s.w[disc.solid.dirichlet_mask] == 0.0)
@@ -499,7 +499,7 @@ def test_run_yields_every_level_in_order():
     case = case_example1()
     for variant in VARIANTS:
         config = _config(variant=variant)
-        disc = build_discretization(config)
+        disc = Discretization(config)
         states = list(run(case, config, disc))
         assert [s.n for s in states] == list(range(config.n_steps + 1)), variant
         if variant != "improved":
@@ -560,7 +560,7 @@ def test_energy_identity_homogeneous():
     # with zero data the split scheme satisfies Z(n+1) + S(n+1) = Z(n) exactly
     case = zero_case()
     config = _config(nx=4)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     for seed in (0, 1, 2):
         prev = _random_homogeneous_state(disc, seed)
         for _ in range(3):
@@ -588,7 +588,7 @@ def test_energy_identity_homogeneous():
 def test_combined_l2_norm_nonincreasing():
     case = zero_case()
     config = SchemeConfig(dt=0.0625, T=0.5, nx=4)
-    disc = build_discretization(config)
+    disc = Discretization(config)
     state = _random_homogeneous_state(disc, 5)
     norms = []
     for _ in range(config.n_steps):
@@ -610,7 +610,7 @@ def test_mirror_antisymmetry_on_symmetric_mesh():
             fe_order=2 if name != "example1" else 1,
             diagonal="alternating",
         )
-        disc = build_discretization(config)
+        disc = Discretization(config)
         *_, final = run(case, config, disc)
         coords = disc.fluid.dof_coords
         order = np.lexsort((coords[:, 0], coords[:, 1]))
@@ -622,7 +622,7 @@ def test_mirror_antisymmetry_on_symmetric_mesh():
 def test_monolithic_error_within_data_interpolation_scale():
     case = case_example1()
     config = SchemeConfig(dt=0.0625, T=0.25, nx=16, variant="monolithic")
-    disc = build_discretization(config)
+    disc = Discretization(config)
     *_, final = run(case, config, disc)
     err = l2_error(disc.fluid, final.u, case.u_exact, config.T)
     interp0 = l2_error(
@@ -636,7 +636,7 @@ def test_monolithic_multiplier_first_order():
     errs = []
     for nx in (16, 32):
         config = SchemeConfig(dt=1.0 / nx, T=0.25, nx=nx, variant="monolithic")
-        disc = build_discretization(config)
+        disc = Discretization(config)
         *_, final = run(case, config, disc)
         errs.append(sigma_l2_error(disc.fluid, final.lam, case.l_exact, config.T))
     ratio = errs[0] / errs[1]
@@ -648,7 +648,7 @@ def test_improved_start_ignores_discrete_initial_state():
     # with the level-0 state must not change levels 1..3
     case = case_example1()
     config = _config(nx=4, variant="improved")
-    disc = build_discretization(config)
+    disc = Discretization(config)
     clean = list(run(case, config, disc))
     tampered = list(run(case, config, disc, initial_state=_random_homogeneous_state(disc, 99)))
     for level in (1, 2, 3):
