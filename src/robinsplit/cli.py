@@ -5,7 +5,8 @@ equals dt on the unit square.  Levels 7 and 8 multiply runtime and memory
 considerably and are only admitted behind ``--large``; nothing above 8 is
 accepted.  A ``--config`` file's ``key = value`` lines stand for the flags
 of the same names and go through the same parser; they fill only what the
-command line left unset.
+command line left unset.  A file's ``large`` is one of 1/0, true/false,
+yes/no or on/off in any case, and its ``variant`` names at least one variant.
 
 Exit codes: 0 on success; 2 for a usage or configuration error, found
 before any level runs: a malformed flag or file value, a config file that
@@ -271,13 +272,15 @@ def cmd_compare(exp):
 # argument handling
 
 _FILE_KEYS = ("case", "variant", "kmin", "kmax", "alpha", "T", "order", "out", "jobs", "large")
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def _file_flags(path):
     """The flags that a config file's ``key = value`` lines stand for.
 
     ``#`` starts a comment and a key's last line wins.  ``variant`` takes a
-    comma-separated list, and ``large`` is set by 1, true, yes or on.
+    comma-separated list of at least one name, and ``large`` one of ``_ON``
+    or ``_OFF`` in any case.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -298,9 +301,15 @@ def _file_flags(path):
     flags = []
     for key, value in values.items():
         if key == "variant":
-            flags += [f"--variant={v.strip()}" for v in value.split(",") if v.strip()]
+            names = [v.strip() for v in value.split(",") if v.strip()]
+            if not names:
+                raise ConfigurationError(f"{path}: variant = {value!r} names no variant")
+            flags += [f"--variant={v}" for v in names]
         elif key == "large":
-            flags += ["--large"] if value.lower() in ("1", "true", "yes", "on") else []
+            if value.lower() not in _ON + _OFF:
+                choices = "/".join(_ON + _OFF)
+                raise ConfigurationError(f"{path}: large must be one of {choices}, got {value!r}")
+            flags += ["--large"] if value.lower() in _ON else []
         else:
             flags.append(f"--{key}={value}")
     return flags

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import fem
 from .errors import ConfigurationError
-from .schemes import Discretization, run
+from .schemes import Discretization, march
 
 FINAL_QUANTITIES = ("e_u", "e_du", "e_dw", "e_gdu")
 SUMMED_QUANTITIES = ("e_gdus", "e_gdws", "e_gdu2s", "e_dls", "e_ggdus")
@@ -270,12 +270,12 @@ def _wsq(weights, arr):
     return float(np.sum(weights @ (flat * flat)))
 
 
-def run_with_errors(case, config, disc=None, k=None):
-    """Run one configuration and stream its full error report."""
-    if disc is None:
-        disc = Discretization(config)
+def run_with_errors(case, config, k=None):
+    """Run one configuration and stream its full error report; the run and
+    the accumulator share one ``Discretization(config, case)``."""
+    disc = Discretization(config, case)
     acc = ErrorAccumulator(case, disc)
-    for state in run(case, config, disc=disc):
+    for state in march(disc):
         acc.observe(state)
     return acc.report(k=k)
 

@@ -26,6 +26,7 @@ Profiles take point arrays of shape (..., 2) (the flux: abscissae x1) and
 return vectorized numpy output; the exact fields take a scalar time first.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,9 @@ def _scaled(factor, profile):
 class ManufacturedCase:
     """Exact solution bundle driving a manufactured run.
 
-    ``f_f0`` / ``f_s0`` are None when the forcing vanishes identically;
+    Every run of a case discretizes its diffusivities ``nu_f``, ``nu_s``
+    (finite and positive) and interface height ``split_y``.  ``f_f0`` /
+    ``f_s0`` are None when the forcing vanishes identically;
     ``forcing_factor`` is then None too.
     """
 
@@ -82,6 +85,12 @@ class ManufacturedCase:
     dt_w = _scaled("time_derivative", "w0")
     f_f = _scaled("forcing_factor", "f_f0")
     f_s = _scaled("forcing_factor", "f_s0")
+
+    def __post_init__(self):
+        for name in ("nu_f", "nu_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _trig_case(name, time_factor, time_derivative, forcing_factor):

@@ -14,6 +14,10 @@ Three variants share one spatial discretization:
 * ``monolithic``: backward Euler on the fully coupled problem, used as a
   reference; the interface flux is recovered from the fluid-side residual.
 
+A run is its case and its config: ``run(case, config)`` builds the
+``Discretization`` of the two, which takes the diffusivities ``nu_f`` and
+``nu_s`` and the interface height ``split_y`` from the case alone.
+
 The flux unknown lives on the interface trace space; its coefficients are
 ordered like ``FeSpace.interface_dofs``.  All Dirichlet values are zero, and
 every system is solved on the free dofs alone.
@@ -39,7 +43,8 @@ class SchemeConfig:
     """Discretization parameters for one run.
 
     ``dt`` must divide ``T`` into at least four steps (the improved start-up
-    produces levels 1..3 in one solve).  ``fe_order`` selects P1 or P2.
+    produces levels 1..3 in one solve).  ``fe_order`` selects P1 or P2.  The
+    problem's diffusivities and interface height belong to the case.
     """
 
     dt: float
@@ -48,9 +53,6 @@ class SchemeConfig:
     fe_order: int = 1
     variant: str = "original"
     alpha: float = 4.0
-    nu_f: float = 1.0
-    nu_s: float = 1.0
-    split_y: float = 0.75
     diagonal: str = "criss"
 
     def __post_init__(self):
@@ -60,7 +62,7 @@ class SchemeConfig:
             )
         if self.fe_order not in (1, 2):
             raise ConfigurationError(f"fe_order must be 1 or 2, got {self.fe_order!r}")
-        for name in ("dt", "T", "alpha", "nu_f", "nu_s"):
+        for name in ("dt", "T", "alpha"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
@@ -86,11 +88,14 @@ class DiscreteState:
 
 
 class Discretization:
-    """Assembled operators shared by all scheme variants for one config."""
+    """Assembled operators of one case under one config, shared by all
+    scheme variants.  The mesh is split at the case's ``split_y``, and the
+    factorizations and loads use the case's ``nu_f``, ``nu_s`` and forcing."""
 
-    def __init__(self, config):
+    def __init__(self, config, case):
         self.config = config
-        self.mesh = build_two_domain_mesh(config.nx, config.split_y, config.diagonal)
+        self.case = case
+        self.mesh = build_two_domain_mesh(config.nx, case.split_y, config.diagonal)
         self.fluid = fem.FeSpace(self.mesh, "fluid", config.fe_order)
         self.solid = fem.FeSpace(self.mesh, "solid", config.fe_order)
         self.mass_f = fem.assemble_mass(self.fluid)
@@ -118,23 +123,23 @@ class Discretization:
         out[self.if_s] = local
         return out
 
-    def load_f(self, case, t):
-        """Fluid load of ``case`` at time t."""
-        return self._load(case, "f_f0", self.fluid, t)
+    def load_f(self, t):
+        """Fluid load at time t."""
+        return self._load("f_f0", self.fluid, t)
 
-    def load_s(self, case, t):
-        """Solid load of ``case`` at time t."""
-        return self._load(case, "f_s0", self.solid, t)
+    def load_s(self, t):
+        """Solid load at time t."""
+        return self._load("f_s0", self.solid, t)
 
-    def _load(self, case, name, space, t):
-        # one assembly of the forcing profile per case and field, scaled by
+    def _load(self, name, space, t):
+        # one assembly of the forcing profile per field, scaled by
         # case.forcing_factor
-        key = ("load", name, case)
+        key = ("load", name)
         if key not in self._facts:
-            f0 = getattr(case, name)
+            f0 = getattr(self.case, name)
             self._facts[key] = None if f0 is None else fem.assemble_load(space, f0)
         load = self._facts[key]
-        return np.zeros(space.ndof) if load is None else case.forcing_factor(t) * load
+        return np.zeros(space.ndof) if load is None else self.case.forcing_factor(t) * load
 
     # -- factorizations, built once per run ----------------------------------
 
@@ -146,7 +151,7 @@ class Discretization:
         factor; each matrix is built just before its LU.
         """
         if "robin" not in self._facts:
-            cfg = self.config
+            cfg, case = self.config, self.case
             coo = self.msig.tocoo()
 
             def factor(free, trace, mass, stiff, nu):
@@ -158,8 +163,8 @@ class Discretization:
                 a = (mass / cfg.dt + nu * stiff)[free][:, free] + cfg.alpha * interface
                 return linalg.factorize(a)
 
-            fact_f = factor(self.free_f, self.if_f, self.mass_f, self.stiff_f, cfg.nu_f)
-            fact_s = factor(self.free_s, self.if_s, self.mass_s, self.stiff_s, cfg.nu_s)
+            fact_f = factor(self.free_f, self.if_f, self.mass_f, self.stiff_f, case.nu_f)
+            fact_s = factor(self.free_s, self.if_s, self.mass_s, self.stiff_s, case.nu_s)
             self._facts["robin"] = (fact_s, fact_f)
         return self._facts["robin"]
 
@@ -171,7 +176,7 @@ class Discretization:
         interface, one past the fluid's dofs elsewhere.
         """
         if "mono" not in self._facts:
-            cfg = self.config
+            cfg, case = self.config, self.case
             nf = self.fluid.ndof
             s2m = np.full(self.solid.ndof, -1, dtype=np.int64)
             s2m[self.if_s] = self.if_f
@@ -185,8 +190,8 @@ class Discretization:
 
             ident = np.arange(nf)
             mono_mass = reindex(self.mass_f, ident) + reindex(self.mass_s, s2m)
-            mono_stiff = cfg.nu_f * reindex(self.stiff_f, ident)
-            mono_stiff += cfg.nu_s * reindex(self.stiff_s, s2m)
+            mono_stiff = case.nu_f * reindex(self.stiff_f, ident)
+            mono_stiff += case.nu_s * reindex(self.stiff_s, s2m)
             free = np.union1d(self.free_f, s2m[self.free_s])
             self._facts["mono"] = (
                 linalg.factorize((mono_mass / cfg.dt + mono_stiff)[free][:, free]),
@@ -231,14 +236,14 @@ def step_original(state, case, config, disc):
     rhs_s = (
         disc.mass_s @ state.w / dt
         + disc.lift_s(disc.msig @ (alpha * state.u[disc.if_f] - state.lam))
-        + disc.load_s(case, t1)
+        + disc.load_s(t1)
     )
     w1 = _solve_free(fact_s, rhs_s, disc.free_s)
 
     rhs_f = (
         disc.mass_f @ state.u / dt
         + disc.lift_f(disc.msig @ (state.lam + alpha * w1[disc.if_s]))
-        + disc.load_f(case, t1)
+        + disc.load_f(t1)
     )
     u1 = _solve_free(fact_f, rhs_f, disc.free_f)
 
@@ -377,12 +382,12 @@ class _Startup:
     """Factors of the start-up system and its solve through Gamma."""
 
     def __init__(self, disc):
-        cfg = disc.config
+        cfg, case = disc.config, disc.case
         # the fluid, the field with more interior dofs at split_y = 0.75, is
         # built and factored first and the band LU last: each factorization's
         # workspace then meets the fewest resident factors it can
-        fluid = _FieldRows(disc.fluid, disc.mass_f, disc.stiff_f, cfg.nu_f, cfg.dt)
-        solid = _FieldRows(disc.solid, disc.mass_s, disc.stiff_s, cfg.nu_s, cfg.dt)
+        fluid = _FieldRows(disc.fluid, disc.mass_f, disc.stiff_f, case.nu_f, cfg.dt)
+        solid = _FieldRows(disc.solid, disc.mass_s, disc.stiff_s, case.nu_s, cfg.dt)
         self.fields = (solid, fluid)
         m = 3 * disc.n_sig
         self.parts = [slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)]
@@ -475,8 +480,8 @@ def _startup_rhs(case, config, disc):
     """Right-hand sides of the start-up rows, as ``_Startup.solve`` takes them."""
     dt, alpha = config.dt, config.alpha
     ddw, ddu, g1_2, g1_3, g2_2, g2_3 = _first_step_loads(case, config, disc)
-    rhs_w = np.array([disc.load_s(case, n * dt) for n in (1, 2, 3)])
-    rhs_u = np.array([disc.load_f(case, n * dt) for n in (1, 2, 3)])
+    rhs_w = np.array([disc.load_s(n * dt) for n in (1, 2, 3)])
+    rhs_u = np.array([disc.load_f(n * dt) for n in (1, 2, 3)])
     rhs_w[0] += ddw + disc.lift_s(alpha * dt * g1_2 - dt * g2_2) - rhs_w[1]
     rhs_u[0] += ddu + disc.lift_f(alpha * dt * g1_3 + dt * g2_3) - rhs_u[1]
     rhs_l = np.zeros((3, disc.n_sig))
@@ -513,15 +518,15 @@ def step_monolithic(state, case, config, disc):
     y = np.zeros(mono_mass.shape[0])
     y[s2m] = state.w
     y[: nf] = state.u  # fluid values win on the shared interface
-    load_f = disc.load_f(case, t1)
+    load_f = disc.load_f(t1)
     rhs = mono_mass @ y / dt
     rhs[:nf] += load_f
-    rhs[s2m] += disc.load_s(case, t1)
+    rhs[s2m] += disc.load_s(t1)
     y1 = _solve_free(fact, rhs, free)
 
     u1 = y1[:nf]
     w1 = y1[s2m]
-    residual = disc.mass_f @ (u1 - state.u) / dt + config.nu_f * (disc.stiff_f @ u1) - load_f
+    residual = disc.mass_f @ (u1 - state.u) / dt + case.nu_f * (disc.stiff_f @ u1) - load_f
     lam1 = msig_fact.solve(residual[disc.if_f])
     return DiscreteState(n=state.n + 1, u=u1, w=w1, lam=lam1)
 
@@ -529,45 +534,20 @@ def step_monolithic(state, case, config, disc):
 # ---------------------------------------------------------------------------
 # driver
 
-def run(case, config, disc=None, initial_state=None):
+def run(case, config):
     """Yield the states of one scheme variant at levels 0, 1, ..., N in order.
 
-    Parameters
-    ----------
-    case : ManufacturedCase
-    config : SchemeConfig
-    disc : Discretization, optional
-        Reused operators; built on demand.
-    initial_state : DiscreteState, optional
-        Replaces the interpolated initial data (used by stability checks).
-
-    Yields
-    ------
-    DiscreteState
-        Level 0, then one state per level up to ``config.n_steps``.  The run
-        holds only the state it steps from, so memory does not grow with the
-        number of steps; ``list(run(...))`` keeps them all, indexed by level.
-
-    Raises
-    ------
-    ConfigurationError
-        If the config's ``nu_f``, ``nu_s`` or ``split_y``, which build every
-        operator, differ from the case's, which its exact solution uses; or
-        if ``disc`` was built for another config, since its factors and the
-        right-hand sides would then use different steps.
+    The run builds its own ``Discretization(config, case)`` and holds only
+    the state it steps from, so memory does not grow with the number of
+    steps; ``list(run(...))`` keeps them all, indexed by level.
     """
-    for field in ("nu_f", "nu_s", "split_y"):
-        if getattr(config, field) != getattr(case, field):
-            raise ConfigurationError(
-                f"config {field} = {getattr(config, field)!r} contradicts the case's "
-                f"{field} = {getattr(case, field)!r}"
-            )
-    if disc is None:
-        disc = Discretization(config)
-    elif disc.config != config:
-        differ = [f for f, value in vars(config).items() if getattr(disc.config, f) != value]
-        raise ConfigurationError(f"disc was built for another config: {', '.join(differ)} differ")
-    state = initialize(case, config, disc) if initial_state is None else initial_state
+    yield from march(Discretization(config, case))
+
+
+def march(disc):
+    """The states of ``run(disc.case, disc.config)``, on operators already built."""
+    case, config = disc.case, disc.config
+    state = initialize(case, config, disc)
     yield state
     if config.variant == "improved":
         for state in solve_first_block_improved(case, config, disc):
@@ -600,15 +580,15 @@ def weak_residuals_original(prev, state, case, config, disc):
 
     terms_s = [
         disc.mass_s @ (state.w - prev.w) / dt,
-        config.nu_s * (disc.stiff_s @ state.w),
+        case.nu_s * (disc.stiff_s @ state.w),
         disc.lift_s(disc.msig @ (alpha * (state.w[disc.if_s] - prev.u[disc.if_f]) + prev.lam)),
-        -disc.load_s(case, t1),
+        -disc.load_s(t1),
     ]
     terms_f = [
         disc.mass_f @ (state.u - prev.u) / dt,
-        config.nu_f * (disc.stiff_f @ state.u),
+        case.nu_f * (disc.stiff_f @ state.u),
         -disc.lift_f(disc.msig @ state.lam),
-        -disc.load_f(case, t1),
+        -disc.load_f(t1),
     ]
     terms_l = [
         disc.msig @ (alpha * (state.u[disc.if_f] - state.w[disc.if_s])),
@@ -634,14 +614,14 @@ def block_residuals(states, case, config, disc):
     out = {}
     terms = [
         disc.mass_s @ (s2.w - s1.w) / dt,
-        config.nu_s * (disc.stiff_s @ s1.w),
+        case.nu_s * (disc.stiff_s @ s1.w),
         disc.lift_s(
             msig @ (alpha * (s1.w[disc.if_s] + s2.u[disc.if_f] - 2 * s1.u[disc.if_f]))
         ),
         disc.lift_s(msig @ (2 * s1.lam - s2.lam)),
         -ddw,
         -disc.lift_s(alpha * dt * g1_2 - dt * g2_2),
-        -disc.load_s(case, dt),
+        -disc.load_s(dt),
     ]
     out["solid_1"] = _relative(sum(terms), terms, disc.free_s)
 
@@ -649,11 +629,11 @@ def block_residuals(states, case, config, disc):
     du21 = s2.u[disc.if_f] - s1.u[disc.if_f]
     terms = [
         disc.mass_f @ (s2.u - s1.u) / dt,
-        config.nu_f * (disc.stiff_f @ s1.u),
+        case.nu_f * (disc.stiff_f @ s1.u),
         disc.lift_f(msig @ (alpha * (du32 - du21) + s3.lam - 2 * s2.lam)),
         -ddu,
         -disc.lift_f(alpha * dt * g1_3 + dt * g2_3),
-        -disc.load_f(case, dt),
+        -disc.load_f(dt),
     ]
     out["fluid_1"] = _relative(sum(terms), terms, disc.free_f)
 

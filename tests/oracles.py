@@ -140,7 +140,7 @@ def _first_block_matrix(disc):
     level-1 rows couple all three levels and are driven purely by data, so
     the discrete level-0 state never enters the matrix.
     """
-    cfg = disc.config
+    cfg, case = disc.config, disc.case
     dt, alpha = cfg.dt, cfg.alpha
     css = lifted_interface_matrix(disc, "s", "s")
     csf = lifted_interface_matrix(disc, "s", "f")
@@ -157,7 +157,7 @@ def _first_block_matrix(disc):
         # level-1 solid equation (tested with z): couples levels via data lag
         ("w1", "w2", mass_s, 1 / dt),
         ("w1", "w1", mass_s, -1 / dt),
-        ("w1", "w1", stiff_s, cfg.nu_s),
+        ("w1", "w1", stiff_s, case.nu_s),
         ("w1", "w1", css, alpha),
         ("w1", "u2", csf, alpha),
         ("w1", "u1", csf, -2 * alpha),
@@ -166,7 +166,7 @@ def _first_block_matrix(disc):
         # level-1 fluid equation (tested with v)
         ("u1", "u2", mass_f, 1 / dt),
         ("u1", "u1", mass_f, -1 / dt),
-        ("u1", "u1", stiff_f, cfg.nu_f),
+        ("u1", "u1", stiff_f, case.nu_f),
         ("u1", "u3", cff, alpha),
         ("u1", "u2", cff, -2 * alpha),
         ("u1", "u1", cff, alpha),
@@ -184,13 +184,13 @@ def _first_block_matrix(disc):
         contributions += [
             ("w" + b, "w" + b, mass_s, 1 / dt),
             ("w" + b, "w" + a, mass_s, -1 / dt),
-            ("w" + b, "w" + b, stiff_s, cfg.nu_s),
+            ("w" + b, "w" + b, stiff_s, case.nu_s),
             ("w" + b, "w" + b, css, alpha),
             ("w" + b, "u" + a, csf, -alpha),
             ("w" + b, "l" + a, csl, 1.0),
             ("u" + b, "u" + b, mass_f, 1 / dt),
             ("u" + b, "u" + a, mass_f, -1 / dt),
-            ("u" + b, "u" + b, stiff_f, cfg.nu_f),
+            ("u" + b, "u" + b, stiff_f, case.nu_f),
             ("u" + b, "l" + b, cfl, -1.0),
             ("l" + b, "u" + b, clf, alpha),
             ("l" + b, "w" + b, cls, -alpha),
@@ -315,11 +315,11 @@ def first_block_reference(case, config, disc):
 def field_rows_bmat(disc, field, r, c):
     """One field's (D, v2, v3) rows restricted to dofs ``r`` and ``c``, joined
     from separately sliced stiffness, mass and sum blocks by ``sp.bmat``."""
-    cfg = disc.config
+    cfg, case = disc.config, disc.case
     if field == "solid":
-        mass, stiff, nu = disc.mass_s, disc.stiff_s, cfg.nu_s
+        mass, stiff, nu = disc.mass_s, disc.stiff_s, case.nu_s
     else:
-        mass, stiff, nu = disc.mass_f, disc.stiff_f, cfg.nu_f
+        mass, stiff, nu = disc.mass_f, disc.stiff_f, case.nu_f
     k = nu * stiff
     e = mass / cfg.dt
     b = e + k
@@ -580,8 +580,9 @@ def zero_case():
     return dataclasses.replace(case_example1(), u0=zero_field, w0=zero_field, l0=zero_line)
 
 
-def zs_functionals(*, solid, fluid, trace, alpha, dt, disc, nu_f=1.0, nu_s=1.0):
-    """Discrete energy Z and dissipation S of one step.
+def zs_functionals(*, solid, fluid, trace, alpha, dt, disc):
+    """Discrete energy Z and dissipation S of one step, with the
+    diffusivities of ``disc.case``.
 
     Each of ``solid``/``fluid``/``trace`` is a pair (next, prev) of
     coefficient vectors (solid field, fluid field, interface flux).  Z only
@@ -604,7 +605,7 @@ def zs_functionals(*, solid, fluid, trace, alpha, dt, disc, nu_f=1.0, nu_s=1.0):
         + 0.5 * dt / alpha * msq(msig, theta1)
     )
     s = (
-        dt * (nu_f * msq(disc.stiff_f, phi1) + nu_s * msq(disc.stiff_s, psi1))
+        dt * (disc.case.nu_f * msq(disc.stiff_f, phi1) + disc.case.nu_s * msq(disc.stiff_s, psi1))
         + 0.5 * msq(disc.mass_s, psi1 - psi0)
         + 0.5 * msq(disc.mass_f, phi1 - phi0)
         + 0.5
@@ -660,18 +661,18 @@ def weak_residuals_monolithic(prev, state, case, config, disc):
 
     y0, y1 = embed(prev.u, prev.w), embed(state.u, state.w)
     load = np.zeros(y0.size)
-    load_f = disc.load_f(case, t1)
+    load_f = disc.load_f(t1)
     load[:nf] += load_f
-    load[s2m] += disc.load_s(case, t1)
+    load[s2m] += disc.load_s(t1)
     stiff = np.zeros(y0.size)
-    stiff[:nf] += config.nu_f * (disc.stiff_f @ state.u)
-    stiff[s2m] += config.nu_s * (disc.stiff_s @ state.w)
+    stiff[:nf] += case.nu_f * (disc.stiff_f @ state.u)
+    stiff[s2m] += case.nu_s * (disc.stiff_s @ state.w)
     terms = [mono_mass @ (y1 - y0) / dt, stiff, -load]
     coupled = schemes._relative(sum(terms), terms, free)
 
     terms = [
         disc.msig @ state.lam,
-        -(disc.mass_f @ (state.u - prev.u) / dt + config.nu_f * (disc.stiff_f @ state.u) - load_f)[
+        -(disc.mass_f @ (state.u - prev.u) / dt + case.nu_f * (disc.stiff_f @ state.u) - load_f)[
             disc.if_f
         ],
     ]

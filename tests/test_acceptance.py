@@ -19,6 +19,7 @@ from robinsplit.schemes import (
     SchemeConfig,
     block_residuals,
     run,
+    step_original,
     weak_residuals_original,
 )
 
@@ -175,7 +176,7 @@ def test_start_up_contrast_between_schemes(compare_artifacts):
 def test_energy_identity_random_states():
     case = zero_case()
     config = SchemeConfig(dt=1.0 / 16.0, T=STUDY_T, nx=4)
-    disc = Discretization(config)
+    disc = Discretization(config, case)
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -183,9 +184,9 @@ def test_energy_identity_random_states():
         w = rng.normal(size=disc.solid.ndof)
         u[disc.fluid.dirichlet_mask] = 0.0
         w[disc.solid.dirichlet_mask] = 0.0
-        state = DiscreteState(n=0, u=u, w=w, lam=rng.normal(size=disc.n_sig))
-        states = list(run(case, config, disc=disc, initial_state=state))
-        for prev, cur in zip(states, states[1:]):
+        cur = DiscreteState(n=0, u=u, w=w, lam=rng.normal(size=disc.n_sig))
+        for _ in range(config.n_steps):
+            prev, cur = cur, step_original(cur, case, config, disc)
             z1, s1 = zs_functionals(
                 solid=(cur.w, prev.w),
                 fluid=(cur.u, prev.u),
@@ -215,8 +216,8 @@ def test_weak_residuals_every_step_every_variant():
     case = case_example1()
     for variant in ("original", "improved", "monolithic"):
         config = level_config(3, variant, 1, STUDY_T)
-        disc = Discretization(config)
-        states = list(run(case, config, disc=disc))
+        disc = Discretization(config, case)
+        states = list(run(case, config))
         records = []
         start = 0
         if variant == "improved":
@@ -231,8 +232,8 @@ def test_weak_residuals_every_step_every_variant():
     # a forced quadratic-element run exercises the load paths too
     case3 = get_case("example3")
     config = SchemeConfig(dt=1.0 / 16.0, T=STUDY_T, nx=8, fe_order=2, variant="improved")
-    disc = Discretization(config)
-    states = list(run(case3, config, disc=disc))
+    disc = Discretization(config, case3)
+    states = list(run(case3, config))
     records = list(block_residuals(states[1:4], case3, config, disc).values())
     for prev, cur in zip(states[3:], states[4:]):
         records.extend(weak_residuals_original(prev, cur, case3, config, disc).values())

@@ -346,6 +346,17 @@ def test_unknown_config_key(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "value, flags",
+    [("1", ["--large"]), ("TRUE", ["--large"]), ("Yes", ["--large"]), ("on", ["--large"]),
+     ("0", []), ("False", []), ("NO", []), ("oFF", [])],
+)
+def test_config_file_large_is_a_switch(tmp_path, value, flags):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"large = {value}\n")
+    assert cli._file_flags(str(cfg)) == flags
+
+
 _SWEEP = ["convergence", "--case", "example1", "--variant", "original", "--kmin", "1"]
 
 
@@ -373,10 +384,14 @@ _PAIR = ["compare", "--case", "example1", "--variant", "original", "--variant", 
                                                "--out", "{tmp}/study"]),
         (None, ("study_improved_sums.csv",), _PAIR + ["--out", "{tmp}/study.csv"]),
         (None, ("study_orders.csv",), _PAIR + ["--out", "{tmp}/study"]),
+        ("large = maybe\n", (), _SWEEP + ["--kmax", "2", "--T", "1.0"]),
+        ("variant =\n", (), ["run", "--case", "example1", "--kmin", "1", "--T", "1.0"]),
+        ("variant = ,\n", (), ["run", "--case", "example1", "--kmin", "1", "--T", "1.0"]),
     ],
     ids=["file-value", "flag-over-file", "infeasible-level", "alpha", "nan", "out-dir",
          "config-is-dir", "config-not-utf8", "run-out-is-dir", "sweep-out-is-dir",
-         "sweep-table-is-dir", "compare-table-is-dir", "compare-orders-is-dir"],
+         "sweep-table-is-dir", "compare-table-is-dir", "compare-orders-is-dir",
+         "large-not-a-switch", "variant-empty", "variant-only-comma"],
 )
 def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_text, made, args):
     levels = []

@@ -64,7 +64,7 @@ def test_orders_handle_degenerate_values():
 def _disc(nx=4, **kw):
     kw.setdefault("dt", 1.0 / 16.0)
     kw.setdefault("T", 0.25)
-    return Discretization(SchemeConfig(nx=nx, **kw))
+    return Discretization(SchemeConfig(nx=nx, **kw), case_example1())
 
 
 def test_zs_zero_fields():
@@ -169,7 +169,7 @@ def _interpolant_trajectory(case, config, disc):
 def test_exact_interpolant_trajectory_has_zero_errors():
     case = _linear_case()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
-    disc = Discretization(config)
+    disc = Discretization(config, case)
     states = _interpolant_trajectory(case, config, disc)
     finals = final_time_errors(states, case, disc)
     sums = summed_errors(states, case, disc)
@@ -197,9 +197,9 @@ def test_streaming_matches_batch(case_name, fe_order, nx):
     config = SchemeConfig(
         dt=1.0 / 32.0, T=0.25, nx=nx, fe_order=fe_order, variant="improved"
     )
-    disc = Discretization(config)
-    streamed = run_with_errors(case, config, disc=disc, k=4)
-    states = list(run(case, config, disc=disc))
+    streamed = run_with_errors(case, config, k=4)
+    states = list(run(case, config))
+    disc = Discretization(config, case)
     finals = final_time_errors(states, case, disc)
     sums = summed_errors(states, case, disc)
     for q in FINAL_QUANTITIES:
@@ -216,8 +216,8 @@ def test_streaming_matches_batch(case_name, fe_order, nx):
 def test_final_time_triangle_inequality():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=16)
-    disc = Discretization(config)
-    states = list(run(case, config, disc=disc))
+    disc = Discretization(config, case)
+    states = list(run(case, config))
     report = final_time_errors(states, case, disc)
     n = config.n_steps
     e_u_last = l2_error(disc.fluid, states[n - 1].u, case.u_exact, config.T - config.dt)
@@ -227,7 +227,7 @@ def test_final_time_triangle_inequality():
 def test_accumulator_rejects_level_gaps():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
-    disc = Discretization(config)
+    disc = Discretization(config, case)
     acc = ErrorAccumulator(case, disc)
     zero = lambda n: DiscreteState(
         n=n,
@@ -246,10 +246,9 @@ def test_chunk_size_does_not_change_quantities(monkeypatch, case_name, fe_order)
     # 1.4e-16 (P1) and 2.4e-16 (P2), from the order of the chunk sums
     case = get_case(case_name)
     config = SchemeConfig(dt=1.0 / 32.0, T=0.25, nx=8, fe_order=fe_order, variant="improved")
-    disc = Discretization(config)
-    want = run_with_errors(case, config, disc=disc)
+    want = run_with_errors(case, config)
     monkeypatch.setattr(fem, "CHUNK_CELLS", 7)
-    got = run_with_errors(case, config, disc=disc)
+    got = run_with_errors(case, config)
     for q in ALL_QUANTITIES:
         a, b = getattr(got, q), getattr(want, q)
         assert abs(a - b) <= 1e-13 * max(abs(a), abs(b)), q
@@ -277,20 +276,27 @@ def test_derivative_norms_built_after_startup(monkeypatch):
     monkeypatch.setattr(diagnostics, "_DerivativeNorm", checked)
     case = get_case("example3")
     config = level_config(3, "improved", 2, 0.25)
-    disc = Discretization(config)
+    disc = Discretization(config, case)
     acc = ErrorAccumulator(case, disc)
-    for state in run(case, config, disc=disc):
+    for state in run(case, config):
         acc.observe(state)
         assert (acc._norms is None) == (state.n < 2), state.n
     assert len(factors) == 5
     assert alive_at_build == [0, 0, 0]
 
 
-def test_p1_run_computes_no_hessians():
+def test_p1_run_computes_no_hessians(monkeypatch):
     # example3 is forced, so its loads build quadrature tables too
-    config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=8)
-    disc = Discretization(config)
-    run_with_errors(get_case("example3"), config, disc=disc)
+    built = []
+
+    class Recorded(Discretization):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(diagnostics, "Discretization", Recorded)
+    run_with_errors(get_case("example3"), SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=8))
+    (disc,) = built
     for space in (disc.fluid, disc.solid):
         assert "_hessians" not in vars(space), space.subdomain
 

@@ -331,7 +331,7 @@ def test_interface_dofs_match_across_subdomains():
 
 
 def test_lifted_interface_mass_cross_terms():
-    disc = Discretization(SchemeConfig(dt=0.25, T=1.0, nx=4))
+    disc = Discretization(SchemeConfig(dt=0.25, T=1.0, nx=4), case_example3())
     m_fs = lifted_interface_matrix(disc, "f", "s")
     cf = np.ones(disc.fluid.ndof)
     cs = np.ones(disc.solid.ndof)

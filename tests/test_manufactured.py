@@ -33,6 +33,14 @@ def test_case_registry():
         get_case("example9")
 
 
+@pytest.mark.parametrize("field", ["nu_f", "nu_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_case_rejects_non_finite_values(field, value):
+    # every run discretizes the case's diffusivities, so the case checks them
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite and positive"):
+        dataclasses.replace(case_example1(), **{field: value})
+
+
 def test_default_orders():
     assert default_order("example1") == 1
     assert default_order("example2") == 2
