@@ -12,8 +12,8 @@ Exit codes: 0 on success; 2 for a usage or configuration error, found
 before any level runs: a malformed flag or file value, a config file that
 cannot be read, a (level, variant) pair that ``SchemeConfig`` refuses, or
 an ``--out`` or a CSV named after it that is a directory or whose
-directory does not exist; 1 when a level fails to solve, after the tables
-of the levels that completed.
+directory does not exist; 1 when a level fails to solve or gives an error
+quantity that is not finite, after the tables of the levels that completed.
 Every CSV goes through ``diagnostics.write_csv``, whose floats are written
 at full precision so parsing a table back yields exactly the in-memory
 values.

@@ -38,9 +38,10 @@ increment (level 2): for ``improved`` that is after the start-up has
 returned and freed its factors, so the two never hold memory at the same
 time.
 
-``ErrorAccumulator`` consumes the states that ``schemes.run`` yields and
-keeps the previous level's coefficients and the last fluid increment, so
-memory stays bounded for long runs; ``run_with_errors`` is the entry point.
+``ErrorAccumulator(disc)`` consumes the states that ``schemes.march(disc)``
+yields and keeps the previous level's coefficients and the last fluid
+increment, so memory stays bounded for long runs; its report refuses a
+quantity that is not finite.  ``run_with_errors`` is the entry point.
 The tests recompute the same numbers from every stored level through the
 plain error norms of ``tests/oracles.py`` and check the accumulator against
 them.
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SingularSystemError
 from .schemes import Discretization, march
 
 FINAL_QUANTITIES = ("e_u", "e_du", "e_dw", "e_gdu")
@@ -103,13 +104,12 @@ class ErrorAccumulator:
     and fluid increment are kept.
     """
 
-    def __init__(self, case, disc):
-        self.case = case
+    def __init__(self, disc):
         self.disc = disc
         self.dt = disc.config.dt
         self.n_steps = disc.config.n_steps
         self.ltab = disc.fluid._line_tables
-        self._l0 = case.l0(self.ltab["qp_x"])
+        self._l0 = disc.case.l0(self.ltab["qp_x"])
         self._wl = self.ltab["wdet"].ravel()
         self._norms = None
         self._prev = None
@@ -119,7 +119,7 @@ class ErrorAccumulator:
         self._final = {}
 
     def observe(self, state):
-        case, disc = self.case, self.disc
+        disc, case = self.disc, self.disc.case
         n = state.n
         if self._prev is not None and self._prev["n"] != n - 1:
             raise ConfigurationError("states must be observed in consecutive order")
@@ -170,11 +170,16 @@ class ErrorAccumulator:
             }
 
     def report(self, k=None):
+        """The run's ``ErrorReport``; SingularSystemError names every
+        quantity that is not finite, so no inf or NaN reaches a table."""
         if "e_u" not in self._final:
             raise ConfigurationError("run did not reach its final level")
         out = ErrorReport(dt=self.dt, h=1.0 / self.disc.config.nx, k=k, **self._final)
         for name, total in self._sums.items():
             setattr(out, name, math.sqrt(self.dt * total))
+        bad = [f"{q} = {v}" for q, v in out.values().items() if not math.isfinite(v)]
+        if bad:
+            raise SingularSystemError(f"non-finite error quantities: {', '.join(bad)}")
         return out
 
 
@@ -274,7 +279,7 @@ def run_with_errors(case, config, k=None):
     """Run one configuration and stream its full error report; the run and
     the accumulator share one ``Discretization(config, case)``."""
     disc = Discretization(config, case)
-    acc = ErrorAccumulator(case, disc)
+    acc = ErrorAccumulator(disc)
     for state in march(disc):
         acc.observe(state)
     return acc.report(k=k)
@@ -344,22 +349,6 @@ class ConvergenceTable:
             for row, value, order in zip(rows, self.values[q], self.orders[q]):
                 row += [value, order_cell(order)]
         write_csv(path, header, rows)
-
-    @staticmethod
-    def read_csv(path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        header = rows[0]
-        quantities = tuple(name for name in header[1:] if not name.endswith("_order"))
-        ks = tuple(int(r[0]) for r in rows[1:])
-        values = {q: [] for q in quantities}
-        orders = {q: [] for q in quantities}
-        for r in rows[1:]:
-            for j, q in enumerate(quantities):
-                values[q].append(float(r[1 + 2 * j]))
-                cell = r[2 + 2 * j]
-                orders[q].append(math.nan if cell == "" else float(cell))
-        return ConvergenceTable(quantities, ks, values, orders)
 
     def format_text(self):
         """Fixed-width table with three significant digits."""

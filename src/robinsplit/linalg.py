@@ -5,7 +5,7 @@ column indices, duplicates summed, explicit zeros dropped), and
 factorization is a sparse LU kept for repeated solves.  Factorization
 failures raise SingularSystemError carrying the failing pivot index when it
 can be found; so does a solve whose result is not finite, and a GMRES solve
-that does not converge.
+whose right-hand side has no finite norm or that does not converge.
 """
 
 from dataclasses import dataclass
@@ -125,9 +125,13 @@ def gmres(apply, rhs, precond):
     Raises
     ------
     SingularSystemError
-        If GMRES does not converge; the message carries the iteration count
-        and the relative residual reached.
+        If the norm of ``rhs`` is not finite, which would let any iterate
+        pass; or if GMRES does not converge, with the iteration count and
+        the relative residual reached in the message.
     """
+    rhs_norm = np.linalg.norm(rhs)
+    if not np.isfinite(rhs_norm):
+        raise SingularSystemError(f"GMRES right-hand side has norm {rhs_norm}, not finite")
     n = rhs.size
     op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
     residuals = []
@@ -143,7 +147,7 @@ def gmres(apply, rhs, precond):
         callback_type="pr_norm",
     )
     if info != 0:
-        reached = np.linalg.norm(rhs - apply(x)) / np.linalg.norm(rhs)
+        reached = np.linalg.norm(rhs - apply(x)) / rhs_norm
         raise SingularSystemError(
             f"GMRES did not converge: relative residual {reached:.1e} after "
             f"{len(residuals)} iterations (tolerance {GMRES_RTOL:.0e})"

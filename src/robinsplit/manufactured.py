@@ -11,8 +11,8 @@ construction and the flux variable is
 
 Every case is separable by construction: it stores each exact field once,
 as its profile at t = 0, a function of the points alone (``u0``/``w0``,
-their gradients and Hessians, the forcings ``f_f0``/``f_s0`` and the flux
-``l0``), together with three scalar factors of t.  Each exact field
+their gradients, the Hessian of ``u0``, the forcings ``f_f0``/``f_s0`` and
+the flux ``l0``), together with three scalar factors of t.  Each exact field
 (``u_exact``, ``grad_u``, ``hess_u``, ``l_exact``, ...) is ``time_factor(t)``
 times its profile, with ``time_factor(0) == 1``; ``dt_u``/``dt_w`` are
 ``time_derivative(t)`` times the profiles of u and w, and ``f_f``/``f_s``
@@ -66,7 +66,6 @@ class ManufacturedCase:
     grad_u0: object
     grad_w0: object
     hess_u0: object
-    hess_w0: object
     l0: object
     f_f0: object
     f_s0: object
@@ -79,7 +78,6 @@ class ManufacturedCase:
     grad_u = _scaled("time_factor", "grad_u0")
     grad_w = _scaled("time_factor", "grad_w0")
     hess_u = _scaled("time_factor", "hess_u0")
-    hess_w = _scaled("time_factor", "hess_w0")
     l_exact = _scaled("time_factor", "l0")
     dt_u = _scaled("time_derivative", "u0")
     dt_w = _scaled("time_derivative", "w0")
@@ -145,7 +143,6 @@ def _trig_case(name, time_factor, time_derivative, forcing_factor):
         grad_u0=grad0,
         grad_w0=grad0,
         hess_u0=hess0,
-        hess_w0=hess0,
         l0=l0,
         f_f0=f0,
         f_s0=f0,

@@ -21,8 +21,10 @@ import pytest  # noqa: E402
 
 from robinsplit.cli import level_config  # noqa: E402
 from robinsplit.cli import main as cli_main  # noqa: E402
-from robinsplit.diagnostics import ConvergenceTable, run_with_errors  # noqa: E402
+from robinsplit.diagnostics import run_with_errors  # noqa: E402
 from robinsplit.manufactured import get_case  # noqa: E402
+
+from oracles import read_csv  # noqa: E402
 
 STUDY_T = 0.25
 
@@ -68,10 +70,10 @@ def compare_artifacts(tmp_path_factory):
     return {
         "elapsed": elapsed,
         "final": {
-            v: ConvergenceTable.read_csv(base / f"study_{v}_final.csv") for v in variants
+            v: read_csv(base / f"study_{v}_final.csv") for v in variants
         },
         "sums": {
-            v: ConvergenceTable.read_csv(base / f"study_{v}_sums.csv") for v in variants
+            v: read_csv(base / f"study_{v}_sums.csv") for v in variants
         },
     }
 

@@ -26,12 +26,15 @@ the test-only helpers that no run of the package needs.
   single-element mass and stiffness matrices; mesh areas, interface edges
   and a text dump of the mesh; the discrete energy Z and dissipation S of a
   split step, and the case with zero exact fields that runs on zero data.
+* A ``ConvergenceTable`` parsed back from a CSV that ``to_csv`` wrote
+  (``read_csv``), for the tests of the command's tables.
 * Dirichlet dofs kept as identity rows (``eliminate_dirichlet``), which the
   package no longer builds: it solves every system on the free dofs.  The
   interface mass lifted into field-sized blocks, for the nine-block start-up
   matrix, and the weak residuals of a monolithic step.
 """
 
+import csv
 import dataclasses
 import math
 from functools import partial
@@ -41,7 +44,7 @@ import scipy.sparse as sp
 
 from robinsplit import fem, linalg, schemes
 from robinsplit import mesh as meshmod
-from robinsplit.diagnostics import SUMMED_QUANTITIES, ErrorReport
+from robinsplit.diagnostics import SUMMED_QUANTITIES, ConvergenceTable, ErrorReport
 from robinsplit.errors import ConfigurationError
 from robinsplit.manufactured import case_example1
 
@@ -231,7 +234,7 @@ def _load(space, f, t):
     return fem.assemble_load(space, partial(f, t))
 
 
-def first_step_loads_pointwise(case, config, disc):
+def first_step_loads_pointwise(disc):
     """The loads of ``schemes._first_step_loads`` from pointwise quotients.
 
     With t_j = j * dt, each load is assembled from a field that samples the
@@ -240,7 +243,7 @@ def first_step_loads_pointwise(case, config, disc):
     of w and u at n = 2, and of the interface trace of u and the flux l at
     n = 2, 3.  Nothing assumes the case separable.
     """
-    dt = config.dt
+    case, dt = disc.case, disc.config.dt
     times = [j * dt for j in range(4)]
 
     def trace(t, x1):
@@ -273,9 +276,9 @@ def _lift(x1, y):
     return np.stack([x1, np.full_like(x1, y)], axis=-1)
 
 
-def _first_block_rhs(case, config, disc, offsets):
-    dt, alpha = config.dt, config.alpha
-    ddw, ddu, g1_2, g1_3, g2_2, g2_3 = schemes._first_step_loads(case, config, disc)
+def _first_block_rhs(disc, offsets):
+    case, dt, alpha = disc.case, disc.config.dt, disc.config.alpha
+    ddw, ddu, g1_2, g1_3, g2_2, g2_3 = schemes._first_step_loads(disc)
     parts = [
         ("w1", ddw),
         ("w1", disc.lift_s(alpha * dt * g1_2 - dt * g2_2)),
@@ -297,11 +300,11 @@ def _first_block_rhs(case, config, disc, offsets):
     return rhs
 
 
-def first_block_reference(case, config, disc):
+def first_block_reference(disc):
     """States at levels 1, 2, 3 from one LU of the nine-block start-up matrix."""
     offsets = _first_block_offsets(disc)
     x = linalg.factorize(_first_block_matrix(disc)).solve(
-        _first_block_rhs(case, config, disc, offsets)
+        _first_block_rhs(disc, offsets)
     )
     block = dict(zip(_BLOCK_NAMES, np.split(x, [offsets[n] for n in _BLOCK_NAMES[1:]])))
     return tuple(
@@ -646,9 +649,9 @@ def lifted_interface_matrix(disc, row, col):
     )
 
 
-def weak_residuals_monolithic(prev, state, case, config, disc):
+def weak_residuals_monolithic(prev, state, disc):
     """Relative residuals of the coupled step and the flux recovery."""
-    dt = config.dt
+    case, dt = disc.case, disc.config.dt
     t1 = state.n * dt
     _, mono_mass, free, s2m, _ = disc.monolithic_factorization()
     nf = disc.fluid.ndof
@@ -677,3 +680,19 @@ def weak_residuals_monolithic(prev, state, case, config, disc):
         ],
     ]
     return {"coupled": coupled, "flux": schemes._relative(sum(terms), terms)}
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    header = rows[0]
+    quantities = tuple(name for name in header[1:] if not name.endswith("_order"))
+    ks = tuple(int(r[0]) for r in rows[1:])
+    values = {q: [] for q in quantities}
+    orders = {q: [] for q in quantities}
+    for r in rows[1:]:
+        for j, q in enumerate(quantities):
+            values[q].append(float(r[1 + 2 * j]))
+            cell = r[2 + 2 * j]
+            orders[q].append(math.nan if cell == "" else float(cell))
+    return ConvergenceTable(quantities, ks, values, orders)

@@ -186,7 +186,7 @@ def test_energy_identity_random_states():
         w[disc.solid.dirichlet_mask] = 0.0
         cur = DiscreteState(n=0, u=u, w=w, lam=rng.normal(size=disc.n_sig))
         for _ in range(config.n_steps):
-            prev, cur = cur, step_original(cur, case, config, disc)
+            prev, cur = cur, step_original(cur, disc)
             z1, s1 = zs_functionals(
                 solid=(cur.w, prev.w),
                 fluid=(cur.u, prev.u),
@@ -225,7 +225,7 @@ def test_weak_residuals_every_step_every_variant():
             start = 3
         check = weak_residuals_monolithic if variant == "monolithic" else weak_residuals_original
         for prev, cur in zip(states[start:], states[start + 1 :]):
-            res = check(prev, cur, case, config, disc)
+            res = check(prev, cur, disc)
             records.extend(res.values())
         worst[variant] = max(records)
 
@@ -236,7 +236,7 @@ def test_weak_residuals_every_step_every_variant():
     states = list(run(case3, config))
     records = list(block_residuals(states[1:4], case3, config, disc).values())
     for prev, cur in zip(states[3:], states[4:]):
-        records.extend(weak_residuals_original(prev, cur, case3, config, disc).values())
+        records.extend(weak_residuals_original(prev, cur, disc).values())
     worst["improved_p2_forced"] = max(records)
 
     bad = {k: v for k, v in worst.items() if v > 1e-9}

@@ -5,8 +5,10 @@ import pytest
 
 from robinsplit import cli, linalg
 from robinsplit.cli import ExperimentConfig, level_config, main
-from robinsplit.diagnostics import ALL_QUANTITIES, ConvergenceTable
+from robinsplit.diagnostics import ALL_QUANTITIES
 from robinsplit.errors import ConfigurationError, SingularSystemError
+
+from oracles import read_csv
 
 
 def test_run_prints_all_quantities(capsys):
@@ -74,8 +76,8 @@ def test_convergence_writes_tables(tmp_path, capsys):
         ]
     )
     assert code == 0
-    final = ConvergenceTable.read_csv(tmp_path / "conv_final.csv")
-    sums = ConvergenceTable.read_csv(tmp_path / "conv_sums.csv")
+    final = read_csv(tmp_path / "conv_final.csv")
+    sums = read_csv(tmp_path / "conv_sums.csv")
     assert final.ks == (1, 2)
     assert final.quantities == ("e_u", "e_du", "e_dw", "e_gdu")
     # P1 drops the broken second-derivative sum
@@ -105,7 +107,7 @@ def test_convergence_p2_keeps_full_sums(tmp_path, capsys):
         ]
     )
     assert code == 0
-    sums = ConvergenceTable.read_csv(tmp_path / "p2_sums.csv")
+    sums = read_csv(tmp_path / "p2_sums.csv")
     assert sums.quantities == ("e_gdus", "e_gdws", "e_gdu2s", "e_dls", "e_ggdus")
 
 
@@ -114,6 +116,34 @@ def test_startup_gmres_failure_exit_code(monkeypatch, capsys):
     args = ["run", "--case", "example1", "--variant", "improved", "--kmin", "3", "--T", "0.25"]
     assert main(args) == 1
     assert "GMRES did not converge" in capsys.readouterr().err
+
+
+_HUGE_ALPHA = ["--case", "example1", "--kmin", "2", "--T", "0.5", "--alpha", "1e200"]
+
+
+@pytest.mark.parametrize(
+    "args, causes",
+    [
+        # the squared flux increments overflow in the accumulator
+        (["run", "--variant", "original"], ["non-finite error quantities: e_dls = inf"]),
+        # the start-up right-hand side has no finite norm; the original level
+        # fails as above
+        (
+            ["compare", "--variant", "original", "--variant", "improved", "--kmax", "2"],
+            [
+                "level k=2 (original) failed: non-finite error quantities: e_dls = inf",
+                "level k=2 (improved) failed: GMRES right-hand side has norm inf",
+            ],
+        ),
+    ],
+    ids=["run", "compare"],
+)
+def test_non_finite_level_exit_code(tmp_path, capsys, args, causes):
+    assert main(args + _HUGE_ALPHA + ["--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err
+    for cause in causes:
+        assert cause in err
+    assert list(tmp_path.iterdir()) == []  # no CSV
 
 
 _RUN_ONE = cli._run_one

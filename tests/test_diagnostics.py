@@ -29,7 +29,7 @@ from robinsplit.schemes import (
     run,
 )
 
-from oracles import final_time_errors, l2_error, summed_errors, zs_functionals
+from oracles import final_time_errors, l2_error, read_csv, summed_errors, zs_functionals
 
 
 def test_quantity_partition():
@@ -144,7 +144,6 @@ def _linear_case():
         grad_u0=grad0,
         grad_w0=grad0,
         hess_u0=hess0,
-        hess_w0=hess0,
         l0=l0,
         time_factor=lambda t: 1.0 + t,
         time_derivative=lambda t: 1.0,
@@ -173,7 +172,7 @@ def test_exact_interpolant_trajectory_has_zero_errors():
     states = _interpolant_trajectory(case, config, disc)
     finals = final_time_errors(states, case, disc)
     sums = summed_errors(states, case, disc)
-    acc = ErrorAccumulator(case, disc)
+    acc = ErrorAccumulator(disc)
     for state in states:
         acc.observe(state)
     streamed = acc.report()
@@ -228,7 +227,7 @@ def test_accumulator_rejects_level_gaps():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=4)
     disc = Discretization(config, case)
-    acc = ErrorAccumulator(case, disc)
+    acc = ErrorAccumulator(disc)
     zero = lambda n: DiscreteState(
         n=n,
         u=np.zeros(disc.fluid.ndof),
@@ -277,7 +276,7 @@ def test_derivative_norms_built_after_startup(monkeypatch):
     case = get_case("example3")
     config = level_config(3, "improved", 2, 0.25)
     disc = Discretization(config, case)
-    acc = ErrorAccumulator(case, disc)
+    acc = ErrorAccumulator(disc)
     for state in run(case, config):
         acc.observe(state)
         assert (acc._norms is None) == (state.n < 2), state.n
@@ -330,7 +329,7 @@ def test_table_csv_round_trip(tmp_path):
     table = ConvergenceTable.from_reports(_fake_reports(), ("e_u", "e_du"))
     path = tmp_path / "table.csv"
     table.to_csv(path)
-    back = ConvergenceTable.read_csv(path)
+    back = read_csv(path)
     assert back.ks == table.ks
     assert back.quantities == table.quantities
     for q in table.quantities:

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 
 from robinsplit.errors import ConfigurationError, SingularSystemError
-from robinsplit.linalg import factorize, finalize_csr
+from robinsplit.linalg import factorize, finalize_csr, gmres
 
 from oracles import eliminate_dirichlet
 
@@ -68,6 +68,20 @@ def test_non_finite_solve_is_singular():
     fact = factorize(sp.diags([1.0, 1e-320]))
     with pytest.raises(SingularSystemError):
         fact.solve([1.0, 1.0])
+
+
+def test_gmres_refuses_rhs_without_finite_norm():
+    # each entry is finite, but the norm overflows: scipy's stopping
+    # tolerance would then be inf and accept x = 0
+    applied = []
+
+    def identity(x):
+        applied.append(x)
+        return x
+
+    with pytest.raises(SingularSystemError, match="norm inf, not finite"):
+        gmres(identity, np.full(4, 1e200), identity)
+    assert applied == []
 
 
 def test_rhs_dimension_mismatch():

@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import robinsplit
 
@@ -22,11 +23,26 @@ def test_readme_layout_counts_the_package_lines():
 
 
 def test_benchmark_tracer_installs(tmp_path):
-    # perfbench/tracing.py wraps package names given as strings, so a rename
-    # must fail here rather than in a benchmark run
+    # perfbench/tracing.py wraps package names given as strings and reads
+    # their positional arguments (the start-up's (case, config, disc), passed
+    # on to block_residuals; the accumulator's disc), so a rename or a
+    # signature change must fail here rather than in a benchmark run.  One
+    # traced start-up workload at the smoke level runs each of those reads.
     root = pathlib.Path(__file__).resolve().parents[1]
     path = os.pathsep.join(str(root / d) for d in ("perfbench", "src"))
-    code = "import sys, tracing; tracing.install(tracing.Tracer(sys.argv[1]))"
+    code = textwrap.dedent(
+        """
+        import sys, tracing, workloads
+        call = workloads.get("startup_p2", workloads.SMOKE_LEVEL).prepare(sys.argv[1])
+        tracer = tracing.Tracer(sys.argv[1])
+        tracing.install(tracer)
+        call()
+        tracer.finish()
+        metrics = tracing.layer_metrics(tracer.collect())
+        assert 0 < metrics["schemes.block_residual_max"] < 1e-9, metrics
+        assert metrics["diagnostics.reported_frac"] == 1.0, metrics
+        """
+    )
     done = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path},

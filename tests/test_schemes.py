@@ -101,7 +101,7 @@ def test_initialize_interpolates_data():
     case = case_example1()
     config = _config()
     disc = Discretization(config, case)
-    state = initialize(case, config, disc)
+    state = initialize(disc)
     assert state.n == 0
     # u0 vanishes along x1 = 0.5
     mid = np.isclose(disc.fluid.dof_coords[:, 0], 0.5)
@@ -117,7 +117,7 @@ def test_initialize_zero_case():
     config = _config()
     case = zero_case()
     disc = Discretization(config, case)
-    state = initialize(case, config, disc)
+    state = initialize(disc)
     assert not state.u.any() and not state.w.any() and not state.lam.any()
 
 
@@ -127,9 +127,9 @@ def test_zero_state_steps_to_zero():
     case = zero_case()
     config = _config()
     disc = Discretization(config, case)
-    nxt = step_original(_zero_state(disc), case, config, disc)
+    nxt = step_original(_zero_state(disc), disc)
     assert not nxt.u.any() and not nxt.w.any() and not nxt.lam.any()
-    mono = step_monolithic(_zero_state(disc), case, config, disc)
+    mono = step_monolithic(_zero_state(disc), disc)
     assert not mono.u.any() and not mono.w.any() and not mono.lam.any()
 
 
@@ -146,10 +146,10 @@ def test_original_step_residuals():
     case = case_example1()
     config = _config(nx=8, dt=0.0625, T=0.25)
     disc = Discretization(config, case)
-    prev = initialize(case, config, disc)
+    prev = initialize(disc)
     for _ in range(config.n_steps):
-        state = step_original(prev, case, config, disc)
-        res = weak_residuals_original(prev, state, case, config, disc)
+        state = step_original(prev, disc)
+        res = weak_residuals_original(prev, state, disc)
         assert res["solid"] < 1e-9
         assert res["fluid"] < 1e-9
         assert res["flux"] < 1e-9
@@ -160,9 +160,9 @@ def test_forced_case_residuals():
     case = case_example3()
     config = _config(nx=4, fe_order=2)
     disc = Discretization(config, case)
-    prev = initialize(case, config, disc)
-    state = step_original(prev, case, config, disc)
-    res = weak_residuals_original(prev, state, case, config, disc)
+    prev = initialize(disc)
+    state = step_original(prev, disc)
+    res = weak_residuals_original(prev, state, disc)
     assert max(res.values()) < 1e-9
 
 
@@ -182,9 +182,9 @@ def test_monolithic_step_residuals():
     case = case_example2()
     config = _config(nx=4, variant="monolithic", fe_order=2)
     disc = Discretization(config, case)
-    prev = initialize(case, config, disc)
-    state = step_monolithic(prev, case, config, disc)
-    res = weak_residuals_monolithic(prev, state, case, config, disc)
+    prev = initialize(disc)
+    state = step_monolithic(prev, disc)
+    res = weak_residuals_monolithic(prev, state, disc)
     assert res["coupled"] < 1e-9
     assert res["flux"] < 1e-9
 
@@ -213,7 +213,7 @@ def test_startup_matches_nine_block_lu(name, order):
     config = level_config(3, "improved", order, 0.25)
     disc = Discretization(config, case)
     got = solve_first_block_improved(case, config, disc)
-    want = first_block_reference(case, config, disc)
+    want = first_block_reference(disc)
     for g, w in zip(got, want, strict=True):
         assert g.n == w.n
         for field in ("u", "w", "lam"):
@@ -393,7 +393,7 @@ def test_band_preconditioner_exact_when_band_covers_interior(monkeypatch, name, 
     got = solve_first_block_improved(case, config, disc)
     assert iterations[0] <= 1e-10
     assert len(iterations) == steps
-    want = first_block_reference(case, config, disc)
+    want = first_block_reference(disc)
     for g, w in zip(got, want, strict=True):
         for field in ("u", "w", "lam"):
             a, b = getattr(g, field), getattr(w, field)
@@ -443,8 +443,8 @@ def test_first_step_loads_match_pointwise_quotients(name):
     case = get_case(name)
     config = level_config(3, "improved", default_order(name), 0.25)
     disc = Discretization(config, case)
-    got = schemes._first_step_loads(case, config, disc)
-    want = first_step_loads_pointwise(case, config, disc)
+    got = schemes._first_step_loads(disc)
+    want = first_step_loads_pointwise(disc)
     for i, (g, w) in enumerate(zip(got, want, strict=True)):
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), i
 
@@ -578,7 +578,7 @@ def test_energy_identity_homogeneous():
     for seed in (0, 1, 2):
         prev = _random_homogeneous_state(disc, seed)
         for _ in range(3):
-            state = step_original(prev, case, config, disc)
+            state = step_original(prev, disc)
             z1, s1 = zs_functionals(
                 solid=(state.w, prev.w),
                 fluid=(state.u, prev.u),
@@ -606,7 +606,7 @@ def test_combined_l2_norm_nonincreasing():
     state = _random_homogeneous_state(disc, 5)
     norms = []
     for _ in range(config.n_steps):
-        state = step_original(state, case, config, disc)
+        state = step_original(state, disc)
         norms.append(
             float(state.u @ (disc.mass_f @ state.u) + state.w @ (disc.mass_s @ state.w))
         )
