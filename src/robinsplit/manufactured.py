@@ -9,21 +9,21 @@ construction and the flux variable is
 
     l(t, x1) = nu_f * d/dx2 [u](t, x1, split_y).
 
-Every case is separable by construction: it stores each exact field once,
-as its profile at t = 0, a function of the points alone (``u0``/``w0``,
-their gradients, the Hessian of ``u0``, the forcings ``f_f0``/``f_s0`` and
-the flux ``l0``), together with three scalar factors of t.  Each exact field
-(``u_exact``, ``grad_u``, ``hess_u``, ``l_exact``, ...) is ``time_factor(t)``
-times its profile, with ``time_factor(0) == 1``; ``dt_u``/``dt_w`` are
-``time_derivative(t)`` times the profiles of u and w, and ``f_f``/``f_s``
-are ``forcing_factor(t)`` times the forcing profiles.  The package reads
-the profiles directly: the discretization assembles one load per field and
-run, the improved start-up poses its exact first-step data as two scalars
-times four loads of profiles, and the error accumulator evaluates the exact
-gradients and Hessians at the quadrature points once per run.
+A case is its profiles and three scalar factors, nothing more.  It stores
+each exact field once, as its profile at t = 0, a function of the points
+alone (``u0``/``w0``, their gradients, the Hessian of ``u0``, the forcings
+``f_f0``/``f_s0`` and the flux ``l0``).  The field at time t is
+``time_factor(t)`` times its profile, with ``time_factor(0) == 1``; the
+time derivatives of u and w are ``time_derivative(t)`` times their
+profiles, and the forcings are ``forcing_factor(t)`` times theirs.  A case
+defines no exact-field method: the package reads the profiles and factors
+directly.  The discretization assembles one load per field and run, the
+improved start-up poses its exact first-step data as two scalars times four
+loads of profiles, and the error accumulator evaluates the exact gradients
+and Hessians at the quadrature points once per run.
 
 Profiles take point arrays of shape (..., 2) (the flux: abscissae x1) and
-return vectorized numpy output; the exact fields take a scalar time first.
+return vectorized numpy output; the factors take a scalar time.
 """
 
 import math
@@ -34,22 +34,10 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def _scaled(factor, profile):
-    """The case method (t, x) -> ``factor(t) * profile(x)``; a profile of
-    None is zero."""
-
-    def method(self, t, x):
-        g = getattr(self, profile)
-        if g is None:
-            return np.zeros(np.shape(x)[:-1])
-        return getattr(self, factor)(t) * g(x)
-
-    return method
-
-
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution bundle driving a manufactured run.
+    """Exact solution of a manufactured run: profiles at t = 0 and three
+    scalar factors of t.
 
     Every run of a case discretizes its diffusivities ``nu_f``, ``nu_s``
     (finite and positive) and interface height ``split_y``.  ``f_f0`` /
@@ -72,17 +60,6 @@ class ManufacturedCase:
     time_factor: object
     time_derivative: object
     forcing_factor: object
-
-    u_exact = _scaled("time_factor", "u0")
-    w_exact = _scaled("time_factor", "w0")
-    grad_u = _scaled("time_factor", "grad_u0")
-    grad_w = _scaled("time_factor", "grad_w0")
-    hess_u = _scaled("time_factor", "hess_u0")
-    l_exact = _scaled("time_factor", "l0")
-    dt_u = _scaled("time_derivative", "u0")
-    dt_w = _scaled("time_derivative", "w0")
-    f_f = _scaled("forcing_factor", "f_f0")
-    f_s = _scaled("forcing_factor", "f_s0")
 
     def __post_init__(self):
         for name in ("nu_f", "nu_s"):

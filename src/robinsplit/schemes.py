@@ -55,7 +55,6 @@ class SchemeConfig:
     fe_order: int = 1
     variant: str = "original"
     alpha: float = 4.0
-    diagonal: str = "criss"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -97,7 +96,7 @@ class Discretization:
     def __init__(self, config, case):
         self.config = config
         self.case = case
-        self.mesh = build_two_domain_mesh(config.nx, case.split_y, config.diagonal)
+        self.mesh = build_two_domain_mesh(config.nx, case.split_y)
         self.fluid = fem.FeSpace(self.mesh, "fluid", config.fe_order)
         self.solid = fem.FeSpace(self.mesh, "solid", config.fe_order)
         self.mass_f = fem.assemble_mass(self.fluid)

@@ -4,8 +4,12 @@ the test-only helpers that no run of the package needs.
 * The error quantities recomputed from every stored level of a run, the
   cross-check for ``diagnostics.ErrorAccumulator``: they take
   ``states = list(run(...))``, indexed by level, and evaluate each quantity
-  pair by pair through the plain error norms below, with the exact field
-  sampled at each time rather than scaled by ``time_factor``.
+  pair by pair through the plain error norms below, with each exact field
+  evaluated at each time through ``exact_field`` rather than folded into
+  the profile's norms once per run.
+* ``exact_field``: a case's exact field at time t as its factor times its
+  profile, the product the case stores it as; the package reads the
+  profiles and factors directly, and only the tests sample whole fields.
 * The improved start-up as one nine-block linear system over
   ``w1 w2 w3 u1 u2 u3 l1 l2 l3``, with Dirichlet dofs kept as identity rows
   and solved by one sparse LU, with its loads assembled at each level's
@@ -49,6 +53,20 @@ from robinsplit.errors import ConfigurationError
 from robinsplit.manufactured import case_example1
 
 
+def exact_field(case, profile, factor="time_factor"):
+    """The exact field ``factor(t) * profile(x)`` of ``case`` as a function
+    (t, x) -> values: the product the case stores it as.  A profile of None
+    is zero."""
+    g, c = getattr(case, profile), getattr(case, factor)
+
+    def field(t, x):
+        if g is None:
+            return np.zeros(np.shape(x)[:-1])
+        return c(t) * g(x)
+
+    return field
+
+
 def _frozen_diff(f, ta, tb):
     return lambda _t, x: f(ta, x) - f(tb, x)
 
@@ -61,13 +79,14 @@ def final_time_errors(states, case, disc):
     tp = T - config.dt
     sN, sP = states[N], states[N - 1]
     fluid, solid = disc.fluid, disc.solid
+    u, w, grad_u = (exact_field(case, p) for p in ("u0", "w0", "grad_u0"))
     return ErrorReport(
         dt=config.dt,
         h=1.0 / config.nx,
-        e_u=l2_error(fluid, sN.u, case.u_exact, T),
-        e_du=l2_error(fluid, sN.u - sP.u, _frozen_diff(case.u_exact, T, tp), 0.0),
-        e_dw=l2_error(solid, sN.w - sP.w, _frozen_diff(case.w_exact, T, tp), 0.0),
-        e_gdu=h1_semi_error(fluid, sN.u - sP.u, _frozen_diff(case.grad_u, T, tp), 0.0),
+        e_u=l2_error(fluid, sN.u, u, T),
+        e_du=l2_error(fluid, sN.u - sP.u, _frozen_diff(u, T, tp), 0.0),
+        e_dw=l2_error(solid, sN.w - sP.w, _frozen_diff(w, T, tp), 0.0),
+        e_gdu=h1_semi_error(fluid, sN.u - sP.u, _frozen_diff(grad_u, T, tp), 0.0),
     )
 
 
@@ -77,28 +96,31 @@ def summed_errors(states, case, disc):
     N = config.n_steps
     dt = config.dt
     fluid, solid = disc.fluid, disc.solid
+    grad_u, grad_w, hess_u, l = (
+        exact_field(case, p) for p in ("grad_u0", "grad_w0", "hess_u0", "l0")
+    )
     sums = dict.fromkeys(SUMMED_QUANTITIES, 0.0)
     for n in range(1, N):
         a, b = states[n], states[n + 1]
         ta, tb = n * dt, (n + 1) * dt
         sums["e_gdus"] += (
-            h1_semi_error(fluid, b.u - a.u, _frozen_diff(case.grad_u, tb, ta), 0.0) ** 2
+            h1_semi_error(fluid, b.u - a.u, _frozen_diff(grad_u, tb, ta), 0.0) ** 2
         )
         sums["e_gdws"] += (
-            h1_semi_error(solid, b.w - a.w, _frozen_diff(case.grad_w, tb, ta), 0.0) ** 2
+            h1_semi_error(solid, b.w - a.w, _frozen_diff(grad_w, tb, ta), 0.0) ** 2
         )
         sums["e_dls"] += (
             sigma_l2_error(
                 fluid,
                 b.lam - a.lam,
-                lambda _t, x1, _ta=ta, _tb=tb: case.l_exact(_tb, x1) - case.l_exact(_ta, x1),
+                lambda _t, x1, _ta=ta, _tb=tb: l(_tb, x1) - l(_ta, x1),
                 0.0,
             )
             ** 2
         )
         sums["e_ggdus"] += (
             broken_h2_seminorm_diff(
-                fluid, b.u - a.u, _frozen_diff(case.hess_u, tb, ta), 0.0
+                fluid, b.u - a.u, _frozen_diff(hess_u, tb, ta), 0.0
             )
             ** 2
         )
@@ -107,7 +129,7 @@ def summed_errors(states, case, disc):
         ta, tb, tc = (n - 1) * dt, n * dt, (n + 1) * dt
 
         def second_diff(_t, x):
-            return case.grad_u(tc, x) - 2 * case.grad_u(tb, x) + case.grad_u(ta, x)
+            return grad_u(tc, x) - 2 * grad_u(tb, x) + grad_u(ta, x)
 
         sums["e_gdu2s"] += (
             h1_semi_error(fluid, c.u - 2 * b.u + a.u, second_diff, 0.0) ** 2
@@ -245,9 +267,10 @@ def first_step_loads_pointwise(disc):
     """
     case, dt = disc.case, disc.config.dt
     times = [j * dt for j in range(4)]
+    u, w, l = (exact_field(case, p) for p in ("u0", "w0", "l0"))
 
     def trace(t, x1):
-        return case.u_exact(t, _lift(x1, case.split_y))
+        return u(t, _lift(x1, case.split_y))
 
     # the interface quotients subtract differences, the volume ones take
     # q2 - 2 q1 + q0: equal in exact arithmetic
@@ -261,11 +284,11 @@ def first_step_loads_pointwise(disc):
         return lambda x: (q(times[2], x) - 2 * q(times[1], x) + q(times[0], x)) / dt
 
     return (
-        fem.assemble_load(disc.solid, volume(case.w_exact)),
-        fem.assemble_load(disc.fluid, volume(case.u_exact)),
+        fem.assemble_load(disc.solid, volume(w)),
+        fem.assemble_load(disc.fluid, volume(u)),
         *(
             fem.assemble_interface_load(disc.fluid, interface(q, n))
-            for q in (trace, case.l_exact)
+            for q in (trace, l)
             for n in (2, 3)
         ),
     )
@@ -279,18 +302,19 @@ def _lift(x1, y):
 def _first_block_rhs(disc, offsets):
     case, dt, alpha = disc.case, disc.config.dt, disc.config.alpha
     ddw, ddu, g1_2, g1_3, g2_2, g2_3 = schemes._first_step_loads(disc)
+    f_f, f_s = (exact_field(case, p, "forcing_factor") for p in ("f_f0", "f_s0"))
     parts = [
         ("w1", ddw),
         ("w1", disc.lift_s(alpha * dt * g1_2 - dt * g2_2)),
-        ("w1", _load(disc.solid, case.f_s, dt)),
+        ("w1", _load(disc.solid, f_s, dt)),
         ("u1", ddu),
         ("u1", disc.lift_f(alpha * dt * g1_3 + dt * g2_3)),
-        ("u1", _load(disc.fluid, case.f_f, dt)),
+        ("u1", _load(disc.fluid, f_f, dt)),
         ("l1", -alpha * dt * g1_3 + dt * g2_2),
-        ("w2", _load(disc.solid, case.f_s, 2 * dt)),
-        ("u2", _load(disc.fluid, case.f_f, 2 * dt)),
-        ("w3", _load(disc.solid, case.f_s, 3 * dt)),
-        ("u3", _load(disc.fluid, case.f_f, 3 * dt)),
+        ("w2", _load(disc.solid, f_s, 2 * dt)),
+        ("u2", _load(disc.fluid, f_f, 2 * dt)),
+        ("w3", _load(disc.solid, f_s, 3 * dt)),
+        ("u3", _load(disc.fluid, f_f, 3 * dt)),
     ]
     mask = _first_block_dirichlet_mask(disc)
     rhs = np.zeros(mask.size)

@@ -27,6 +27,7 @@ from conftest import STUDY_T, level_config
 from oracles import (
     element_mass,
     element_stiffness,
+    exact_field,
     weak_residuals_monolithic,
     zero_case,
     zs_functionals,
@@ -340,12 +341,14 @@ def test_unit_suite_cross_checks():
     rng = np.random.default_rng(123)
     for name in ("example1", "example2", "example3"):
         case = get_case(name)
+        hess_u = exact_field(case, "hess_u0")
+        dt_u = exact_field(case, "u0", "time_derivative")
+        f_f = exact_field(case, "f_f0", "forcing_factor")
         for _ in range(20):
             t = rng.uniform(0.0, 1.0)
             x = rng.uniform(size=2)
-            lap = case.hess_u(t, x)[0, 0] + case.hess_u(t, x)[1, 1]
-            f = 0.0 if case.f_f is None else case.f_f(t, x)
-            worst_pde = max(worst_pde, abs(case.dt_u(t, x) - case.nu_f * lap - f))
+            lap = hess_u(t, x)[0, 0] + hess_u(t, x)[1, 1]
+            worst_pde = max(worst_pde, abs(dt_u(t, x) - case.nu_f * lap - f_f(t, x)))
     checks["pde_consistency"] = worst_pde
 
     g = rng.normal(size=(50, 50))

@@ -29,6 +29,7 @@ from oracles import (
     broken_h2_seminorm_diff,
     element_mass,
     element_stiffness,
+    exact_field,
     fe_grads_at_qp,
     fe_hessians_at_qp,
     fe_values_at_qp,
@@ -280,7 +281,10 @@ def test_load_vector_chunk_independent(monkeypatch):
     # nx = 8: 96 fluid and 32 solid cells, so chunks of 7 leave a remainder
     case = case_example3()
     fluid, solid = _spaces(8, 2)
-    forcing = {fluid: partial(case.f_f, 0.5), solid: partial(case.f_s, 0.5)}
+    forcing = {
+        fluid: partial(exact_field(case, "f_f0", "forcing_factor"), 0.5),
+        solid: partial(exact_field(case, "f_s0", "forcing_factor"), 0.5),
+    }
     want = {space: assemble_load(space, f) for space, f in forcing.items()}
     monkeypatch.setattr(fem, "CHUNK_CELLS", 7)
     for space, load in want.items():

@@ -16,6 +16,7 @@ from robinsplit.manufactured import (
     exact_first_step_data,
     get_case,
 )
+from oracles import exact_field
 
 ALL_CASES = [case_example1(), case_example2(), case_example3()]
 
@@ -48,53 +49,57 @@ def test_default_orders():
 
 
 def test_pde_consistency_closed_forms():
-    # dt_u - nu * tr(hess_u) must equal the stored forcing everywhere
+    # dt u - nu * tr(hess u) must equal the stored forcing everywhere
     rng = np.random.default_rng(42)
     for case in ALL_CASES:
+        hess_u = exact_field(case, "hess_u0")
+        dt_u = exact_field(case, "u0", "time_derivative")
+        f_f = exact_field(case, "f_f0", "forcing_factor")
         for _ in range(20):
             t = rng.uniform(0.0, 1.0)
             x = _random_points(rng, 1)[0]
-            lap = case.hess_u(t, x)[0, 0] + case.hess_u(t, x)[1, 1]
-            residual = case.dt_u(t, x) - case.nu_f * lap
-            assert abs(residual - case.f_f(t, x)) < 1e-10, case.name
+            lap = hess_u(t, x)[0, 0] + hess_u(t, x)[1, 1]
+            residual = dt_u(t, x) - case.nu_f * lap
+            assert abs(residual - f_f(t, x)) < 1e-10, case.name
 
 
 def test_time_derivative_against_differences():
     rng = np.random.default_rng(1)
     eps = 1e-6
     for case in ALL_CASES:
+        u, dt_u = exact_field(case, "u0"), exact_field(case, "u0", "time_derivative")
         t = 0.37
         x = _random_points(rng, 8)
-        fd = (case.u_exact(t + eps, x) - case.u_exact(t - eps, x)) / (2 * eps)
-        np.testing.assert_allclose(fd, case.dt_u(t, x), atol=1e-5)
+        fd = (u(t + eps, x) - u(t - eps, x)) / (2 * eps)
+        np.testing.assert_allclose(fd, dt_u(t, x), atol=1e-5)
 
 
 def test_gradient_against_differences():
     rng = np.random.default_rng(2)
     eps = 1e-6
     for case in ALL_CASES:
+        u, grad_u = exact_field(case, "u0"), exact_field(case, "grad_u0")
         t = 0.61
         x = _random_points(rng, 8)
         for axis in (0, 1):
             shift = np.zeros(2)
             shift[axis] = eps
-            fd = (case.u_exact(t, x + shift) - case.u_exact(t, x - shift)) / (2 * eps)
-            np.testing.assert_allclose(fd, case.grad_u(t, x)[:, axis], atol=1e-5)
+            fd = (u(t, x + shift) - u(t, x - shift)) / (2 * eps)
+            np.testing.assert_allclose(fd, grad_u(t, x)[:, axis], atol=1e-5)
 
 
 def test_hessian_against_differences():
     rng = np.random.default_rng(3)
     eps = 1e-4
     for case in ALL_CASES:
+        grad_u, hess_u = exact_field(case, "grad_u0"), exact_field(case, "hess_u0")
         t = 0.25
         x = _random_points(rng, 4)
         for axis in (0, 1):
             shift = np.zeros(2)
             shift[axis] = eps
-            fd = (
-                case.grad_u(t, x + shift) - case.grad_u(t, x - shift)
-            ) / (2 * eps)
-            np.testing.assert_allclose(fd, case.hess_u(t, x)[:, axis, :], atol=1e-6)
+            fd = (grad_u(t, x + shift) - grad_u(t, x - shift)) / (2 * eps)
+            np.testing.assert_allclose(fd, hess_u(t, x)[:, axis, :], atol=1e-6)
 
 
 def test_interface_continuity():
@@ -102,10 +107,9 @@ def test_interface_continuity():
     for case in ALL_CASES:
         x1 = rng.uniform(size=12)
         pts = np.stack([x1, np.full_like(x1, case.split_y)], axis=-1)
+        u, w = exact_field(case, "u0"), exact_field(case, "w0")
         for t in (0.0, 0.3, 1.0):
-            np.testing.assert_allclose(
-                case.u_exact(t, pts), case.w_exact(t, pts), atol=1e-14
-            )
+            np.testing.assert_allclose(u(t, pts), w(t, pts), atol=1e-14)
 
 
 def test_flux_balance_across_interface():
@@ -114,8 +118,9 @@ def test_flux_balance_across_interface():
     for case in ALL_CASES:
         x1 = rng.uniform(size=12)
         pts = np.stack([x1, np.full_like(x1, case.split_y)], axis=-1)
+        grad_u, grad_w = exact_field(case, "grad_u0"), exact_field(case, "grad_w0")
         for t in (0.0, 0.5):
-            jump = case.nu_f * case.grad_u(t, pts)[:, 1] - case.nu_s * case.grad_w(t, pts)[:, 1]
+            jump = case.nu_f * grad_u(t, pts)[:, 1] - case.nu_s * grad_w(t, pts)[:, 1]
             assert np.max(np.abs(jump)) < 1e-14
 
 
@@ -124,18 +129,15 @@ def test_multiplier_matches_normal_flux():
     for case in ALL_CASES:
         x1 = rng.uniform(size=12)
         pts = np.stack([x1, np.full_like(x1, case.split_y)], axis=-1)
+        l, grad_u = exact_field(case, "l0"), exact_field(case, "grad_u0")
         for t in (0.0, 0.8):
-            np.testing.assert_allclose(
-                case.l_exact(t, x1),
-                case.nu_f * case.grad_u(t, pts)[:, 1],
-                atol=1e-13,
-            )
+            np.testing.assert_allclose(l(t, x1), case.nu_f * grad_u(t, pts)[:, 1], atol=1e-13)
 
 
 def test_multiplier_value_at_origin():
     case = case_example1()
     expected = -math.pi * math.sqrt(2.0) / 2.0
-    assert abs(case.l_exact(0.0, np.array(0.0)) - expected) < 1e-12
+    assert abs(exact_field(case, "l0")(0.0, np.array(0.0)) - expected) < 1e-12
     assert abs(expected + 2.221441469) < 1e-9
 
 
@@ -143,17 +145,19 @@ def test_example1_forcing_free():
     case = case_example1()
     assert case.f_f0 is None and case.f_s0 is None
     pts = np.array([[0.1, 0.6], [0.3, 0.4]])
-    assert not case.f_f(0.5, pts).any() and not case.f_s(0.5, pts).any()
+    for profile in ("f_f0", "f_s0"):
+        assert not exact_field(case, profile, "forcing_factor")(0.5, pts).any()
 
 
 @pytest.mark.parametrize("make", [case_example2, case_example3])
 def test_forcing_scales_by_forcing_factor(make):
     case = make()
     pts = np.array([[0.1, 0.6], [0.3, 0.4], [0.8, 0.9]])
+    f_f = exact_field(case, "f_f0", "forcing_factor")
     assert case.forcing_factor(0.0) == 1.0
     for t in (0.1, 0.7):
         np.testing.assert_allclose(
-            case.f_f(t, pts), case.forcing_factor(t) * case.f_f(0.0, pts), rtol=1e-14
+            f_f(t, pts), case.forcing_factor(t) * f_f(0.0, pts), rtol=1e-14
         )
 
 
@@ -167,21 +171,25 @@ def test_example2_forcing_formula():
     expected = (3 * t**2 + 2 * np.pi**2 * (t**3 + 1)) * np.cos(np.pi * 0.3) * np.sin(
         np.pi * 0.4
     )
-    np.testing.assert_allclose(case.f_f(t, pts), [expected], rtol=1e-14)
+    np.testing.assert_allclose(
+        exact_field(case, "f_f0", "forcing_factor")(t, pts), [expected], rtol=1e-14
+    )
 
 
 def test_example3_forcing_formula():
     case = case_example3()
     t, pts = 0.2, np.array([[0.1, 0.6]])
     expected = (1 + 2 * np.pi**2) * np.exp(t) * np.cos(np.pi * 0.1) * np.sin(np.pi * 0.6)
-    np.testing.assert_allclose(case.f_f(t, pts), [expected], rtol=1e-14)
+    np.testing.assert_allclose(
+        exact_field(case, "f_f0", "forcing_factor")(t, pts), [expected], rtol=1e-14
+    )
 
 
 def test_example2_initial_profile():
     case = case_example2()
     pts = np.array([[0.25, 0.5]])
     np.testing.assert_allclose(
-        case.u_exact(0.0, pts), np.cos(np.pi * 0.25) * np.sin(np.pi * 0.5), rtol=1e-14
+        exact_field(case, "u0")(0.0, pts), np.cos(np.pi * 0.25) * np.sin(np.pi * 0.5), rtol=1e-14
     )
 
 
@@ -189,8 +197,9 @@ def test_example2_initial_profile():
 @settings(deadline=None, max_examples=40)
 def test_mirror_antisymmetry(t, x1):
     for case in ALL_CASES:
-        a = case.u_exact(t, np.array([x1, 0.4]))
-        b = case.u_exact(t, np.array([1.0 - x1, 0.4]))
+        u = exact_field(case, "u0")
+        a = u(t, np.array([x1, 0.4]))
+        b = u(t, np.array([1.0 - x1, 0.4]))
         assert abs(a + b) < 1e-12 * max(1.0, abs(a))
 
 

@@ -66,3 +66,34 @@ def test_benchmark_smoke_outputs_match_references(tmp_path, monkeypatch):
         scratch.mkdir()
         output = workload.output(workload.prepare(scratch)(), scratch)
         assert workload.check(output, workload.load_reference()) == [], name
+
+
+def test_bench_large_records_one_small_run(monkeypatch):
+    # scripts/bench_large.py writes BENCH_large.json from records measured in
+    # fresh processes through wrappers around package names; one small run
+    # shows every field is filled and that the wrappers leave the nine
+    # quantities as run_with_errors reports them
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    import bench_large
+    from robinsplit.cli import level_config
+
+    (record,) = bench_large.measure_each([("example1", 1, "improved", 3)])
+    assert set(record) == {
+        "case", "order", "variant", "k", "dt", "nx", "wall_s", "vmhwm_mib",
+        "factors", "startup", "quantities",
+    }
+    assert record["wall_s"] > 0 and record["vmhwm_mib"] > 0
+    assert [f["kind"] for f in record["factors"]] == ["startup"] * 5 + ["robin"] * 2
+    for factor in record["factors"]:
+        assert set(factor) == {"kind", "n", "nnz_a", "nnz_lu", "seconds"}, factor
+        assert factor["nnz_lu"] >= factor["nnz_a"] >= factor["n"] > 0, factor
+    startup = record["startup"]
+    assert set(startup) == {"unknowns", "seconds", "gmres"}
+    assert startup["unknowns"] == 3 * (17 * 13 + 17 * 5 + 17)  # P1, nx = 16
+    gmres = startup["gmres"]
+    assert set(gmres) == {"iterations", "applications", "restarts", "seconds"}
+    assert gmres["applications"] == gmres["iterations"] + gmres["restarts"] + 1 > 1
+    config = level_config(3, "improved", 1, bench_large.T)
+    want = robinsplit.run_with_errors(robinsplit.get_case("example1"), config, k=3)
+    assert record["quantities"] == want.values()
