@@ -170,7 +170,8 @@ class FeSpace:
     ``dirichlet_mask`` marks the Dirichlet dofs; ``interface_dofs`` lists
     the interface dofs ordered by increasing x.  The comparisons are exact,
     since every boundary dof copies one grid row's y and a P2 midpoint of
-    two equal values is that value.
+    two equal values is that value.  The space keeps its cells' corners,
+    not the mesh it was built from.
     """
 
     def __init__(self, mesh, subdomain, order):
@@ -178,7 +179,6 @@ class FeSpace:
             raise ConfigurationError(f"subdomain must be 'fluid' or 'solid', got {subdomain!r}")
         if order not in (1, 2):
             raise ConfigurationError(f"order must be 1 or 2, got {order!r}")
-        self.mesh = mesh
         self.subdomain = subdomain
         self.order = order
         tris_global = mesh.triangles_f if subdomain == "fluid" else mesh.triangles_s
@@ -208,13 +208,12 @@ class FeSpace:
         self.dof_coords = np.vstack(coords)
         self.ndof = self.dof_coords.shape[0]
 
-        self._build_geometry()
+        self._build_geometry(mesh.vertices[tris_global])
         self._build_boundary()
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_geometry(self):
-        corners = self.mesh.vertices[self.mesh.triangles_f if self.subdomain == "fluid" else self.mesh.triangles_s]
+    def _build_geometry(self, corners):
         det, self._jac_inv = _affine_maps(corners)
         if np.any(det <= 0):
             raise ConfigurationError("mesh contains non-ccw triangles")

@@ -1,11 +1,12 @@
-"""Structured two-subdomain triangulations sharing a horizontal interface.
+"""The structured two-subdomain triangulation of the unit square.
 
 The unit square is divided at ``y = split_y`` into a lower "fluid" rectangle
 and an upper "solid" rectangle.  Both rectangles are meshed by the same
-uniform grid of squares with spacing ``1/nx``, each square cut into two right
-triangles, so the submeshes are conforming along the dividing line and share
-its vertices.  The mesh carries no boundary data: each ``fem.FeSpace`` reads
-its Dirichlet side and the interface off its own dof coordinates.
+uniform grid of squares with spacing ``1/nx``, each square cut from its
+lower-left to its upper-right corner into two right triangles, so the
+submeshes are conforming along the dividing line and share its vertices.
+The mesh is its triangulation alone: each ``fem.FeSpace`` reads its
+Dirichlet side and the interface off its own dof coordinates.
 """
 
 from dataclasses import dataclass
@@ -22,12 +23,9 @@ class TwoDomainMesh:
     vertices: np.ndarray
     triangles_f: np.ndarray
     triangles_s: np.ndarray
-    split_y: float
-    nx: int
-    diagonal: str = "criss"
 
 
-def build_two_domain_mesh(nx, split_y, diagonal="criss"):
+def build_two_domain_mesh(nx, split_y):
     """Build the two-subdomain mesh with nx cells per unit length.
 
     Parameters
@@ -37,12 +35,6 @@ def build_two_domain_mesh(nx, split_y, diagonal="criss"):
     split_y : float
         Height of the dividing line; nx * split_y must be an integer so the
         line coincides with a grid row.
-    diagonal : str
-        "criss" cuts every square along the same diagonal.  "alternating"
-        flips the diagonal on a checkerboard pattern, which makes the
-        triangulation invariant under the reflection x -> 1 - x when nx is
-        even (useful for symmetry checks); the default matches the uniform
-        layout used by the convergence studies.
 
     Returns
     -------
@@ -61,8 +53,6 @@ def build_two_domain_mesh(nx, split_y, diagonal="criss"):
     rows_f = int(round(rows_f))
     if rows_f == 0 or rows_f == nx:
         raise ConfigurationError("each subdomain needs at least one cell row")
-    if diagonal not in ("criss", "alternating"):
-        raise ConfigurationError(f"unknown diagonal style {diagonal!r}")
 
     h = 1.0 / nx
     xs = np.arange(nx + 1) * h
@@ -75,21 +65,10 @@ def build_two_domain_mesh(nx, split_y, diagonal="criss"):
     v00 = iy * (nx + 1) + ix
     v10, v01 = v00 + 1, v00 + nx + 1
     v11 = v01 + 1
-    if diagonal == "criss":
-        same = np.ones(nx * nx, dtype=bool)
-    else:
-        same = (ix + iy) % 2 == 0
-    first = np.where(same, [v00, v10, v11], [v00, v10, v01])
-    second = np.where(same, [v00, v11, v01], [v10, v11, v01])
-    triangles = np.stack([first.T, second.T], axis=1).reshape(-1, 3)
-    triangles_f = triangles[: 2 * nx * rows_f]
-    triangles_s = triangles[2 * nx * rows_f :]
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
     return TwoDomainMesh(
         vertices=vertices,
-        triangles_f=triangles_f,
-        triangles_s=triangles_s,
-        split_y=float(split_y),
-        nx=nx,
-        diagonal=diagonal,
+        triangles_f=triangles[: 2 * nx * rows_f],
+        triangles_s=triangles[2 * nx * rows_f :],
     )

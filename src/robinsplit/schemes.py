@@ -39,14 +39,19 @@ from .mesh import build_two_domain_mesh
 
 VARIANTS = ("original", "improved", "monolithic")
 
+# the most time steps a run may take: 128 times the 512 of the largest
+# study (k = 8 at T = 1), so a T/dt too large to run is refused, not run
+MAX_STEPS = 2**16
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Discretization parameters for one run.
 
     ``dt`` must divide ``T`` into at least four steps (the improved start-up
-    produces levels 1..3 in one solve).  ``fe_order`` selects P1 or P2.  The
-    problem's diffusivities and interface height belong to the case.
+    produces levels 1..3 in one solve) and at most ``MAX_STEPS``.
+    ``fe_order`` selects P1 or P2.  The problem's diffusivities and
+    interface height belong to the case.
     """
 
     dt: float
@@ -68,6 +73,10 @@ class SchemeConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
         n = self.T / self.dt
+        if n > MAX_STEPS:
+            raise ConfigurationError(
+                f"T/dt = {self.T}/{self.dt} = {n:g} steps, more than MAX_STEPS = {MAX_STEPS}"
+            )
         if abs(n - round(n)) > 1e-9 or round(n) < 4:
             raise ConfigurationError(
                 f"T/dt must be an integer >= 4, got {self.T}/{self.dt} = {n}"
@@ -96,9 +105,9 @@ class Discretization:
     def __init__(self, config, case):
         self.config = config
         self.case = case
-        self.mesh = build_two_domain_mesh(config.nx, case.split_y)
-        self.fluid = fem.FeSpace(self.mesh, "fluid", config.fe_order)
-        self.solid = fem.FeSpace(self.mesh, "solid", config.fe_order)
+        mesh = build_two_domain_mesh(config.nx, case.split_y)
+        self.fluid = fem.FeSpace(mesh, "fluid", config.fe_order)
+        self.solid = fem.FeSpace(mesh, "solid", config.fe_order)
         self.mass_f = fem.assemble_mass(self.fluid)
         self.mass_s = fem.assemble_mass(self.solid)
         self.stiff_f = fem.assemble_stiffness(self.fluid)
@@ -339,8 +348,10 @@ class _FieldRows:
         interior[space.interface_dofs] = False
         self.interior = np.flatnonzero(interior)
         self.trace = space.interface_dofs
-        # the tolerance absorbs the rounding of grid coordinates
-        layers = np.abs(space.dof_coords[:, 1] - space.mesh.split_y) * space.mesh.nx
+        # cell layers from the interface, whose cells are as high as they
+        # are wide; the tolerance absorbs the rounding of grid coordinates
+        y = space.dof_coords[:, 1]
+        layers = np.abs(y - y[self.trace[0]]) / space._interface_lengths[0]
         self.band = self.interior[layers[self.interior] <= STARTUP_BAND_LAYERS + 1e-9]
         i, g, n = self.interior, self.trace, self.band
         # the LUs first, each matrix built just before its own and dropped

@@ -24,7 +24,8 @@ the test-only helpers that no run of the package needs.
   cell, and P2 dofs numbered through a dict of vertex pairs: the cross-checks
   for ``fem``'s reference-tensor assembly and array-based numbering.
 * The two-subdomain mesh built by a Python loop over the grid squares: the
-  cross-check for ``mesh.build_two_domain_mesh``'s array construction.
+  cross-check for ``mesh.build_two_domain_mesh``'s array construction, and
+  the only builder of the alternating layout that the symmetry checks use.
 * Whole-array quadrature tables (every point of every cell at once) and the
   plain error norms built on them, which the error quantities above use;
   single-element mass and stiffness matrices; mesh areas, interface edges
@@ -378,6 +379,13 @@ def stiffness_at_quadrature_points(space):
     return fem._scatter(space.cell_dofs, local, space.ndof)
 
 
+def grid_size(mesh):
+    """``(nx, rows_f)`` counted off the arrays: the grid has (nx + 1)^2
+    vertices and each fluid cell row 2 nx triangles."""
+    nx = math.isqrt(len(mesh.vertices)) - 1
+    return nx, len(mesh.triangles_f) // (2 * nx)
+
+
 def numbering_reference(mesh, subdomain, order):
     """``cell_dofs``, ``dirichlet_mask`` and ``interface_dofs`` of a P1 or P2
     space.  Edges are numbered by ``np.unique`` over vertex pairs and looked
@@ -386,8 +394,7 @@ def numbering_reference(mesh, subdomain, order):
     ``g // (nx + 1)``, the Dirichlet side is row 0 (fluid) or nx (solid),
     the interface is row ``rows_f``, and an edge dof belongs to a side when
     both its vertices do."""
-    nx = mesh.nx
-    rows_f = int(round(mesh.split_y * nx))
+    nx, rows_f = grid_size(mesh)
     tris_global = mesh.triangles_f if subdomain == "fluid" else mesh.triangles_s
     verts_used, tris_local = np.unique(tris_global, return_inverse=True)
     tris_local = tris_local.reshape(tris_global.shape)
@@ -421,7 +428,14 @@ def numbering_reference(mesh, subdomain, order):
 
 
 def two_domain_mesh_loops(nx, split_y, diagonal="criss"):
-    """``mesh.build_two_domain_mesh`` by a Python loop over the squares."""
+    """``mesh.build_two_domain_mesh`` by a Python loop over the squares.
+
+    ``diagonal="criss"`` cuts every square along the same diagonal, the one
+    layout of the package.  ``"alternating"`` flips the diagonal on a
+    checkerboard pattern, which makes the triangulation invariant under the
+    reflection x -> 1 - x when nx is even; this is its only builder, for
+    the symmetry and numbering checks.
+    """
     if int(nx) != nx or nx < 2:
         raise ConfigurationError(f"nx must be an integer >= 2, got {nx!r}")
     nx = int(nx)
@@ -467,9 +481,6 @@ def two_domain_mesh_loops(nx, split_y, diagonal="criss"):
         vertices=vertices,
         triangles_f=triangles_f,
         triangles_s=triangles_s,
-        split_y=float(split_y),
-        nx=nx,
-        diagonal=diagonal,
     )
 
 
@@ -582,7 +593,8 @@ def mesh_to_text(mesh):
     Records: ``v i x y`` vertices, ``tf a b c`` / ``ts a b c`` fluid/solid
     triangles.
     """
-    lines = [f"# two-domain mesh nx={mesh.nx} split_y={mesh.split_y!r} diagonal={mesh.diagonal}"]
+    nx, rows_f = grid_size(mesh)
+    lines = [f"# two-domain mesh nx={nx} fluid_rows={rows_f}"]
     for i, (x, y) in enumerate(mesh.vertices):
         lines.append(f"v {i} {float(x)!r} {float(y)!r}")
     for a, b, c in mesh.triangles_f:

@@ -299,6 +299,20 @@ def test_level_ceiling_is_hard(capsys):
     assert code == 2
 
 
+def test_huge_T_is_config_error(monkeypatch, capsys):
+    # T/dt past schemes.MAX_STEPS is refused before any level starts
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was started")
+
+    monkeypatch.setattr(cli, "run_with_errors", no_level)
+    code = main(
+        ["run", "--case", "example1", "--variant", "original", "--kmin", "3", "--T", "1e300"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "MAX_STEPS" in err
+
+
 def test_kmax_below_kmin_rejected(capsys):
     code = main(
         [

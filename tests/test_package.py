@@ -25,31 +25,48 @@ def test_readme_layout_counts_the_package_lines():
 def test_benchmark_tracer_installs(tmp_path):
     # perfbench/tracing.py wraps package names given as strings and reads
     # their positional arguments (the start-up's (case, config, disc), passed
-    # on to block_residuals; the accumulator's disc), so a rename or a
-    # signature change must fail here rather than in a benchmark run.  One
-    # traced start-up workload at the smoke level runs each of those reads.
+    # on to block_residuals; the accumulator's disc; the sweep level's config
+    # and its k keyword), so a rename or a signature change must fail here
+    # rather than in a benchmark run.  The traced start-up and sweep
+    # workloads at the smoke level run each of those reads, the sweep's in
+    # the pool workers whose spans the tracer merges.
     root = pathlib.Path(__file__).resolve().parents[1]
     path = os.pathsep.join(str(root / d) for d in ("perfbench", "src"))
     code = textwrap.dedent(
         """
         import sys, tracing, workloads
-        call = workloads.get("startup_p2", workloads.SMOKE_LEVEL).prepare(sys.argv[1])
-        tracer = tracing.Tracer(sys.argv[1])
+        name, scratch = sys.argv[1], sys.argv[2]
+        workload = workloads.get(name, workloads.SMOKE_LEVEL)
+        call = workload.prepare(scratch)
+        tracer = tracing.Tracer(scratch)
         tracing.install(tracer)
-        call()
+        result = call()
         tracer.finish()
         metrics = tracing.layer_metrics(tracer.collect())
-        assert 0 < metrics["schemes.block_residual_max"] < 1e-9, metrics
-        assert metrics["diagnostics.reported_frac"] == 1.0, metrics
+        output = workload.output(result, scratch)
+        assert workload.check(output, workload.load_reference()) == [], name
+        if name == "startup_p2":
+            assert 0 < metrics["schemes.block_residual_max"] < 1e-9, metrics
+            assert metrics["diagnostics.reported_frac"] == 1.0, metrics
+        else:
+            # k = 3: 4 original, 1 improved and 4 monolithic steps; the P1
+            # tables drop e_ggdus, one of the nine quantities
+            for variant in workload.variants:
+                assert metrics[f"cli.level_s.{variant}.k3"] > 0, metrics
+            assert metrics["schemes.steps"] == 9, metrics
+            assert metrics["diagnostics.reported_frac"] == 8 / 9, metrics
         """
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0, done.stderr
+    for name in ("startup_p2", "sweep_compare"):
+        scratch = tmp_path / name
+        scratch.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", code, name, str(scratch)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_smoke_outputs_match_references(tmp_path, monkeypatch):

@@ -39,6 +39,7 @@ from oracles import (
     l2_error,
     lifted_interface_matrix,
     sigma_l2_error,
+    two_domain_mesh_loops,
     weak_residuals_monolithic,
     zero_case,
     zs_functionals,
@@ -94,6 +95,15 @@ def test_config_rejects_non_finite_values(field, value):
 def test_config_step_count():
     assert _config().n_steps == 4
     assert SchemeConfig(dt=0.125, T=1.0, nx=8).n_steps == 8
+
+
+def test_config_step_ceiling():
+    # the largest study, k = 8 at T = 1, is admitted; one step more than
+    # the ceiling is refused by count, and building a config runs nothing
+    assert level_config(8, "improved", 2, 1.0).n_steps == 512
+    assert SchemeConfig(dt=1.0, T=schemes.MAX_STEPS, nx=4).n_steps == schemes.MAX_STEPS
+    with pytest.raises(ConfigurationError, match="= 65537 steps, more than MAX_STEPS"):
+        SchemeConfig(dt=1.0, T=schemes.MAX_STEPS + 1, nx=4)
 
 
 # -- initialization ---------------------------------------------------------
@@ -620,7 +630,7 @@ def test_mirror_antisymmetry_on_symmetric_mesh(monkeypatch):
     monkeypatch.setattr(
         schemes,
         "build_two_domain_mesh",
-        partial(schemes.build_two_domain_mesh, diagonal="alternating"),
+        partial(two_domain_mesh_loops, diagonal="alternating"),
     )
     for name in ("example1", "example2", "example3"):
         case = get_case(name)
