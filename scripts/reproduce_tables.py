@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the full convergence study in one go.
 
-Runs the level sweeps behind the acceptance suite and leaves the CSV tables
-under an output directory:
+Runs the level sweeps behind the acceptance suite, each a
+``robinsplit compare`` at the case's default element order, and leaves the
+CSV tables under an output directory:
 
-  * example1, linear elements: original vs improved start (compare)
+  * example1, linear elements: original vs improved start
   * example2, quadratic elements, improved start
   * example3, quadratic elements, improved start
 
@@ -58,13 +59,13 @@ def main():
         ),
         (
             "example2 P2, improved start",
-            ["convergence", "--case", "example2", "--variant", "improved",
-             "--order", "2", "--out", str(out / "example2")] + common,
+            ["compare", "--case", "example2", "--variant", "improved",
+             "--out", str(out / "example2")] + common,
         ),
         (
             "example3 P2, improved start",
-            ["convergence", "--case", "example3", "--variant", "improved",
-             "--order", "2", "--out", str(out / "example3")] + common,
+            ["compare", "--case", "example3", "--variant", "improved",
+             "--out", str(out / "example3")] + common,
         ),
     ]
 

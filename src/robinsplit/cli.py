@@ -10,13 +10,13 @@ yes/no or on/off in any case, and its ``variant`` names at least one variant.
 
 Exit codes: 0 on success; 2 for a usage or configuration error, found
 before any level runs: a malformed flag or file value, a config file that
-cannot be read, a (level, variant) pair that ``SchemeConfig`` refuses, or
-an ``--out`` or a CSV named after it that is a directory or whose
-directory does not exist; 1 when a level fails to solve or gives an error
-quantity that is not finite, after the tables of the levels that completed.
-Every CSV goes through ``diagnostics.write_csv``, whose floats are written
-at full precision so parsing a table back yields exactly the in-memory
-values.
+cannot be read, a (level, variant) pair that ``SchemeConfig`` refuses, an
+empty ``--out``, or an ``--out`` or a CSV named after it that is a
+directory or whose directory does not exist; 1 when a level fails to solve
+or gives an error quantity that is not finite, after the tables of the
+levels that completed.  Every CSV goes through ``diagnostics.write_csv``,
+whose floats are written at full precision so parsing a table back yields
+exactly the in-memory values.
 """
 
 import argparse
@@ -64,8 +64,8 @@ class ExperimentConfig:
     Every (level, variant) pair is built here through ``SchemeConfig``, the
     one place that says what a level admits, and every CSV the command will
     write is checked, so a sweep is refused whole before any level runs.
-    ``command`` is the subcommand; ``run`` takes one variant and one level,
-    ``convergence`` one variant.
+    ``command`` is the subcommand: ``run`` takes one variant and one level,
+    ``compare`` sweeps the levels under each of its variants.
     """
 
     case: str
@@ -86,8 +86,8 @@ class ExperimentConfig:
             raise ConfigurationError("at least one variant is required")
         if len(set(self.variants)) != len(self.variants):
             raise ConfigurationError("variants must not repeat")
-        if self.command != "compare" and len(self.variants) != 1:
-            raise ConfigurationError(f"{self.command} takes exactly one --variant")
+        if self.command == "run" and len(self.variants) != 1:
+            raise ConfigurationError("run takes exactly one --variant")
         if self.command == "run" and self.k_max != self.k_min:
             raise ConfigurationError("run is a single-level command; use --kmin alone")
         if self.k_min < 1:
@@ -107,6 +107,8 @@ class ExperimentConfig:
             )
         if self.jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        if self.out == "":
+            raise ConfigurationError("--out is empty; name a file, or leave it out")
         # --out itself too: ending in a separator, it is refused as a
         # directory when that exists, and for its directory when it does not
         for path in (self.out, *self.csv_paths.values()) if self.out else ():
@@ -283,7 +285,7 @@ def _file_flags(path):
     or ``_OFF`` in any case.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from None
@@ -348,8 +350,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("run", "one case, one variant, one level"),
-        ("convergence", "sweep levels for one variant and tabulate orders"),
-        ("compare", "sweep levels for several variants side by side"),
+        ("compare", "sweep levels for each variant and tabulate orders"),
     ):
         p = sub.add_parser(
             name, help=helptext, argument_default=argparse.SUPPRESS, exit_on_error=False

@@ -56,11 +56,11 @@ def test_run_output_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_convergence_writes_tables(tmp_path, capsys):
+def test_compare_one_variant_writes_tables(tmp_path, capsys):
     base = tmp_path / "conv"
     code = main(
         [
-            "convergence",
+            "compare",
             "--case",
             "example1",
             "--variant",
@@ -87,11 +87,11 @@ def test_convergence_writes_tables(tmp_path, capsys):
     assert "e_gdus" in out
 
 
-def test_convergence_p2_keeps_full_sums(tmp_path, capsys):
+def test_compare_p2_keeps_full_sums(tmp_path, capsys):
     base = tmp_path / "p2"
     code = main(
         [
-            "convergence",
+            "compare",
             "--case",
             "example3",
             "--variant",
@@ -158,10 +158,10 @@ def _fail_at_k2(monkeypatch):
     monkeypatch.setattr(cli, "_run_one", run_one)
 
 
-def test_convergence_partial_failure_exit_code(monkeypatch, capsys):
+def test_compare_one_variant_partial_failure_exit_code(monkeypatch, capsys):
     # k=2 fails to solve; k=1 still completes and the partial table is flagged
     _fail_at_k2(monkeypatch)
-    args = ["convergence", "--case", "example1", "--variant", "improved"]
+    args = ["compare", "--case", "example1", "--variant", "improved"]
     code = main(args + ["--kmin", "1", "--kmax", "2", "--T", "1.0"])
     assert code == 1
     captured = capsys.readouterr()
@@ -214,7 +214,7 @@ def test_compare_writes_variant_files(tmp_path, capsys):
 
 def test_parallel_sweep_matches_serial(tmp_path, capsys):
     common = [
-        "convergence",
+        "compare",
         "--case",
         "example1",
         "--variant",
@@ -254,7 +254,7 @@ def test_pool_never_outnumbers_level_runs(monkeypatch, capsys):
             return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    args = ["convergence", "--case", "example1", "--variant", "original"]
+    args = ["compare", "--case", "example1", "--variant", "original"]
     assert main(args + ["--kmin", "1", "--kmax", "2", "--T", "1.0", "--jobs", "512"]) == 0
     assert sizes == [2]
 
@@ -268,7 +268,7 @@ def _run_one_dying_at_k2(exp, variant, k):
 def test_crashed_worker_reported_per_level(monkeypatch, capsys):
     # pool workers are forked, so they run the patched function
     monkeypatch.setattr(cli, "_run_one", _run_one_dying_at_k2)
-    args = ["convergence", "--case", "example1", "--variant", "original"]
+    args = ["compare", "--case", "example1", "--variant", "original"]
     code = main(args + ["--kmin", "1", "--kmax", "2", "--T", "1.0", "--jobs", "2"])
     assert code == 1
     err = capsys.readouterr().err
@@ -316,7 +316,7 @@ def test_huge_T_is_config_error(monkeypatch, capsys):
 def test_kmax_below_kmin_rejected(capsys):
     code = main(
         [
-            "convergence",
+            "compare",
             "--case",
             "example1",
             "--variant",
@@ -349,14 +349,17 @@ def test_run_rejects_multiple_variants(capsys):
     assert code == 2
 
 
-def test_config_file_supplies_defaults(tmp_path, capsys):
+@pytest.mark.parametrize("prefix", ["", "\ufeff"], ids=["plain", "bom"])
+def test_config_file_supplies_defaults(tmp_path, capsys, prefix):
+    # a byte-order mark, as some editors save UTF-8, is not part of a key
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "# study setup\n"
+        f"{prefix}# study setup\n"
         "case = example1\n"
         "variant = improved\n"
         "kmin = 1\n"
-        "T = 1.0\n"
+        "T = 1.0\n",
+        encoding="utf-8",
     )
     code = main(["run", "--config", str(cfg)])
     assert code == 0
@@ -401,7 +404,7 @@ def test_config_file_large_is_a_switch(tmp_path, value, flags):
     assert cli._file_flags(str(cfg)) == flags
 
 
-_SWEEP = ["convergence", "--case", "example1", "--variant", "original", "--kmin", "1"]
+_SWEEP = ["compare", "--case", "example1", "--variant", "original", "--kmin", "1"]
 
 
 _PAIR = ["compare", "--case", "example1", "--variant", "original", "--variant", "improved",
@@ -431,11 +434,15 @@ _PAIR = ["compare", "--case", "example1", "--variant", "original", "--variant", 
         ("large = maybe\n", (), _SWEEP + ["--kmax", "2", "--T", "1.0"]),
         ("variant =\n", (), ["run", "--case", "example1", "--kmin", "1", "--T", "1.0"]),
         ("variant = ,\n", (), ["run", "--case", "example1", "--kmin", "1", "--T", "1.0"]),
+        (None, (), ["convergence"] + _SWEEP[1:] + ["--kmax", "2", "--T", "1.0"]),
+        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", ""]),
+        ("out =\n", (), _SWEEP + ["--kmax", "2", "--T", "1.0"]),
     ],
     ids=["file-value", "flag-over-file", "infeasible-level", "alpha", "nan", "out-dir",
          "config-is-dir", "config-not-utf8", "run-out-is-dir", "sweep-out-is-dir",
          "sweep-table-is-dir", "compare-table-is-dir", "compare-orders-is-dir",
-         "large-not-a-switch", "variant-empty", "variant-only-comma"],
+         "large-not-a-switch", "variant-empty", "variant-only-comma", "removed-command",
+         "out-empty", "out-empty-in-file"],
 )
 def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_text, made, args):
     levels = []

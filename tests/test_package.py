@@ -22,6 +22,47 @@ def test_readme_layout_counts_the_package_lines():
     assert int(stated.group(1).replace(",", "")) == lines
 
 
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    # every command line that the README shows names a subcommand and flags
+    # that the CLI still takes; parsing and merging check a line as the CLI
+    # does, without running a level
+    from robinsplit import cli
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line$.*?^```$(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    lines = [line.split() for line in block.group(1).splitlines() if line.startswith("robinsplit ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)  # the lines' --out targets are relative
+    parser = cli.build_parser()
+    for words in lines:
+        cli._merge(parser, parser.parse_args(words[1:]))
+
+
+def test_reproduce_tables_writes_the_study(tmp_path):
+    # scripts/reproduce_tables.py runs its three studies through the CLI;
+    # its example2 table is the one that compare writes with the same flags
+    from robinsplit import cli
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    levels = ["--kmin", "1", "--kmax", "2", "--T", "1.0"]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_tables.py"), *levels,
+         "--out", str(tmp_path / "study")],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    tables = ("final", "sums")
+    names = {f"example1_{v}_{t}.csv" for v in ("original", "improved") for t in tables}
+    names |= {"example1_orders.csv"} | {f"example{n}_{t}.csv" for n in (2, 3) for t in tables}
+    assert {p.name for p in (tmp_path / "study").iterdir()} == names
+    argv = ["compare", "--case", "example2", "--variant", "improved", *levels]
+    assert cli.main(argv + ["--out", str(tmp_path / "direct")]) == 0
+    direct = (tmp_path / "direct_final.csv").read_bytes()
+    assert (tmp_path / "study" / "example2_final.csv").read_bytes() == direct
+
+
 def test_benchmark_tracer_installs(tmp_path):
     # perfbench/tracing.py wraps package names given as strings and reads
     # their positional arguments (the start-up's (case, config, disc), passed
