@@ -10,12 +10,16 @@ run to BENCH_large.json at the root of the checkout:
   factors         every sparse LU in the order it is built: its kind (the
                   ``Discretization`` method that built it: startup, robin or
                   monolithic), n, nnz(A), SuperLU's ``nnz`` (read from the
-                  factor, without building L and U) and seconds in ``splu``
+                  factor, without building L and U) and the seconds of
+                  ``linalg.factorize``
   startup         improved only: the nine-block system's size (Dirichlet
                   dofs included), the seconds of the whole start-up solve,
                   and its GMRES iterations, restarts, Schur applications
                   and seconds
   quantities      the nine error quantities of the report
+
+The factors and the start-up are the records that ``run_with_errors``
+returns on its report; this script only times the call and reads VmHWM.
 
 plus the 6 -> 7 and 7 -> 8 orders of each quantity per (case, variant) and
 the machine.  Each run gets a fresh process, one after the other, with BLAS
@@ -28,7 +32,6 @@ Usage:
     python3 scripts/bench_large.py
 """
 
-import contextlib
 import json
 import math
 import os
@@ -43,7 +46,7 @@ from multiprocessing import get_context
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from robinsplit import cli, diagnostics, linalg, schemes  # noqa: E402
+from robinsplit import cli, diagnostics, schemes  # noqa: E402
 from robinsplit.manufactured import get_case  # noqa: E402
 
 OUT = ROOT / "BENCH_large.json"
@@ -51,22 +54,6 @@ STUDIES = (("example1", 1), ("example3", 2))
 LEVELS = (6, 7, 8)
 T = 0.25
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-FACTOR_KINDS = {
-    "first_block_factorization": "startup",
-    "robin_factorizations": "robin",
-    "monolithic_factorization": "monolithic",
-}
-
-
-@contextlib.contextmanager
-def _wrapped(owner, attr, wrap):
-    """``owner.attr`` replaced by ``wrap(original)`` for the block."""
-    original = getattr(owner, attr)
-    setattr(owner, attr, wrap(original))
-    try:
-        yield
-    finally:
-        setattr(owner, attr, original)
 
 
 def _vmhwm_mib():
@@ -76,99 +63,13 @@ def _vmhwm_mib():
 
 
 def measure(case_name, order, variant, k):
-    """The record of one ``run_with_errors`` call in this process.
-
-    The factorizations, the start-up and its GMRES are timed through
-    wrappers around the names the package looks up at call time; the
-    arithmetic of the run is unchanged.  ``measure_each`` gives every call
-    its own process, so VmHWM is the run's own peak.
-    """
-    factors = []
-    kind = [None]
-    startup = {}
-
-    def track_kind(name):
-        def wrap(method):
-            def tracked(disc):
-                kind.append(name)
-                try:
-                    return method(disc)
-                finally:
-                    kind.pop()
-
-            return tracked
-
-        return wrap
-
-    def time_splu(splu):
-        def timed(matrix, **kwargs):
-            t0 = time.perf_counter()
-            lu = splu(matrix, **kwargs)
-            factors.append(
-                {
-                    "kind": kind[-1],
-                    "n": matrix.shape[0],
-                    "nnz_a": int(matrix.nnz),
-                    "nnz_lu": int(lu.nnz),
-                    "seconds": time.perf_counter() - t0,
-                }
-            )
-            return lu
-
-        return timed
-
-    def count_gmres(gmres):
-        def counted(op, rhs, **kwargs):
-            # with a zero initial guess each GMRES cycle applies the operator
-            # once per iteration and once more for its true residual
-            counts = {"iterations": 0, "applications": 0}
-            callback = kwargs["callback"]
-
-            def matvec(x):
-                counts["applications"] += 1
-                return op.matvec(x)
-
-            def per_iteration(residual):
-                counts["iterations"] += 1
-                callback(residual)
-
-            counting = linalg.spla.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
-            t0 = time.perf_counter()
-            out = gmres(counting, rhs, **{**kwargs, "callback": per_iteration})
-            cycles = counts["applications"] - counts["iterations"]
-            startup["gmres"] = {
-                **counts,
-                "restarts": max(cycles - 1, 0),
-                "seconds": time.perf_counter() - t0,
-            }
-            return out
-
-        return counted
-
-    def time_startup(solve):
-        def timed(*args):
-            disc = args[-1]
-            startup["unknowns"] = 3 * (disc.fluid.ndof + disc.solid.ndof + disc.n_sig)
-            t0 = time.perf_counter()
-            states = solve(*args)
-            startup["seconds"] = time.perf_counter() - t0
-            return states
-
-        return timed
-
-    case = get_case(case_name)
-    config = cli.level_config(k, variant, order, T)
-    with contextlib.ExitStack() as patches:
-        for attr, name in FACTOR_KINDS.items():
-            patches.enter_context(_wrapped(schemes.Discretization, attr, track_kind(name)))
-        patches.enter_context(_wrapped(linalg.spla, "splu", time_splu))
-        patches.enter_context(_wrapped(linalg.spla, "gmres", count_gmres))
-        patches.enter_context(
-            _wrapped(schemes, "solve_first_block_improved", time_startup)
-        )
-        t0 = time.perf_counter()
-        report = diagnostics.run_with_errors(case, config, k=k)
-        wall = time.perf_counter() - t0
+    """The record of one ``run_with_errors`` call in this process;
+    ``measure_each`` gives every call its own process, so VmHWM is the run's
+    own peak."""
+    case, config = get_case(case_name), cli.level_config(k, variant, order, T)
+    t0 = time.perf_counter()
+    report = diagnostics.run_with_errors(case, config, k=k)
+    wall = time.perf_counter() - t0
     return {
         "case": case_name,
         "order": order,
@@ -178,8 +79,8 @@ def measure(case_name, order, variant, k):
         "nx": config.nx,
         "wall_s": wall,
         "vmhwm_mib": _vmhwm_mib(),
-        "factors": factors,
-        "startup": startup or None,
+        "factors": report.factors,
+        "startup": report.startup,
         "quantities": report.values(),
     }
 

@@ -49,7 +49,7 @@ them.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,11 @@ _DERIVATIVES = {
 
 @dataclass
 class ErrorReport:
-    """Error quantities of one run; unset entries are None."""
+    """Error quantities of one run; unset entries are None.
+
+    ``factors`` and ``startup`` are the run's ``Discretization`` records
+    (see ``schemes``); they are not quantities, and equality ignores them.
+    """
 
     dt: float
     h: float
@@ -86,6 +90,8 @@ class ErrorReport:
     e_gdu2s: float = None
     e_dls: float = None
     e_ggdus: float = None
+    factors: list = field(default=None, compare=False)
+    startup: dict = field(default=None, compare=False)
 
     def values(self):
         return {name: getattr(self, name) for name in ALL_QUANTITIES}
@@ -272,17 +278,21 @@ def _project(proj, values):
 def _wsq(weights, arr):
     """Quadrature sum of squared point values; one weight per point."""
     flat = arr.reshape(weights.size, -1)
-    return float(np.sum(weights @ (flat * flat)))
+    with np.errstate(over="ignore"):  # an overflow is an inf the report refuses
+        return float(np.sum(weights @ (flat * flat)))
 
 
 def run_with_errors(case, config, k=None):
     """Run one configuration and stream its full error report; the run and
-    the accumulator share one ``Discretization(config, case)``."""
+    the accumulator share one ``Discretization(config, case)``, whose factor
+    and start-up records the report carries."""
     disc = Discretization(config, case)
     acc = ErrorAccumulator(disc)
     for state in march(disc):
         acc.observe(state)
-    return acc.report(k=k)
+    report = acc.report(k=k)
+    report.factors, report.startup = disc.factors, disc.startup
+    return report
 
 
 # ---------------------------------------------------------------------------

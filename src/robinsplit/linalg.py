@@ -2,12 +2,14 @@
 
 Thin layer over scipy.sparse: matrices are CSR in canonical form (sorted
 column indices, duplicates summed, explicit zeros dropped), and
-factorization is a sparse LU kept for repeated solves.  Factorization
-failures raise SingularSystemError carrying the failing pivot index when it
-can be found; so does a solve whose result is not finite, and a GMRES solve
-whose right-hand side has no finite norm or that does not converge.
+factorization is a sparse LU kept for repeated solves, which knows its own
+seconds and fill.  Factorization failures raise SingularSystemError carrying
+the failing pivot index when it can be found; so does a solve whose result
+is not finite, and a GMRES solve whose right-hand side has no finite norm or
+that does not converge.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +30,19 @@ def finalize_csr(matrix):
 
 @dataclass
 class Factorization:
-    """Sparse LU factorization reused across solves."""
+    """Sparse LU factorization reused across solves, with nnz(A) of its
+    matrix and the seconds ``factorize`` took."""
 
     shape: tuple
     _lu: object
+    nnz_a: int
+    seconds: float
+
+    @property
+    def nnz(self):
+        """SuperLU's count of the entries of L and U, read without building
+        either."""
+        return self._lu.nnz
 
     def solve(self, rhs):
         """Solution for ``rhs``; SingularSystemError when it is not finite.
@@ -87,6 +98,7 @@ def factorize(matrix, *, permc_spec="MMD_AT_PLUS_A"):
         If the matrix is structurally or numerically singular; the error
         carries the failing pivot index when it can be identified.
     """
+    t0 = time.perf_counter()
     m = sp.csc_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"matrix must be square, got shape {m.shape}")
@@ -101,7 +113,7 @@ def factorize(matrix, *, permc_spec="MMD_AT_PLUS_A"):
         raise SingularSystemError(
             f"sparse LU factorization failed: {exc}", pivot_index=_dense_pivot_index(m)
         ) from exc
-    return Factorization(shape=m.shape, _lu=lu)
+    return Factorization(m.shape, lu, m.nnz, time.perf_counter() - t0)
 
 
 # GMRES stops once the true residual norm is GMRES_RTOL times that of the
@@ -120,7 +132,9 @@ GMRES_CYCLES = 5
 def gmres(apply, rhs, precond):
     """Solve ``apply(x) = rhs`` by GMRES, left-preconditioned by ``precond``.
 
-    ``precond(r)`` solves with an approximation to the operator.
+    ``precond(r)`` solves with an approximation to the operator.  Returns
+    the solution and the solve's counts: ``iterations``, ``applications``
+    of ``apply``, ``restarts`` and ``seconds``.
 
     Raises
     ------
@@ -129,27 +143,41 @@ def gmres(apply, rhs, precond):
         pass; or if GMRES does not converge, with the iteration count and
         the relative residual reached in the message.
     """
-    rhs_norm = np.linalg.norm(rhs)
+    t0 = time.perf_counter()
+    with np.errstate(over="ignore"):  # an overflow is the inf refused below
+        rhs_norm = np.linalg.norm(rhs)
     if not np.isfinite(rhs_norm):
         raise SingularSystemError(f"GMRES right-hand side has norm {rhs_norm}, not finite")
+    counts = {"iterations": 0, "applications": 0, "restarts": 0}
+
+    def counted(x):
+        # a cycle applies the operator once per iteration and once more for
+        # its true residual, so an application right after that one starts
+        # the next cycle
+        if counts["applications"] == counts["iterations"] + counts["restarts"] + 1:
+            counts["restarts"] += 1
+        counts["applications"] += 1
+        return apply(x)
+
+    def iterated(_residual):
+        counts["iterations"] += 1
+
     n = rhs.size
-    op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
-    residuals = []
     x, info = spla.gmres(
-        op,
+        spla.LinearOperator((n, n), matvec=counted, dtype=float),
         rhs,
         rtol=GMRES_RTOL,
         atol=0.0,
         restart=GMRES_MAXITER,
         maxiter=GMRES_CYCLES,
         M=spla.LinearOperator((n, n), matvec=precond, dtype=float),
-        callback=residuals.append,
+        callback=iterated,
         callback_type="pr_norm",
     )
     if info != 0:
         reached = np.linalg.norm(rhs - apply(x)) / rhs_norm
         raise SingularSystemError(
             f"GMRES did not converge: relative residual {reached:.1e} after "
-            f"{len(residuals)} iterations (tolerance {GMRES_RTOL:.0e})"
+            f"{counts['iterations']} iterations (tolerance {GMRES_RTOL:.0e})"
         )
-    return x
+    return x, {**counts, "seconds": time.perf_counter() - t0}

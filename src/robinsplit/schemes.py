@@ -26,6 +26,7 @@ every system is solved on the free dofs alone.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,12 @@ class DiscreteState:
 class Discretization:
     """Assembled operators of one case under one config, shared by all
     scheme variants.  The mesh is split at the case's ``split_y``, and the
-    factorizations and loads use the case's ``nu_f``, ``nu_s`` and forcing."""
+    factorizations and loads use the case's ``nu_f``, ``nu_s`` and forcing.
+
+    ``factors`` records each factorization it builds as its ``kind`` (the
+    method that built it: ``startup``, ``robin`` or ``monolithic``), ``n``,
+    nnz(A) ``nnz_a``, SuperLU's ``nnz_lu`` and ``seconds``, in build order;
+    ``solve_first_block_improved`` fills ``startup``, None otherwise."""
 
     def __init__(self, config, case):
         self.config = config
@@ -120,6 +126,8 @@ class Discretization:
         self.free_f = np.flatnonzero(~self.fluid.dirichlet_mask)
         self.free_s = np.flatnonzero(~self.solid.dirichlet_mask)
         self._facts = {}
+        self.factors = []
+        self.startup = None
 
     # -- small helpers -------------------------------------------------------
 
@@ -153,6 +161,15 @@ class Discretization:
 
     # -- factorizations, built once per run ----------------------------------
 
+    def _factorize(self, kind, matrix, **options):
+        """``linalg.factorize``, recorded in ``factors`` under ``kind``."""
+        fact = linalg.factorize(matrix, **options)
+        self.factors.append(
+            {"kind": kind, "n": fact.shape[0], "nnz_a": fact.nnz_a, "nnz_lu": fact.nnz,
+             "seconds": fact.seconds}
+        )
+        return fact
+
     def robin_factorizations(self):
         """Robin factors (solid, fluid), each on its field's free dofs.
 
@@ -171,7 +188,7 @@ class Discretization:
                     (coo.data, (at[coo.row], at[coo.col])), shape=(free.size, free.size)
                 )
                 a = (mass / cfg.dt + nu * stiff)[free][:, free] + cfg.alpha * interface
-                return linalg.factorize(a)
+                return self._factorize("robin", a)
 
             fact_f = factor(self.free_f, self.if_f, self.mass_f, self.stiff_f, case.nu_f)
             fact_s = factor(self.free_s, self.if_s, self.mass_s, self.stiff_s, case.nu_s)
@@ -204,11 +221,11 @@ class Discretization:
             mono_stiff += case.nu_s * reindex(self.stiff_s, s2m)
             free = np.union1d(self.free_f, s2m[self.free_s])
             self._facts["mono"] = (
-                linalg.factorize((mono_mass / cfg.dt + mono_stiff)[free][:, free]),
+                self._factorize("monolithic", (mono_mass / cfg.dt + mono_stiff)[free][:, free]),
                 linalg.finalize_csr(mono_mass),
                 free,
                 s2m,
-                linalg.factorize(self.msig),
+                self._factorize("monolithic", self.msig),
             )
         return self._facts["mono"]
 
@@ -341,9 +358,10 @@ class _FieldRows:
 
     ``band`` holds the interior dofs within ``STARTUP_BAND_LAYERS`` cell
     layers of the interface, which the preconditioner eliminates exactly.
+    ``factorize`` builds the two interior LUs.
     """
 
-    def __init__(self, space, mass, stiff, nu, dt):
+    def __init__(self, factorize, space, mass, stiff, nu, dt):
         interior = ~space.dirichlet_mask
         interior[space.interface_dofs] = False
         self.interior = np.flatnonzero(interior)
@@ -359,8 +377,8 @@ class _FieldRows:
         # factorization, and the rows below reuse the memory its workspace
         # freed (example3 P2 k = 6: VmHWM 243 MiB, against 249-259 MiB with
         # the rows built first)
-        self.b_ii = linalg.factorize((nu * stiff + mass / dt)[i][:, i])
-        self.k_ii = linalg.factorize((nu * stiff)[i][:, i])
+        self.b_ii = factorize((nu * stiff + mass / dt)[i][:, i])
+        self.k_ii = factorize((nu * stiff)[i][:, i])
         # each row set is sliced once.  The trace rows are few, so they are
         # composed over all columns and their blocks picked from that; the
         # trace runs in interface order, not dof order, so its own block is
@@ -392,15 +410,20 @@ class _FieldRows:
 
 
 class _Startup:
-    """Factors of the start-up system and its solve through Gamma."""
+    """Factors of the start-up system and its solve through Gamma; ``gmres``
+    holds the counts of the last solve."""
 
     def __init__(self, disc):
         cfg, case = disc.config, disc.case
+
+        def factorize(matrix, **options):
+            return disc._factorize("startup", matrix, **options)
+
         # the fluid, the field with more interior dofs at split_y = 0.75, is
         # built and factored first and the band LU last: each factorization's
         # workspace then meets the fewest resident factors it can
-        fluid = _FieldRows(disc.fluid, disc.mass_f, disc.stiff_f, case.nu_f, cfg.dt)
-        solid = _FieldRows(disc.solid, disc.mass_s, disc.stiff_s, case.nu_s, cfg.dt)
+        fluid = _FieldRows(factorize, disc.fluid, disc.mass_f, disc.stiff_f, case.nu_f, cfg.dt)
+        solid = _FieldRows(factorize, disc.solid, disc.mass_s, disc.stiff_s, case.nu_s, cfg.dt)
         self.fields = (solid, fluid)
         m = 3 * disc.n_sig
         self.parts = [slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)]
@@ -430,7 +453,7 @@ class _Startup:
             for f, space in zip(self.fields, (disc.solid, disc.fluid))
         ]
         order = np.argsort(np.concatenate(x + [np.tile(disc.fluid.interface_x, 9)]), kind="stable")
-        self.band_factor = linalg.factorize(band[order][:, order], permc_spec="NATURAL")
+        self.band_factor = factorize(band[order][:, order], permc_spec="NATURAL")
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
         self.gamma_position = position[order.size - 3 * m :]
@@ -459,7 +482,7 @@ class _Startup:
         )
         for field, part, b in zip(self.fields, self.parts, b_i):
             b_g[part] -= field.trace_interior @ field.solve_interior(b)
-        x_g = linalg.gmres(self._schur, b_g, self._precondition)
+        x_g, self.gmres = linalg.gmres(self._schur, b_g, self._precondition)
         out = []
         for field, part, b, r in zip(self.fields, self.parts, b_i, rhs):
             x = np.zeros_like(r)
@@ -512,10 +535,19 @@ def solve_first_block_improved(case, config, disc):
 
     Its factors are built for this solve and freed when it returns.  The
     right-hand side is assembled first, so the loads' transients are freed
-    before the first factorization.
+    before the first factorization.  ``disc.startup`` records the system's
+    size (Dirichlet dofs included), the seconds of this call and the GMRES
+    counts.
     """
+    t0 = time.perf_counter()
     rhs = _startup_rhs(disc)
-    w, u, lam = disc.first_block_factorization().solve(*rhs)
+    startup = disc.first_block_factorization()
+    w, u, lam = startup.solve(*rhs)
+    disc.startup = {
+        "unknowns": 3 * (disc.fluid.ndof + disc.solid.ndof + disc.n_sig),
+        "seconds": time.perf_counter() - t0,
+        "gmres": startup.gmres,
+    }
     return tuple(DiscreteState(n=n + 1, u=u[n], w=w[n], lam=lam[n]) for n in range(3))
 
 

@@ -138,6 +138,7 @@ _HUGE_ALPHA = ["--case", "example1", "--kmin", "2", "--T", "0.5", "--alpha", "1e
     ],
     ids=["run", "compare"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # each overflow is refused by name
 def test_non_finite_level_exit_code(tmp_path, capsys, args, causes):
     assert main(args + _HUGE_ALPHA + ["--out", str(tmp_path / "f.csv")]) == 1
     err = capsys.readouterr().err

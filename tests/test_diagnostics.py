@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from robinsplit import diagnostics, fem, schemes
+from robinsplit import diagnostics, fem, linalg, schemes
 from robinsplit.cli import level_config
 from robinsplit.diagnostics import (
     ALL_QUANTITIES,
@@ -292,6 +292,44 @@ def test_derivative_norms_built_after_startup(monkeypatch):
         assert (acc._norms is None) == (state.n < 2), state.n
     assert len(factors) == 5
     assert alive_at_build == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "variant, kinds",
+    [
+        ("original", ["robin"] * 2),
+        ("monolithic", ["monolithic"] * 2),
+        ("improved", ["startup"] * 5 + ["robin"] * 2),
+    ],
+)
+def test_report_records_factors_and_startup(monkeypatch, variant, kinds):
+    built = []
+    factorize = linalg.factorize
+
+    def kept(matrix, **options):
+        built.append(factorize(matrix, **options))
+        return built[-1]
+
+    monkeypatch.setattr(linalg, "factorize", kept)
+    case = get_case("example1")
+    config = level_config(3, variant, 1, 0.25)
+    report = run_with_errors(case, config, k=3)
+    assert [f["kind"] for f in report.factors] == kinds
+    for record, fact in zip(report.factors, built, strict=True):
+        assert record["nnz_lu"] == fact._lu.nnz
+        assert record["nnz_lu"] >= record["nnz_a"] >= record["n"] > 0, record
+        assert record["seconds"] > 0
+    disc = Discretization(config, case)
+    robin = [f["n"] for f in report.factors if f["kind"] == "robin"]
+    assert robin in ([], [disc.free_f.size, disc.free_s.size])  # the fluid first
+    assert disc.free_f.size > disc.free_s.size
+    if variant != "improved":
+        assert report.startup is None
+        return
+    assert report.startup["unknowns"] == 3 * (disc.fluid.ndof + disc.solid.ndof + disc.n_sig)
+    assert report.startup["seconds"] > 0
+    gmres = report.startup["gmres"]
+    assert gmres["applications"] == gmres["iterations"] + gmres["restarts"] + 1
 
 
 def test_p1_run_computes_no_hessians(monkeypatch):

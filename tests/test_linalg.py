@@ -4,6 +4,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+from robinsplit import linalg
 from robinsplit.errors import ConfigurationError, SingularSystemError
 from robinsplit.linalg import factorize, finalize_csr, gmres
 
@@ -70,9 +71,11 @@ def test_non_finite_solve_is_singular():
         fact.solve([1.0, 1.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gmres_refuses_rhs_without_finite_norm():
     # each entry is finite, but the norm overflows: scipy's stopping
-    # tolerance would then be inf and accept x = 0
+    # tolerance would then be inf and accept x = 0.  The overflow is refused
+    # by name, without a RuntimeWarning
     applied = []
 
     def identity(x):
@@ -82,6 +85,26 @@ def test_gmres_refuses_rhs_without_finite_norm():
     with pytest.raises(SingularSystemError, match="norm inf, not finite"):
         gmres(identity, np.full(4, 1e200), identity)
     assert applied == []
+
+
+def test_gmres_counts_restarts(monkeypatch):
+    # non-normal, with every eigenvalue in [1, 2]: the defaults converge in
+    # one cycle of 22 iterations, and cycles of 10 need four
+    rng = np.random.default_rng(3)
+    n = 30
+    a = np.eye(n) + 0.3 * np.triu(rng.normal(size=(n, n)), 1) + np.diag(rng.uniform(0, 1, n))
+    b = rng.normal(size=n)
+    want = np.linalg.solve(a, b)
+
+    def solve():
+        x, counts = gmres(lambda v: a @ v, b, lambda r: r)
+        assert counts["applications"] == counts["iterations"] + counts["restarts"] + 1
+        assert np.max(np.abs(x - want)) <= 1e-10
+        return counts
+
+    assert solve()["restarts"] == 0
+    monkeypatch.setattr(linalg, "GMRES_MAXITER", 10)
+    assert solve()["restarts"] >= 1
 
 
 def test_rhs_dimension_mismatch():

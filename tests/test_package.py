@@ -128,9 +128,9 @@ def test_benchmark_smoke_outputs_match_references(tmp_path, monkeypatch):
 
 def test_bench_large_records_one_small_run(monkeypatch):
     # scripts/bench_large.py writes BENCH_large.json from records measured in
-    # fresh processes through wrappers around package names; one small run
-    # shows every field is filled and that the wrappers leave the nine
-    # quantities as run_with_errors reports them
+    # fresh processes: the factors and the start-up are the records that
+    # run_with_errors returns on its report; one small run shows every field
+    # is filled and that the nine quantities are those run_with_errors reports
     root = pathlib.Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "scripts"))
     import bench_large
