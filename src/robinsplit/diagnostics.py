@@ -38,7 +38,7 @@ increment (level 2): for ``improved`` that is after the start-up has
 returned and freed its factors, so the two never hold memory at the same
 time.
 
-``ErrorAccumulator(disc)`` consumes the states that ``schemes.march(disc)``
+``ErrorAccumulator(disc)`` consumes the states that ``schemes.run(disc)``
 yields and keeps the previous level's coefficients and the last fluid
 increment, so memory stays bounded for long runs; its report refuses a
 quantity that is not finite.  ``run_with_errors`` is the entry point.
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import fem
 from .errors import ConfigurationError, SingularSystemError
-from .schemes import Discretization, march
+from .schemes import Discretization, run
 
 FINAL_QUANTITIES = ("e_u", "e_du", "e_dw", "e_gdu")
 SUMMED_QUANTITIES = ("e_gdus", "e_gdws", "e_gdu2s", "e_dls", "e_ggdus")
@@ -288,7 +288,7 @@ def run_with_errors(case, config, k=None):
     and start-up records the report carries."""
     disc = Discretization(config, case)
     acc = ErrorAccumulator(disc)
-    for state in march(disc):
+    for state in run(disc):
         acc.observe(state)
     report = acc.report(k=k)
     report.factors, report.startup = disc.factors, disc.startup

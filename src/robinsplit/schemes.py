@@ -14,11 +14,12 @@ Three variants share one spatial discretization:
 * ``monolithic``: backward Euler on the fully coupled problem, used as a
   reference; the interface flux is recovered from the fluid-side residual.
 
-A run is its case and its config: ``run(case, config)`` builds the
-``Discretization`` of the two, which takes the diffusivities ``nu_f`` and
+A run is its Discretization: ``run(disc)`` steps the operators of
+``Discretization(config, case)``, which takes the diffusivities ``nu_f`` and
 ``nu_s`` and the interface height ``split_y`` from the case alone.  Every
 step and check reads the case and the config through its ``disc``, so none
-can meet a dt or alpha that its factors were not built for.
+can meet a dt or alpha that its factors were not built for, and a caller
+that checks a run's states holds the operators that produced them.
 
 The flux unknown lives on the interface trace space; its coefficients are
 ordered like ``FeSpace.interface_dofs``.  All Dirichlet values are zero, and
@@ -584,18 +585,13 @@ def step_monolithic(state, disc):
 # ---------------------------------------------------------------------------
 # driver
 
-def run(case, config):
-    """Yield the states of one scheme variant at levels 0, 1, ..., N in order.
+def run(disc):
+    """Yield the states of ``disc``'s variant at levels 0, 1, ..., N in order.
 
-    The run builds its own ``Discretization(config, case)`` and holds only
-    the state it steps from, so memory does not grow with the number of
-    steps; ``list(run(...))`` keeps them all, indexed by level.
+    The run holds only the state it steps from, so memory does not grow with
+    the number of steps; ``list(run(disc))`` keeps them all, indexed by
+    level.  Its factorizations are built on ``disc`` and recorded there.
     """
-    yield from march(Discretization(config, case))
-
-
-def march(disc):
-    """The states of ``run(disc.case, disc.config)``, on operators already built."""
     config = disc.config
     state = initialize(disc)
     yield state

@@ -3,7 +3,7 @@ the test-only helpers that no run of the package needs.
 
 * The error quantities recomputed from every stored level of a run, the
   cross-check for ``diagnostics.ErrorAccumulator``: they take
-  ``states = list(run(...))``, indexed by level, and evaluate each quantity
+  ``states = list(run(disc))``, indexed by level, and evaluate each quantity
   pair by pair through the plain error norms below, with each exact field
   evaluated at each time through ``exact_field`` rather than folded into
   the profile's norms once per run.
@@ -20,6 +20,8 @@ the test-only helpers that no run of the package needs.
   quotients of the exact solution, the cross-check for
   ``schemes._first_step_loads``, which scales four loads of the profiles
   at t = 0 by quotients of the time factor.
+* Weak references to the start-up's factors as a run builds them
+  (``track_startup_factors``), for the checks that they are freed.
 * Mass and stiffness matrices assembled by quadrature at the points of every
   cell, and P2 dofs numbered through a dict of vertex pairs: the cross-checks
   for ``fem``'s reference-tensor assembly and array-based numbering.
@@ -42,6 +44,7 @@ the test-only helpers that no run of the package needs.
 import csv
 import dataclasses
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -353,6 +356,22 @@ def field_rows_bmat(disc, field, r, c):
     b = e + k
     kk, ee, bb = (m[r][:, c] for m in (k, e, b))
     return sp.bmat([[kk, None, None], [-ee, kk, None], [None, -ee, bb]], format="csr")
+
+
+def track_startup_factors(monkeypatch):
+    """Weak references to the start-up's five LUs, ``k_ii`` and ``b_ii`` of
+    each field and then ``band_factor``, appended as each start-up is built."""
+    refs = []
+    build = schemes.Discretization.first_block_factorization
+
+    def tracked(self):
+        startup = build(self)
+        refs.extend(weakref.ref(f) for field in startup.fields for f in (field.k_ii, field.b_ii))
+        refs.append(weakref.ref(startup.band_factor))
+        return startup
+
+    monkeypatch.setattr(schemes.Discretization, "first_block_factorization", tracked)
+    return refs
 
 
 # ---------------------------------------------------------------------------

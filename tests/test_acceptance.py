@@ -218,7 +218,7 @@ def test_weak_residuals_every_step_every_variant():
     for variant in ("original", "improved", "monolithic"):
         config = level_config(3, variant, 1, STUDY_T)
         disc = Discretization(config, case)
-        states = list(run(case, config))
+        states = list(run(disc))
         records = []
         start = 0
         if variant == "improved":
@@ -234,7 +234,7 @@ def test_weak_residuals_every_step_every_variant():
     case3 = get_case("example3")
     config = SchemeConfig(dt=1.0 / 16.0, T=STUDY_T, nx=8, fe_order=2, variant="improved")
     disc = Discretization(config, case3)
-    states = list(run(case3, config))
+    states = list(run(disc))
     records = list(block_residuals(states[1:4], case3, config, disc).values())
     for prev, cur in zip(states[3:], states[4:]):
         records.extend(weak_residuals_original(prev, cur, disc).values())

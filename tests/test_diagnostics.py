@@ -1,12 +1,11 @@
 import dataclasses
 import math
-import weakref
 from functools import partial
 
 import numpy as np
 import pytest
 
-from robinsplit import diagnostics, fem, linalg, schemes
+from robinsplit import diagnostics, fem, linalg
 from robinsplit.cli import level_config
 from robinsplit.diagnostics import (
     ALL_QUANTITIES,
@@ -35,6 +34,7 @@ from oracles import (
     l2_error,
     read_csv,
     summed_errors,
+    track_startup_factors,
     zs_functionals,
 )
 
@@ -205,8 +205,8 @@ def test_streaming_matches_batch(case_name, fe_order, nx):
         dt=1.0 / 32.0, T=0.25, nx=nx, fe_order=fe_order, variant="improved"
     )
     streamed = run_with_errors(case, config, k=4)
-    states = list(run(case, config))
     disc = Discretization(config, case)
+    states = list(run(disc))
     finals = final_time_errors(states, case, disc)
     sums = summed_errors(states, case, disc)
     for q in FINAL_QUANTITIES:
@@ -224,7 +224,7 @@ def test_final_time_triangle_inequality():
     case = case_example1()
     config = SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=16)
     disc = Discretization(config, case)
-    states = list(run(case, config))
+    states = list(run(disc))
     report = final_time_errors(states, case, disc)
     n = config.n_steps
     e_u_last = l2_error(
@@ -265,15 +265,7 @@ def test_chunk_size_does_not_change_quantities(monkeypatch, case_name, fe_order)
 
 def test_derivative_norms_built_after_startup(monkeypatch):
     # the norms are built at level 2, when the start-up's factors are dead
-    factors = []
-    build = schemes.Discretization.first_block_factorization
-
-    def tracked(self):
-        startup = build(self)
-        factors.extend(weakref.ref(f) for field in startup.fields for f in (field.k_ii, field.b_ii))
-        factors.append(weakref.ref(startup.band_factor))
-        return startup
-
+    factors = track_startup_factors(monkeypatch)
     alive_at_build = []
     norm = diagnostics._DerivativeNorm
 
@@ -281,27 +273,41 @@ def test_derivative_norms_built_after_startup(monkeypatch):
         alive_at_build.append(sum(ref() is not None for ref in factors))
         return norm(*args)
 
-    monkeypatch.setattr(schemes.Discretization, "first_block_factorization", tracked)
     monkeypatch.setattr(diagnostics, "_DerivativeNorm", checked)
     case = get_case("example3")
     config = level_config(3, "improved", 2, 0.25)
     disc = Discretization(config, case)
     acc = ErrorAccumulator(disc)
-    for state in run(case, config):
+    for state in run(disc):
         acc.observe(state)
         assert (acc._norms is None) == (state.n < 2), state.n
     assert len(factors) == 5
     assert alive_at_build == [0, 0, 0]
 
 
-@pytest.mark.parametrize(
-    "variant, kinds",
-    [
-        ("original", ["robin"] * 2),
-        ("monolithic", ["monolithic"] * 2),
-        ("improved", ["startup"] * 5 + ["robin"] * 2),
-    ],
-)
+FACTOR_KINDS = [
+    ("original", ["robin"] * 2),
+    ("monolithic", ["monolithic"] * 2),
+    ("improved", ["startup"] * 5 + ["robin"] * 2),
+]
+
+
+@pytest.mark.parametrize("variant, kinds", FACTOR_KINDS)
+def test_run_steps_the_disc_it_is_given(variant, kinds):
+    # the run builds its factors on the disc it is handed and records them
+    # there, and its states are the ones run_with_errors reports on
+    case = get_case("example1")
+    config = level_config(3, variant, 1, 0.25)
+    disc = Discretization(config, case)
+    acc = ErrorAccumulator(disc)
+    for state in run(disc):
+        acc.observe(state)
+    assert [f["kind"] for f in disc.factors] == kinds
+    assert (disc.startup is not None) == (variant == "improved")
+    assert acc.report(k=3).values() == run_with_errors(case, config, k=3).values()
+
+
+@pytest.mark.parametrize("variant, kinds", FACTOR_KINDS)
 def test_report_records_factors_and_startup(monkeypatch, variant, kinds):
     built = []
     factorize = linalg.factorize

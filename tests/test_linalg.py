@@ -71,7 +71,6 @@ def test_non_finite_solve_is_singular():
         fact.solve([1.0, 1.0])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gmres_refuses_rhs_without_finite_norm():
     # each entry is finite, but the norm overflows: scipy's stopping
     # tolerance would then be inf and accept x = 0.  The overflow is refused

@@ -39,6 +39,7 @@ from oracles import (
     l2_error,
     lifted_interface_matrix,
     sigma_l2_error,
+    track_startup_factors,
     two_domain_mesh_loops,
     weak_residuals_monolithic,
     zero_case,
@@ -295,18 +296,9 @@ def test_level_matrices_are_the_paper_rows():
 
 
 def test_startup_factors_freed_after_level_3(monkeypatch):
-    refs = []
-    build = schemes.Discretization.first_block_factorization
-
-    def tracked(self):
-        startup = build(self)
-        refs.extend(weakref.ref(f) for field in startup.fields for f in (field.k_ii, field.b_ii))
-        refs.append(weakref.ref(startup.band_factor))
-        return startup
-
-    monkeypatch.setattr(schemes.Discretization, "first_block_factorization", tracked)
+    refs = track_startup_factors(monkeypatch)
     freed = None
-    for state in run(case_example1(), _config(variant="improved")):
+    for state in run(Discretization(_config(variant="improved"), case_example1())):
         if state.n == 3:
             # checked while the run is suspended at level 3, not after it ends
             freed = [ref() is None for ref in refs]
@@ -357,7 +349,7 @@ def test_startup_allocation_order(monkeypatch):
             return assembler(*args)
 
         monkeypatch.setattr(fem, attr, logged_load)
-    for _ in run(case, config):
+    for _ in run(disc):
         pass
     kinds = [kind for kind, _ in events]
     factors = [what for kind, what in events if kind == "factor"]
@@ -404,6 +396,9 @@ def test_band_preconditioner_exact_when_band_covers_interior(monkeypatch, name, 
     got = solve_first_block_improved(case, config, disc)
     assert iterations[0] <= 1e-10
     assert len(iterations) == steps
+    # the start-up's record counts the iterations scipy's callback saw
+    assert disc.startup["gmres"]["iterations"] == len(iterations)
+    assert disc.startup["gmres"]["restarts"] == 0
     want = first_block_reference(disc)
     for g, w in zip(got, want, strict=True):
         for field in ("u", "w", "lam"):
@@ -471,7 +466,7 @@ def test_factors_posed_on_free_dofs(order, nx):
         disc = Discretization(config, case)
         free_f = np.count_nonzero(~disc.fluid.dirichlet_mask)
         free_s = np.count_nonzero(~disc.solid.dirichlet_mask)
-        for s in run(case, config):
+        for s in run(disc):
             assert np.all(s.u[disc.fluid.dirichlet_mask] == 0.0), (variant, s.n)
             assert np.all(s.w[disc.solid.dirichlet_mask] == 0.0), (variant, s.n)
         if variant == "monolithic":
@@ -489,7 +484,7 @@ def test_dirichlet_rows_preserved_by_all_variants():
     for variant in VARIANTS:
         config = _config(nx=4, variant=variant, fe_order=2)
         disc = Discretization(config, case)
-        for s in run(case, config):
+        for s in run(disc):
             assert np.all(s.u[disc.fluid.dirichlet_mask] == 0.0)
             assert np.all(s.w[disc.solid.dirichlet_mask] == 0.0)
 
@@ -511,11 +506,11 @@ def test_run_meta_counters(monkeypatch):
     )
     monkeypatch.setattr(schemes, "step_original", counted("step", step_original))
     case = case_example1()
-    for _ in run(case, _config(variant="improved")):
+    for _ in run(Discretization(_config(variant="improved"), case)):
         pass
     # levels 1..3 from the block, one more step
     assert calls == {"block": 1, "step": 1}
-    for _ in run(case, _config(variant="original")):
+    for _ in run(Discretization(_config(variant="original"), case)):
         pass
     assert calls == {"block": 1, "step": 5}
 
@@ -525,7 +520,7 @@ def test_run_yields_every_level_in_order():
     for variant in VARIANTS:
         config = _config(variant=variant)
         disc = Discretization(config, case)
-        states = list(run(case, config))
+        states = list(run(disc))
         assert [s.n for s in states] == list(range(config.n_steps + 1)), variant
         if variant != "improved":
             continue
@@ -541,20 +536,20 @@ def test_run_yields_every_level_in_order():
 def test_observer_sees_every_level():
     # the caller iterating a run is its observer: it sees each level once, in order
     case = case_example1()
-    seen = [s.n for s in run(case, _config(variant="improved"))]
+    seen = [s.n for s in run(Discretization(_config(variant="improved"), case))]
     assert seen == [0, 1, 2, 3, 4]
 
 
 def test_trajectory_time_consistency():
     config = _config()
-    *_, last = run(case_example1(), config)
+    *_, last = run(Discretization(config, case_example1()))
     assert abs(config.T - config.dt * last.n) < 1e-12
 
 
 def test_streaming_run_keeps_tail_only():
     # a run holds only the state it steps from, so a long run stays small
     config = SchemeConfig(dt=0.03125, T=0.25, nx=4)
-    levels = run(case_example1(), config)
+    levels = run(Discretization(config, case_example1()))
     first = weakref.ref(next(levels))
     assert next(levels).n == 1
     assert first() is None
@@ -564,7 +559,8 @@ def test_streaming_run_keeps_tail_only():
 def test_run_is_deterministic():
     case = case_example3()
     config = _config(nx=4, variant="improved", fe_order=2)
-    for s1, s2 in zip(run(case, config), run(case, config), strict=True):
+    first, second = (run(Discretization(config, case)) for _ in range(2))
+    for s1, s2 in zip(first, second, strict=True):
         assert np.array_equal(s1.u, s2.u)
         assert np.array_equal(s1.w, s2.w)
         assert np.array_equal(s1.lam, s2.lam)
@@ -573,8 +569,8 @@ def test_run_is_deterministic():
 def test_improved_differs_from_original_at_level3():
     case = case_example1()
     base = dict(nx=8, dt=0.0625, T=0.25)
-    t_orig = list(run(case, _config(variant="original", **base)))
-    t_impr = list(run(case, _config(variant="improved", **base)))
+    t_orig = list(run(Discretization(_config(variant="original", **base), case)))
+    t_impr = list(run(Discretization(_config(variant="improved", **base), case)))
     diff = np.max(np.abs(t_orig[3].u - t_impr[3].u))
     assert diff > 1e-8
 
@@ -636,7 +632,7 @@ def test_mirror_antisymmetry_on_symmetric_mesh(monkeypatch):
         case = get_case(name)
         config = _config(nx=4, variant="original", fe_order=2 if name != "example1" else 1)
         disc = Discretization(config, case)
-        *_, final = run(case, config)
+        *_, final = run(disc)
         coords = disc.fluid.dof_coords
         order = np.lexsort((coords[:, 0], coords[:, 1]))
         mirrored = np.lexsort((-coords[:, 0], coords[:, 1]))
@@ -648,7 +644,7 @@ def test_monolithic_error_within_data_interpolation_scale():
     case = case_example1()
     config = SchemeConfig(dt=0.0625, T=0.25, nx=16, variant="monolithic")
     disc = Discretization(config, case)
-    *_, final = run(case, config)
+    *_, final = run(disc)
     u = exact_field(case, "u0")
     err = l2_error(disc.fluid, final.u, u, config.T)
     interp0 = l2_error(disc.fluid, interpolate(disc.fluid, case.u0), u, 0.0)
@@ -661,7 +657,7 @@ def test_monolithic_multiplier_first_order():
     for nx in (16, 32):
         config = SchemeConfig(dt=1.0 / nx, T=0.25, nx=nx, variant="monolithic")
         disc = Discretization(config, case)
-        *_, final = run(case, config)
+        *_, final = run(disc)
         errs.append(sigma_l2_error(disc.fluid, final.lam, exact_field(case, "l0"), config.T))
     ratio = errs[0] / errs[1]
     assert 1.8 < ratio < 3.2
