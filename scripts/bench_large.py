@@ -22,11 +22,14 @@ The factors and the start-up are the records that ``run_with_errors``
 returns on its report; this script only times the call and reads VmHWM.
 
 plus the 6 -> 7 and 7 -> 8 orders of each quantity per (case, variant) and
-the machine.  Each run gets a fresh process, one after the other, with BLAS
-threads pinned to 1: example3 P2 improved k = 8 alone peaks near 4 GB, so
-two runs must never overlap.  The whole command took 451 s on the 2-core
-machine that BENCH_large.json names.  VmHWM and the machine are read from
-/proc (Linux).
+the machine, recorded as the benchmark records it (``perfbench/run.py``'s
+``machine``: nproc, cpu_model, ram_gb, the python, numpy and scipy versions,
+and the thread variables).  Each run gets a fresh process, one after the
+other, with the BLAS/OpenMP threads pinned to 1 as the benchmark pins them
+(importing ``perfbench/rep.py``): example3 P2 improved k = 8 alone peaks
+near 4 GB, so two runs must never overlap.  The whole command took 451 s on
+the 2-core machine that BENCH_large.json names.  VmHWM and the machine are
+read from /proc (Linux).
 
 Usage:
     python3 scripts/bench_large.py
@@ -34,9 +37,7 @@ Usage:
 
 import json
 import math
-import os
 import pathlib
-import platform
 import subprocess
 import sys
 import time
@@ -44,7 +45,10 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import rep  # noqa: E402,F401  pins the BLAS/OpenMP threads to 1 before numpy loads
+from run import machine  # noqa: E402
 
 from robinsplit import cli, diagnostics, schemes  # noqa: E402
 from robinsplit.manufactured import get_case  # noqa: E402
@@ -53,7 +57,6 @@ OUT = ROOT / "BENCH_large.json"
 STUDIES = (("example1", 1), ("example3", 2))
 LEVELS = (6, 7, 8)
 T = 0.25
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _vmhwm_mib():
@@ -117,28 +120,6 @@ def orders(records):
     return out
 
 
-def machine():
-    """The machine and the numerical stack the records were measured on."""
-    import numpy
-    import scipy
-
-    with open("/proc/cpuinfo", encoding="utf-8") as fh:
-        cpu = next((line.split(":", 1)[1].strip() for line in fh
-                    if line.startswith("model name")), platform.processor())
-    with open("/proc/meminfo", encoding="ascii") as fh:
-        mem_kib = int(next(line for line in fh if line.startswith("MemTotal:")).split()[1])
-    return {
-        "cpu": cpu,
-        "cores": os.cpu_count(),
-        "mem_total_mib": mem_kib // 1024,
-        "os": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "blas_threads": 1,
-    }
-
-
 def _checkout():
     """``git describe`` of the checkout, or None outside a git checkout."""
     try:
@@ -152,8 +133,6 @@ def _checkout():
 
 
 def main():
-    for var in THREAD_VARS:  # inherited by every run's process
-        os.environ[var] = "1"
     specs = [
         (case_name, order, variant, k)
         for case_name, order in STUDIES

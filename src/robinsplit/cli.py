@@ -43,6 +43,8 @@ from .schemes import SchemeConfig
 
 HARD_CEILING = 8
 LARGE_THRESHOLD = 7
+# a sweep's tables of each variant, by the name its CSV carries
+TABLES = {"final": FINAL_QUANTITIES, "sums": SUMMED_QUANTITIES}
 
 
 def level_config(k, variant, fe_order, T, alpha=SchemeConfig.alpha):
@@ -146,7 +148,7 @@ class ExperimentConfig:
         paths = {
             (v, t): f"{stem}_{v}_{t}.csv" if several else f"{stem}_{t}.csv"
             for v in self.variants
-            for t in ("final", "sums")
+            for t in TABLES
         }
         return {**paths, "orders": f"{stem}_orders.csv"} if several else paths
 
@@ -183,12 +185,6 @@ def _sweep(exp):
     return results, failures
 
 
-def _raise_failures(failures):
-    """One line per failed level, raised as the error of the command."""
-    lines = [f"level k={k} ({v}) failed: {exc}" for k, v, exc in failures]
-    raise RuntimeError("\n".join(lines)) from failures[0][2]
-
-
 def _reported(quantities, order):
     """The quantities the tables carry, in their given order."""
     # the broken second-derivative sum carries no FE content for P1
@@ -196,9 +192,10 @@ def _reported(quantities, order):
 
 
 def _tables(reports, order):
-    final = ConvergenceTable.from_reports(reports, _reported(FINAL_QUANTITIES, order))
-    sums = ConvergenceTable.from_reports(reports, _reported(SUMMED_QUANTITIES, order))
-    return final, sums
+    return {
+        t: ConvergenceTable.from_reports(reports, _reported(quantities, order))
+        for t, quantities in TABLES.items()
+    }
 
 
 def cmd_run(exp):
@@ -219,6 +216,17 @@ def cmd_run(exp):
     return report
 
 
+def _orders_table(orders, columns, ks, text=False):
+    """Header and rows of the observed orders of each (variant, quantity)
+    column by level, as text cells or CSV cells."""
+    header = ["k"] + [f"{v}:{q}" if text else f"{v}_{q}_order" for v, q in columns]
+    rows = [
+        [str(k) if text else k] + [order_cell(orders[v][q][i], text) for v, q in columns]
+        for i, k in enumerate(ks)
+    ]
+    return header, rows
+
+
 def cmd_compare(exp):
     """Sweep kmin..kmax under each variant and emit its final + sums tables;
     with several variants, also their observed orders side by side.
@@ -228,10 +236,10 @@ def cmd_compare(exp):
     """
     results, failures = _sweep(exp)
     several = len(exp.variants) > 1
-    paths = exp.csv_paths
     out = {}
     for v in (v for v in exp.variants if v in results):
-        final, sums = out[v] = _tables(results[v], exp.order)
+        out[v] = _tables(results[v], exp.order)
+        final, sums = out[v].values()
         if failures:
             title = f"partial results ({exp.case}, {v}): levels {sorted(results[v])} completed"
         else:
@@ -239,34 +247,23 @@ def cmd_compare(exp):
         print(f"{title}\n{final.format_text()}\n\n{sums.format_text()}")
         if several:
             print()
-        if paths and not failures:
-            final.to_csv(paths[v, "final"])
-            sums.to_csv(paths[v, "sums"])
-    if failures:
-        _raise_failures(failures)
-    if not several:
-        if paths:
-            print("wrote " + " and ".join(paths.values()))
-        return out
-    orders = {v: {**final.orders, **sums.orders} for v, (final, sums) in out.items()}
+    if failures:  # one line per failed level, raised as the error of the command
+        lines = [f"level k={k} ({v}) failed: {exc}" for k, v, exc in failures]
+        raise RuntimeError("\n".join(lines)) from failures[0][2]
+    orders = {v: {**t["final"].orders, **t["sums"].orders} for v, t in out.items()}
     ks = range(exp.k_min, exp.k_max + 1)
-    shown = ("e_u", "e_gdus", "e_gdu2s")
-    print("observed orders by variant")
-    header = ["k"] + [f"{v}:{q}" for q in shown for v in exp.variants]
-    rows = [
-        [str(k)] + [order_cell(orders[v][q][i], text=True) for q in shown for v in exp.variants]
-        for i, k in enumerate(ks)
-    ]
-    print(format_columns(header, rows))
-    if paths:
-        quantities = _reported(ALL_QUANTITIES, exp.order)
-        header = ["k"] + [f"{v}_{q}_order" for v in exp.variants for q in quantities]
-        rows = [
-            [k] + [order_cell(orders[v][q][i]) for v in exp.variants for q in quantities]
-            for i, k in enumerate(ks)
-        ]
-        write_csv(paths["orders"], header, rows)
-        print(f"wrote {paths['orders']}")
+    if several:
+        shown = [(v, q) for q in ("e_u", "e_gdus", "e_gdu2s") for v in exp.variants]
+        print("observed orders by variant")
+        print(format_columns(*_orders_table(orders, shown, ks, text=True)))
+    for key, path in exp.csv_paths.items():
+        if key == "orders":
+            columns = [(v, q) for v in exp.variants for q in _reported(ALL_QUANTITIES, exp.order)]
+            write_csv(path, *_orders_table(orders, columns, ks))
+        else:
+            out[key[0]][key[1]].to_csv(path)
+    if exp.csv_paths:
+        print("wrote " + " and ".join(exp.csv_paths.values()))
     return out
 
 

@@ -344,31 +344,23 @@ class ConvergenceTable:
     def from_reports(reports, quantities):
         """Build from {k: ErrorReport}, ordered by k."""
         ks = tuple(sorted(reports))
-        values = {}
-        orders = {}
-        for q in quantities:
-            vals = [getattr(reports[k], q) for k in ks]
-            values[q] = vals
-            orders[q] = convergence_orders(vals)
+        values = {q: [getattr(reports[k], q) for k in ks] for q in quantities}
+        orders = {q: convergence_orders(vals) for q, vals in values.items()}
         return ConvergenceTable(tuple(quantities), ks, values, orders)
 
-    def to_csv(self, path):
-        header, rows = ["k"], [[k] for k in self.ks]
+    def rows(self, text=False):
+        """Header and rows: k, then each quantity's value and observed order,
+        as text cells (values to three significant digits) or CSV cells."""
+        header, rows = ["k"], [[str(k) if text else k] for k in self.ks]
         for q in self.quantities:
-            header += [q, f"{q}_order"]
+            header += [q, "order" if text else f"{q}_order"]
             for row, value, order in zip(rows, self.values[q], self.orders[q]):
-                row += [value, order_cell(order)]
-        write_csv(path, header, rows)
+                row += [f"{value:.2e}" if text else value, order_cell(order, text)]
+        return header, rows
+
+    def to_csv(self, path):
+        write_csv(path, *self.rows())
 
     def format_text(self):
         """Fixed-width table with three significant digits."""
-        cols = ["k"]
-        for q in self.quantities:
-            cols += [q, "order"]
-        rows = []
-        for i, k in enumerate(self.ks):
-            row = [str(k)]
-            for q in self.quantities:
-                row += [f"{self.values[q][i]:.2e}", order_cell(self.orders[q][i], text=True)]
-            rows.append(row)
-        return format_columns(cols, rows)
+        return format_columns(*self.rows(text=True))

@@ -180,14 +180,10 @@ class Discretization:
         """
         if "robin" not in self._facts:
             cfg, case = self.config, self.case
-            coo = self.msig.tocoo()
 
             def factor(free, trace, mass, stiff, nu):
                 # alpha M_Sigma at the trace's positions among the free dofs
-                at = np.searchsorted(free, trace)
-                interface = sp.coo_matrix(
-                    (coo.data, (at[coo.row], at[coo.col])), shape=(free.size, free.size)
-                )
+                interface = _placed(self.msig, np.searchsorted(free, trace), free.size)
                 a = (mass / cfg.dt + nu * stiff)[free][:, free] + cfg.alpha * interface
                 return self._factorize("robin", a)
 
@@ -211,15 +207,10 @@ class Discretization:
             extra = np.flatnonzero(s2m < 0)
             s2m[extra] = nf + np.arange(len(extra))
             dim = nf + len(extra)
-
-            def reindex(matrix, at):
-                coo = matrix.tocoo()
-                return sp.coo_matrix((coo.data, (at[coo.row], at[coo.col])), shape=(dim, dim))
-
             ident = np.arange(nf)
-            mono_mass = reindex(self.mass_f, ident) + reindex(self.mass_s, s2m)
-            mono_stiff = case.nu_f * reindex(self.stiff_f, ident)
-            mono_stiff += case.nu_s * reindex(self.stiff_s, s2m)
+            mono_mass = _placed(self.mass_f, ident, dim) + _placed(self.mass_s, s2m, dim)
+            mono_stiff = case.nu_f * _placed(self.stiff_f, ident, dim)
+            mono_stiff += case.nu_s * _placed(self.stiff_s, s2m, dim)
             free = np.union1d(self.free_f, s2m[self.free_s])
             self._facts["mono"] = (
                 self._factorize("monolithic", (mono_mass / cfg.dt + mono_stiff)[free][:, free]),
@@ -233,6 +224,12 @@ class Discretization:
     def first_block_factorization(self):
         """Factors of the improved start-up; not kept, as it runs once."""
         return _Startup(self)
+
+
+def _placed(matrix, at, n):
+    """``matrix`` as an n x n COO with its row and column i at ``at[i]``."""
+    coo = matrix.tocoo()
+    return sp.coo_matrix((coo.data, (at[coo.row], at[coo.col])), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,21 @@ def test_compare_writes_variant_files(tmp_path, capsys):
     assert "observed orders by variant" in out
 
 
+@pytest.mark.parametrize(
+    "variants", [["improved"], ["original", "improved", "monolithic"]], ids=["one", "three"]
+)
+def test_compare_writes_and_names_every_csv_path(tmp_path, monkeypatch, capsys, variants):
+    # the files compare writes are exactly those ExperimentConfig.csv_paths
+    # names, and its last line announces all of them
+    monkeypatch.chdir(tmp_path)
+    flags = [f"--variant={v}" for v in variants]
+    assert main(["compare", *flags, "--kmin", "1", "--kmax", "2", "--T", "1.0", "--out", "cmp"]) == 0
+    exp = ExperimentConfig("example1", tuple(variants), 1, 2, T=1.0, out="cmp")
+    assert sorted(os.listdir(tmp_path)) == sorted(exp.csv_paths.values())
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "wrote " + " and ".join(exp.csv_paths.values())
+
+
 def test_parallel_sweep_matches_serial(tmp_path, capsys):
     common = [
         "compare",

@@ -22,6 +22,26 @@ def test_readme_layout_counts_the_package_lines():
     assert int(stated.group(1).replace(",", "")) == lines
 
 
+def test_module_entry_point_exits_with_main_code():
+    # python -m robinsplit runs __main__.py, which exits with main()'s code
+    root = pathlib.Path(__file__).resolve().parents[1]
+
+    def robinsplit(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "robinsplit", *args],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+        )
+
+    done = robinsplit("--help")
+    assert done.returncode == 0, done.stderr
+    assert "run" in done.stdout and "compare" in done.stdout
+    done = robinsplit("compare", "--kmin", "0")
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error:"), done.stderr
+
+
 def test_readme_command_lines_parse(tmp_path, monkeypatch):
     # every command line that the README shows names a subcommand and flags
     # that the CLI still takes; parsing and merging check a line as the CLI
@@ -133,6 +153,8 @@ def test_bench_large_records_one_small_run(monkeypatch):
     # is filled and that the nine quantities are those run_with_errors reports
     root = pathlib.Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "scripts"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # as importing the script pins them, undone after
     import bench_large
     from robinsplit.cli import level_config
 

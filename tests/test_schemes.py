@@ -219,11 +219,28 @@ def test_block_dimension_layout():
         assert np.intersect1d(field.interior, field.trace).size == 0
 
 
-@pytest.mark.parametrize("name, order", [("example1", 1), ("example3", 2)])
-def test_startup_matches_nine_block_lu(name, order):
-    case = get_case(name)
+@pytest.mark.parametrize(
+    "name, order, nu_f, nu_s",
+    [
+        pytest.param(
+            name, order, nu_f, nu_s,
+            id=f"{name}-{order}" + ("" if nu_f == nu_s == 1 else f"-nu_f={nu_f}-nu_s={nu_s}"),
+        )
+        for name, order in (("example1", 1), ("example3", 2))
+        for nu_f, nu_s in ((1, 1), (0.01, 1), (0.001, 1), (1, 0.01), (0.01, 0.01), (0.001, 0.001))
+    ],
+)
+def test_startup_matches_nine_block_lu(name, order, nu_f, nu_s):
+    case = dataclasses.replace(get_case(name), nu_f=nu_f, nu_s=nu_s)
     config = level_config(3, "improved", order, 0.25)
     disc = Discretization(config, case)
+    if nu_f == nu_s == 0.001:
+        # GMRES stalls near a relative residual of 5e-13, above GMRES_RTOL,
+        # and the start-up takes its documented exit (ROADMAP item 1: why the
+        # improved start-up fails at small diffusivity)
+        with pytest.raises(SingularSystemError, match="GMRES did not converge"):
+            solve_first_block_improved(case, config, disc)
+        return
     got = solve_first_block_improved(case, config, disc)
     want = first_block_reference(disc)
     for g, w in zip(got, want, strict=True):
