@@ -14,8 +14,11 @@ run to BENCH_large.json at the root of the checkout:
                   ``linalg.factorize``
   startup         improved only: the nine-block system's size (Dirichlet
                   dofs included), the seconds of the whole start-up solve,
-                  and its GMRES iterations, restarts, Schur applications
-                  and seconds
+                  and its GMRES record: the residuals scipy reported (the
+                  relative preconditioned residual after each iteration),
+                  the iterations (their number), Schur applications,
+                  restarts (the applications beyond one per iteration and
+                  one per cycle) and seconds
   quantities      the nine error quantities of the report
 
 The factors and the start-up are the records that ``run_with_errors``

@@ -12,6 +12,9 @@ CSV tables under an output directory:
 The end time defaults to 0.25 so the coarsest level (k=3, four steps) is
 meaningful; the pinned reference numbers in tests/test_acceptance.py were
 measured at this T.  Levels 7 and 8 take a while, ask for them with --large.
+BLAS and OpenMP run on one thread unless the environment says otherwise:
+with --jobs N the runs already share the cores, and a small matrix
+product handed to a second, busy core costs far more than it saves.
 
 Usage:
     python scripts/reproduce_tables.py
@@ -19,13 +22,18 @@ Usage:
 """
 
 import argparse
+import os
 import pathlib
 import sys
 import time
 
+# before numpy is first imported (by robinsplit), as tests/conftest.py does
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from robinsplit.cli import main as cli_main
+from robinsplit.cli import main as cli_main  # noqa: E402
 
 
 def main():

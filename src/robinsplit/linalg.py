@@ -1,12 +1,12 @@
 """Sparse matrices and direct factorization.
 
-Thin layer over scipy.sparse: matrices are CSR in canonical form (sorted
-column indices, duplicates summed, explicit zeros dropped), and
-factorization is a sparse LU kept for repeated solves, which knows its own
-seconds and fill.  Factorization failures raise SingularSystemError carrying
-the failing pivot index when it can be found; so does a solve whose result
-is not finite, and a GMRES solve whose right-hand side has no finite norm or
-that does not converge.
+Thin layer over scipy.sparse: matrices are canonical CSR
+(``finalize_csr``), factorization is a sparse LU kept for repeated solves,
+with its seconds and fill, and GMRES returns scipy's residual history with
+counts derived from it.  SingularSystemError is raised by a failed
+factorization (with the failing pivot index when it can be found), a solve
+whose result is not finite, and a GMRES solve that does not converge or
+whose right-hand side has no finite norm.
 """
 
 import time
@@ -117,13 +117,14 @@ def factorize(matrix, *, permc_spec="MMD_AT_PLUS_A"):
 
 
 # GMRES stops once the true residual norm is GMRES_RTOL times that of the
-# right-hand side.  A cycle iterates on the preconditioned residual for at
-# most GMRES_MAXITER steps and stops early when that one meets the
-# tolerance; if the true residual then still misses it, GMRES restarts from
-# there with a tighter inner tolerance.  On the start-up systems of example1
-# P1 and example2/example3 P2 at k = 3..6 the first cycle always stops early,
-# after 11 to 28 steps, and up to three were needed: the true residual it
-# leaves is close to the rounding of the Schur operator itself.
+# right-hand side.  From x = 0 (a zero right-hand side returns at once), a
+# cycle applies the operator once per step for at most GMRES_MAXITER steps,
+# stopping early when the preconditioned residual meets the tolerance, and
+# once more for the true residual; if that still misses the tolerance, GMRES
+# restarts from there with a tighter inner one.  On the start-up systems of
+# example1 P1 and example2/example3 P2 at k = 3..6 the first cycle always
+# stops early, after 11 to 28 steps, and up to three were needed: the true
+# residual it leaves is close to the rounding of the Schur operator itself.
 GMRES_RTOL = 1e-13
 GMRES_MAXITER = 400
 GMRES_CYCLES = 5
@@ -133,8 +134,9 @@ def gmres(apply, rhs, precond):
     """Solve ``apply(x) = rhs`` by GMRES, left-preconditioned by ``precond``.
 
     ``precond(r)`` solves with an approximation to the operator.  Returns
-    the solution and the solve's counts: ``iterations``, ``applications``
-    of ``apply``, ``restarts`` and ``seconds``.
+    the solution and a record: the ``residuals`` scipy reports (relative,
+    preconditioned, one per step), ``iterations``, ``applications`` of
+    ``apply``, ``restarts`` (the cycles after the first) and ``seconds``.
 
     Raises
     ------
@@ -148,19 +150,13 @@ def gmres(apply, rhs, precond):
         rhs_norm = np.linalg.norm(rhs)
     if not np.isfinite(rhs_norm):
         raise SingularSystemError(f"GMRES right-hand side has norm {rhs_norm}, not finite")
-    counts = {"iterations": 0, "applications": 0, "restarts": 0}
+    residuals = []
+    applications = 0
 
     def counted(x):
-        # a cycle applies the operator once per iteration and once more for
-        # its true residual, so an application right after that one starts
-        # the next cycle
-        if counts["applications"] == counts["iterations"] + counts["restarts"] + 1:
-            counts["restarts"] += 1
-        counts["applications"] += 1
+        nonlocal applications
+        applications += 1
         return apply(x)
-
-    def iterated(_residual):
-        counts["iterations"] += 1
 
     n = rhs.size
     x, info = spla.gmres(
@@ -171,13 +167,16 @@ def gmres(apply, rhs, precond):
         restart=GMRES_MAXITER,
         maxiter=GMRES_CYCLES,
         M=spla.LinearOperator((n, n), matvec=precond, dtype=float),
-        callback=iterated,
+        callback=residuals.append,
         callback_type="pr_norm",
     )
+    iterations = len(residuals)
     if info != 0:
         reached = np.linalg.norm(rhs - apply(x)) / rhs_norm
         raise SingularSystemError(
             f"GMRES did not converge: relative residual {reached:.1e} after "
-            f"{counts['iterations']} iterations (tolerance {GMRES_RTOL:.0e})"
+            f"{iterations} iterations (tolerance {GMRES_RTOL:.0e})"
         )
-    return x, {**counts, "seconds": time.perf_counter() - t0}
+    restarts = max(applications - iterations - 1, 0)
+    return x, {"iterations": iterations, "applications": applications, "restarts": restarts,
+               "seconds": time.perf_counter() - t0, "residuals": residuals}

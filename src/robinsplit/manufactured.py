@@ -40,8 +40,10 @@ class ManufacturedCase:
     scalar factors of t.
 
     Every run of a case discretizes its diffusivities ``nu_f``, ``nu_s``
-    (finite and positive) and interface height ``split_y``.  ``f_f0`` /
-    ``f_s0`` are None when the forcing vanishes identically;
+    (finite and positive) and interface height ``split_y``; the profiles are
+    exact for the case's own diffusivities only, so a copy with others
+    (``dataclasses.replace``) is a solver input, not a manufactured solution.
+    ``f_f0`` / ``f_s0`` are None when the forcing vanishes identically;
     ``forcing_factor`` is then None too.
     """
 
@@ -69,7 +71,8 @@ class ManufacturedCase:
 
 
 def _trig_case(name, time_factor, time_derivative, forcing_factor):
-    """Case with solution time_factor(t) * cos(pi x1) sin(pi x2).
+    """Case with solution time_factor(t) * cos(pi x1) sin(pi x2), exact at
+    nu_f = nu_s = 1 only: ``l0`` has no nu_f, nor the examples' 2 pi^2 a nu.
 
     ``forcing_factor`` is the scalar factor of the forcing in front of the
     spatial profile, or None when the forcing vanishes identically.  The

@@ -408,8 +408,7 @@ class _FieldRows:
 
 
 class _Startup:
-    """Factors of the start-up system and its solve through Gamma; ``gmres``
-    holds the counts of the last solve."""
+    """Factors of the start-up system and its solve through Gamma."""
 
     def __init__(self, disc):
         cfg, case = disc.config, disc.case
@@ -468,7 +467,7 @@ class _Startup:
         return y
 
     def solve(self, rhs_w, rhs_u, rhs_l):
-        """Levels 1, 2, 3 of w, u and flux, each as a (3, n) array.
+        """Levels 1, 2, 3 of w, u and flux, each a (3, n) array; the GMRES record.
 
         The right-hand sides are the rows at level 1 - level 2, 2, 3, shaped
         the same way.
@@ -480,7 +479,7 @@ class _Startup:
         )
         for field, part, b in zip(self.fields, self.parts, b_i):
             b_g[part] -= field.trace_interior @ field.solve_interior(b)
-        x_g, self.gmres = linalg.gmres(self._schur, b_g, self._precondition)
+        x_g, record = linalg.gmres(self._schur, b_g, self._precondition)
         out = []
         for field, part, b, r in zip(self.fields, self.parts, b_i, rhs):
             x = np.zeros_like(r)
@@ -489,7 +488,7 @@ class _Startup:
             x[:, field.trace] = x_g[part].reshape(3, -1)
             x[0] += x[1]  # v1 = D + v2
             out.append(x)
-        return (*out, x_g[self.parts[2]].reshape(3, -1))
+        return (*out, x_g[self.parts[2]].reshape(3, -1)), record
 
 
 def _first_step_loads(disc):
@@ -535,16 +534,15 @@ def solve_first_block_improved(case, config, disc):
     right-hand side is assembled first, so the loads' transients are freed
     before the first factorization.  ``disc.startup`` records the system's
     size (Dirichlet dofs included), the seconds of this call and the GMRES
-    counts.
+    record (``linalg.gmres``).
     """
     t0 = time.perf_counter()
     rhs = _startup_rhs(disc)
-    startup = disc.first_block_factorization()
-    w, u, lam = startup.solve(*rhs)
+    (w, u, lam), gmres = disc.first_block_factorization().solve(*rhs)
     disc.startup = {
         "unknowns": 3 * (disc.fluid.ndof + disc.solid.ndof + disc.n_sig),
         "seconds": time.perf_counter() - t0,
-        "gmres": startup.gmres,
+        "gmres": gmres,
     }
     return tuple(DiscreteState(n=n + 1, u=u[n], w=w[n], lam=lam[n]) for n in range(3))
 

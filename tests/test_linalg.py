@@ -93,17 +93,26 @@ def test_gmres_counts_restarts(monkeypatch):
     n = 30
     a = np.eye(n) + 0.3 * np.triu(rng.normal(size=(n, n)), 1) + np.diag(rng.uniform(0, 1, n))
     b = rng.normal(size=n)
-    want = np.linalg.solve(a, b)
 
-    def solve():
-        x, counts = gmres(lambda v: a @ v, b, lambda r: r)
-        assert counts["applications"] == counts["iterations"] + counts["restarts"] + 1
-        assert np.max(np.abs(x - want)) <= 1e-10
-        return counts
+    def solve(rhs):
+        products = []
 
-    assert solve()["restarts"] == 0
+        def apply(v):
+            products.append(v)
+            return a @ v
+
+        x, record = gmres(apply, rhs, lambda r: r)
+        assert record["applications"] == len(products)
+        assert record["iterations"] == len(record["residuals"])
+        assert np.max(np.abs(x - np.linalg.solve(a, rhs))) <= 1e-10
+        return record
+
+    assert solve(b)["restarts"] == 0
+    # scipy returns on a zero right-hand side before any product
+    zero = solve(np.zeros(n))
+    assert (zero["iterations"], zero["applications"], zero["restarts"]) == (0, 0, 0)
     monkeypatch.setattr(linalg, "GMRES_MAXITER", 10)
-    assert solve()["restarts"] >= 1
+    assert solve(b)["restarts"] >= 1
 
 
 def test_rhs_dimension_mismatch():

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -81,6 +82,19 @@ def test_reproduce_tables_writes_the_study(tmp_path):
     assert cli.main(argv + ["--out", str(tmp_path / "direct")]) == 0
     direct = (tmp_path / "direct_final.csv").read_bytes()
     assert (tmp_path / "study" / "example2_final.csv").read_bytes() == direct
+
+
+def test_reproduce_tables_pins_blas_threads(monkeypatch):
+    # the script's top level pins BLAS/OpenMP to one thread before numpy
+    # loads, unless the environment already sets them; run_name keeps its
+    # main() from running
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in names:
+        monkeypatch.delenv(var, raising=False)
+    runpy.run_path(str(root / "scripts" / "reproduce_tables.py"), run_name="x")
+    assert [os.environ.get(var) for var in names] == ["1"] * 3
 
 
 def test_benchmark_tracer_installs(tmp_path):
@@ -172,8 +186,33 @@ def test_bench_large_records_one_small_run(monkeypatch):
     assert set(startup) == {"unknowns", "seconds", "gmres"}
     assert startup["unknowns"] == 3 * (17 * 13 + 17 * 5 + 17)  # P1, nx = 16
     gmres = startup["gmres"]
-    assert set(gmres) == {"iterations", "applications", "restarts", "seconds"}
+    assert set(gmres) == {"iterations", "applications", "restarts", "seconds", "residuals"}
+    assert len(gmres["residuals"]) == gmres["iterations"]
     assert gmres["applications"] == gmres["iterations"] + gmres["restarts"] + 1 > 1
     config = level_config(3, "improved", 1, bench_large.T)
     want = robinsplit.run_with_errors(robinsplit.get_case("example1"), config, k=3)
     assert record["quantities"] == want.values()
+
+
+def test_bench_large_orders_pair_consecutive_levels(monkeypatch):
+    # orders() sorts a (case, order, variant)'s runs by k and gives the
+    # 6 -> 7 and 7 -> 8 orders of each quantity: 1.0 where it halves, None
+    # where a level is zero, and nothing for a variant with no runs
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # as importing the script pins them, undone after
+    import bench_large
+    from robinsplit.diagnostics import ALL_QUANTITIES
+
+    def record(k):
+        quantities = {q: 2.0**-k for q in ALL_QUANTITIES}
+        quantities["e_ggdus"] = 0.0
+        return {"case": "example1", "order": 1, "variant": "improved", "k": k,
+                "quantities": quantities}
+
+    orders = bench_large.orders([record(k) for k in (8, 6, 7)])
+    want = {q: [1.0, 1.0] for q in ALL_QUANTITIES}
+    want["e_ggdus"] = [None, None]
+    assert orders["example1 P1 improved"] == want
+    assert orders["example1 P1 original"] == {q: [] for q in ALL_QUANTITIES}
