@@ -43,6 +43,12 @@ from .schemes import SchemeConfig
 
 HARD_CEILING = 8
 LARGE_THRESHOLD = 7
+# the study defaults of the ExperimentConfig fields without one; run's only
+# level is --kmin, and compare's last is the larger of --kmin and DEFAULT_KMAX
+DEFAULT_CASE = "example1"
+DEFAULT_VARIANT = "improved"
+DEFAULT_KMIN = 3
+DEFAULT_KMAX = 6
 # a sweep's tables of each variant, by the name its CSV carries
 TABLES = {"final": FINAL_QUANTITIES, "sums": SUMMED_QUANTITIES}
 
@@ -318,7 +324,7 @@ def _merge(parser, args):
     """The experiment of the flags given, then of the config file's lines.
 
     A field that neither sets keeps its ``ExperimentConfig`` default; the
-    four fields without one take the study defaults below.
+    four fields without one take the study defaults (``DEFAULT_*`` above).
     """
     values = dict(vars(args))
     if "config" in values:
@@ -329,10 +335,10 @@ def _merge(parser, args):
             raise ConfigurationError(f"{path}: {exc}") from None
         values = {**vars(file_args), **values}
     command = values["command"]
-    values["variants"] = tuple(values.get("variants", ["improved"]))
-    values.setdefault("case", "example1")
-    k_min = values.setdefault("k_min", 3)
-    values.setdefault("k_max", k_min if command == "run" else max(k_min, 6))
+    values["variants"] = tuple(values.get("variants", [DEFAULT_VARIANT]))
+    values.setdefault("case", DEFAULT_CASE)
+    k_min = values.setdefault("k_min", DEFAULT_KMIN)
+    values.setdefault("k_max", k_min if command == "run" else max(k_min, DEFAULT_KMAX))
     return ExperimentConfig(**values)
 
 
@@ -345,24 +351,27 @@ def build_parser():
         exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("run", "one case, one variant, one level"),
-        ("compare", "sweep levels for each variant and tabulate orders"),
+    for name, helptext, kmax_help in (
+        ("run", "one case, one variant, one level", "last level; must equal KMIN (default KMIN)"),
+        ("compare", "sweep levels for each variant and tabulate orders",
+         f"last level (default max(KMIN, {DEFAULT_KMAX}))"),
     ):
         p = sub.add_parser(
             name, help=helptext, argument_default=argparse.SUPPRESS, exit_on_error=False
         )
-        p.add_argument("--case", choices=case_names())
+        p.add_argument("--case", choices=case_names(), help=f"manufactured case (default {DEFAULT_CASE})")
         # dest: the ExperimentConfig field the flag sets
         p.add_argument(
             "--variant",
             dest="variants",
             metavar="VARIANT",
             action="append",
-            help="scheme variant; repeat the flag under compare",
+            help=f"scheme variant; repeat the flag under compare (default {DEFAULT_VARIANT})",
         )
-        p.add_argument("--kmin", dest="k_min", metavar="KMIN", type=int, help="first level (default 3)")
-        p.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, help="last level (default 6)")
+        p.add_argument(
+            "--kmin", dest="k_min", metavar="KMIN", type=int, help=f"first level (default {DEFAULT_KMIN})"
+        )
+        p.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, help=kmax_help)
         p.add_argument("--alpha", type=float, help=f"Robin parameter (default {SchemeConfig.alpha:g})")
         p.add_argument("--T", type=float, help=f"final time (default {ExperimentConfig.T})")
         p.add_argument(

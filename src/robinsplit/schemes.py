@@ -297,10 +297,11 @@ def step_original(state, disc):
 # STARTUP_BAND_LAYERS cell layers of the interface: solved with zeros on that
 # band, it applies the inverse of the Gamma block minus the band's exact
 # Schur correction, which recovers most of what the interior elimination
-# adds (Smith, Bjorstad & Gropp, Domain Decomposition, 1996, ch. 4).  With
-# two layers, example3 P2 k = 5 and 7 take 16 and 29 GMRES iterations, where
-# the Gamma block alone took 52 and 72.  Dirichlet dofs are zero and never
-# enter.
+# adds (Smith, Bjorstad & Gropp, Domain Decomposition, 1996, ch. 4).  That
+# band system is assembled once, directly in the x order of its unknowns,
+# and Gamma's block is read off it.  With two layers, example3 P2 k = 5 and
+# 7 take 16 and 29 GMRES iterations, where the Gamma block alone took 52 and
+# 72.  Dirichlet dofs are zero and never enter.
 STARTUP_BAND_LAYERS = 2
 
 
@@ -346,17 +347,13 @@ def _level_rows(stiff_block, mass_block, nu, dt):
     )
 
 
-def _at_levels(positions, n):
-    """Positions among n dofs as positions among the 3 n unknowns (D, v2, v3)."""
-    return np.concatenate([positions, positions + n, positions + 2 * n])
-
-
 class _FieldRows:
     """Volume rows of one field over (D, v2, v3), split into interior and trace.
 
     ``band`` holds the interior dofs within ``STARTUP_BAND_LAYERS`` cell
-    layers of the interface, which the preconditioner eliminates exactly.
-    ``factorize`` builds the two interior LUs.
+    layers of the interface, which the preconditioner eliminates exactly;
+    ``near_rows`` are the rows of ``near``, the band then the trace, against
+    themselves.  ``factorize`` builds the two interior LUs.
     """
 
     def __init__(self, factorize, space, mass, stiff, nu, dt):
@@ -369,7 +366,8 @@ class _FieldRows:
         y = space.dof_coords[:, 1]
         layers = np.abs(y - y[self.trace[0]]) / space._interface_lengths[0]
         self.band = self.interior[layers[self.interior] <= STARTUP_BAND_LAYERS + 1e-9]
-        i, g, n = self.interior, self.trace, self.band
+        self.near = np.concatenate([self.band, self.trace])
+        i, g, n = self.interior, self.trace, self.near
         # the LUs first, each matrix built just before its own and dropped
         # after it: no other copy or slice is resident during a
         # factorization, and the rows below reuse the memory its workspace
@@ -377,22 +375,11 @@ class _FieldRows:
         # the rows built first)
         self.b_ii = factorize((nu * stiff + mass / dt)[i][:, i])
         self.k_ii = factorize((nu * stiff)[i][:, i])
-        # each row set is sliced once.  The trace rows are few, so they are
-        # composed over all columns and their blocks picked from that; the
-        # trace runs in interface order, not dof order, so its own block is
-        # sorted back into canonical CSR
         k_r, m_r = stiff[i], mass[i]
         self.e_ii = m_r[:, i] / dt
         self.interior_trace = _level_rows(k_r[:, g], m_r[:, g], nu, dt)
-        trace_rows = _level_rows(stiff[g], mass[g], nu, dt)
-        self.trace_interior = trace_rows[:, _at_levels(i, space.ndof)]
-        self.trace_trace = trace_rows[:, _at_levels(g, space.ndof)].sorted_indices()
-        self.band_band = _level_rows(stiff[n][:, n], mass[n][:, n], nu, dt)
-        # the band is part of the interior, so its blocks against the trace
-        # are the interior's at the band's positions
-        at = _at_levels(np.searchsorted(i, n), i.size)
-        self.band_trace = self.interior_trace[at]
-        self.trace_band = self.trace_interior[:, at]
+        self.trace_interior = _level_rows(stiff[g][:, i], mass[g][:, i], nu, dt)
+        self.near_rows = _level_rows(stiff[n][:, n], mass[n][:, n], nu, dt)
 
     def solve_interior(self, rhs):
         """Interior (D, v2, v3), stacked, by block forward substitution."""
@@ -424,36 +411,32 @@ class _Startup:
         self.fields = (solid, fluid)
         m = 3 * disc.n_sig
         self.parts = [slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)]
-        gamma = sp.block_diag(
-            [f.trace_trace for f in self.fields] + [sp.csr_matrix((m, m))]
-        ) + sp.kron(_interface_coupling(cfg.alpha), disc.msig)
-        self.gamma = linalg.finalize_csr(gamma)
-        # the start-up system on (band of each field, Gamma); Gamma comes last
-        band = sp.bmat(
-            [
-                [
-                    sp.block_diag([f.band_band for f in self.fields]),
-                    sp.block_diag([f.band_trace for f in self.fields] + [sp.csr_matrix((0, m))]),
-                ],
-                [
-                    sp.block_diag([f.trace_band for f in self.fields] + [sp.csr_matrix((m, 0))]),
-                    self.gamma,
-                ],
-            ],
-            format="csr",
-        )
-        # ordered by the x coordinate of each unknown, the band system is
-        # banded, and the natural order factors it with far less fill than a
-        # minimum-degree ordering
+        # the start-up system on (band of each field, Gamma), with its
+        # unknowns band_s, band_f, trace_s, trace_f, flux, each level-major,
+        # placed in the stable order of their x coordinates: so ordered it
+        # is banded, and the natural order factors it with far less fill
+        # than a minimum-degree ordering
         x = [
             np.tile(space.dof_coords[f.band, 0], 3)
             for f, space in zip(self.fields, (disc.solid, disc.fluid))
         ]
-        order = np.argsort(np.concatenate(x + [np.tile(disc.fluid.interface_x, 9)]), kind="stable")
-        self.band_factor = factorize(band[order][:, order], permc_spec="NATURAL")
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        self.gamma_position = position[order.size - 3 * m :]
+        x = np.concatenate(x + [np.tile(disc.fluid.interface_x, 9)])
+        position = np.empty(x.size, dtype=np.intp)
+        position[np.argsort(x, kind="stable")] = np.arange(x.size)
+        self.gamma_position = position[x.size - 3 * m :]
+        bands = np.split(position[: x.size - 3 * m], [3 * solid.band.size])
+        system = _placed(
+            sp.kron(_interface_coupling(cfg.alpha), disc.msig), self.gamma_position, x.size
+        )
+        for field, band, part in zip(self.fields, bands, self.parts):
+            # near_rows runs over the band, then the trace, at each level
+            trace = self.gamma_position[part]
+            near = np.hstack([band.reshape(3, -1), trace.reshape(3, -1)]).ravel()
+            system = system + _placed(field.near_rows, near, x.size)
+        system = linalg.finalize_csr(system)
+        # sorted columns give the Schur product the sums of canonical CSR
+        self.gamma = system[self.gamma_position][:, self.gamma_position].sorted_indices()
+        self.band_factor = factorize(system, permc_spec="NATURAL")
 
     def _precondition(self, r):
         z = np.zeros(self.band_factor.shape[0])

@@ -346,6 +346,31 @@ def test_kmax_below_kmin_rejected(capsys):
     assert code == 2
 
 
+HELP_KMAX = {
+    "run": "--kmax KMAX last level; must equal KMIN (default KMIN)",
+    "compare": "--kmax KMAX last level (default max(KMIN, 6))",
+}
+
+
+@pytest.mark.parametrize(
+    "command, kmin, kmax", [("run", 4, 4), ("compare", 4, 6), ("compare", 7, 7)]
+)
+def test_help_states_the_defaults_applied(capsys, command, kmin, kmax):
+    # --help's --case, --variant and --kmax lines say what an unset flag
+    # becomes; whitespace is collapsed, so line wrapping does not matter
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for line in (
+        "--case {example1,example2,example3} manufactured case (default example1)",
+        "--variant VARIANT scheme variant; repeat the flag under compare (default improved)",
+        HELP_KMAX[command],
+    ):
+        assert line in text
+    parser = cli.build_parser()
+    exp = cli._merge(parser, parser.parse_args([command, "--kmin", str(kmin), "--large"]))
+    assert (exp.case, exp.variants, exp.k_max) == ("example1", ("improved",), kmax)
+
+
 def test_run_rejects_multiple_variants(capsys):
     code = main(
         [

@@ -338,18 +338,13 @@ def test_report_records_factors_and_startup(monkeypatch, variant, kinds):
     assert gmres["applications"] == gmres["iterations"] + gmres["restarts"] + 1
 
 
-def test_p1_run_computes_no_hessians(monkeypatch):
+def test_p1_run_computes_no_hessians():
     # example3 is forced, so its loads build quadrature tables too
-    built = []
-
-    class Recorded(Discretization):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(diagnostics, "Discretization", Recorded)
-    run_with_errors(get_case("example3"), SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=8))
-    (disc,) = built
+    disc = Discretization(SchemeConfig(dt=1.0 / 16.0, T=0.25, nx=8), get_case("example3"))
+    acc = ErrorAccumulator(disc)
+    for state in run(disc):
+        acc.observe(state)
+    acc.report()
     for space in (disc.fluid, disc.solid):
         assert "_hessians" not in vars(space), space.subdomain
 

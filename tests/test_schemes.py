@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from robinsplit import fem, linalg, schemes
 from robinsplit.cli import level_config
@@ -254,6 +255,12 @@ def test_startup_matches_nine_block_lu(name, order, nu_f, nu_s):
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b), (g.n, field)
 
 
+def _assert_same_csr(got, want, label):
+    assert got.shape == want.shape, label
+    for arr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, arr), getattr(want, arr)), (label, arr)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_field_rows_match_bmat(order):
     config = _config(nx=8, variant="improved", fe_order=order)
@@ -262,18 +269,30 @@ def test_field_rows_match_bmat(order):
     blocks = {
         "interior_trace": ("interior", "trace"),
         "trace_interior": ("trace", "interior"),
-        "trace_trace": ("trace", "trace"),
-        "band_band": ("band", "band"),
-        "band_trace": ("band", "trace"),
-        "trace_band": ("trace", "band"),
+        "near_rows": ("near", "near"),
     }
     for field, name in zip(startup.fields, ("solid", "fluid")):
         for block, (r, c) in blocks.items():
-            got = getattr(field, block)
             want = field_rows_bmat(disc, name, getattr(field, r), getattr(field, c))
-            assert got.shape == want.shape, (name, block)
-            for arr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, arr), getattr(want, arr)), (name, block, arr)
+            _assert_same_csr(getattr(field, block), want, (name, block))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_gamma_is_trace_rows_plus_interface_coupling(order):
+    # Gamma is read off the band system; it is each field's trace rows
+    # against the trace, and the interface mass of the start-up rows
+    config = _config(nx=8, variant="improved", fe_order=order)
+    disc = Discretization(config, dataclasses.replace(case_example1(), nu_f=0.37))
+    startup = disc.first_block_factorization()
+    m = 3 * disc.n_sig
+    traces = [
+        field_rows_bmat(disc, name, field.trace, field.trace)
+        for field, name in zip(startup.fields, ("solid", "fluid"))
+    ]
+    want = sp.block_diag(traces + [sp.csr_matrix((m, m))]) + sp.kron(
+        schemes._interface_coupling(config.alpha), disc.msig
+    )
+    _assert_same_csr(startup.gamma, linalg.finalize_csr(want), "gamma")
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -297,7 +316,8 @@ def test_case_diffusivity_scales_robin_and_startup_rows(order):
     for field, stiff, nu in zip(startup.fields, (disc.stiff_s, disc.stiff_f), (1.0, 0.37)):
         g = field.trace
         # the (D, D) block of the trace rows is nu K: level 1 - level 2 has no mass
-        d_block = field.trace_trace[: g.size][:, : g.size]
+        d = slice(field.band.size, field.near.size)
+        d_block = field.near_rows[d][:, d]
         assert abs(d_block - nu * stiff[g][:, g]).max() == 0.0
         i = field.interior
         x = rng.normal(size=i.size)
@@ -486,16 +506,6 @@ def test_factors_posed_on_free_dofs(order, nx):
             fact_s, fact_f = disc.robin_factorizations()
             assert fact_f.shape == (free_f, free_f)
             assert fact_s.shape == (free_s, free_s)
-
-
-def test_dirichlet_rows_preserved_by_all_variants():
-    case = case_example2()
-    for variant in VARIANTS:
-        config = _config(nx=4, variant=variant, fe_order=2)
-        disc = Discretization(config, case)
-        for s in run(disc):
-            assert np.all(s.u[disc.fluid.dirichlet_mask] == 0.0)
-            assert np.all(s.w[disc.solid.dirichlet_mask] == 0.0)
 
 
 # -- full runs --------------------------------------------------------------
