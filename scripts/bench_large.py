@@ -54,10 +54,10 @@ import rep  # noqa: E402,F401  pins the BLAS/OpenMP threads to 1 before numpy lo
 from run import machine  # noqa: E402
 
 from robinsplit import cli, diagnostics, schemes  # noqa: E402
-from robinsplit.manufactured import get_case  # noqa: E402
+from robinsplit.manufactured import default_order, get_case  # noqa: E402
 
 OUT = ROOT / "BENCH_large.json"
-STUDIES = (("example1", 1), ("example3", 2))
+CASES = ("example1", "example3")  # each at its default_order
 LEVELS = (6, 7, 8)
 T = 0.25
 
@@ -104,7 +104,8 @@ def orders(records):
     """{"<case> P<order> <variant>": {quantity: [6 -> 7, 7 -> 8]}}; None
     where an order is undefined."""
     out = {}
-    for case_name, order in STUDIES:
+    for case_name in CASES:
+        order = default_order(case_name)
         for variant in schemes.VARIANTS:
             runs = sorted(
                 (r for r in records
@@ -137,8 +138,8 @@ def _checkout():
 
 def main():
     specs = [
-        (case_name, order, variant, k)
-        for case_name, order in STUDIES
+        (case_name, default_order(case_name), variant, k)
+        for case_name in CASES
         for variant in schemes.VARIANTS
         for k in LEVELS
     ]

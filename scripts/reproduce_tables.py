@@ -9,12 +9,16 @@ CSV tables under an output directory:
   * example2, quadratic elements, improved start
   * example3, quadratic elements, improved start
 
-The end time defaults to 0.25 so the coarsest level (k=3, four steps) is
-meaningful; the pinned reference numbers in tests/test_acceptance.py were
-measured at this T.  Levels 7 and 8 take a while, ask for them with --large.
-BLAS and OpenMP run on one thread unless the environment says otherwise:
-with --jobs N the runs already share the cores, and a small matrix
-product handed to a second, busy core costs far more than it saves.
+The script itself takes only --out; every other flag (--kmin, --kmax, --T,
+--jobs, --large, --alpha, ...) goes unchanged to each study's
+``robinsplit compare``, which parses and checks it as it does on its own
+command line.  Only --T has a default of its own here, 0.25, so the
+coarsest level (k=3, four steps) is meaningful; the pinned reference
+numbers in tests/test_acceptance.py were measured at this T.  Levels 7 and
+8 take a while, ask for them with --large.  BLAS and OpenMP run on one
+thread unless the environment says otherwise: with --jobs N the runs
+already share the cores, and a small matrix product handed to a second,
+busy core costs far more than it saves.
 
 Usage:
     python scripts/reproduce_tables.py
@@ -35,51 +39,33 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from robinsplit.cli import main as cli_main  # noqa: E402
 
+# (title, case, variants) of each study
+STUDIES = (
+    ("example1 P1, original vs improved start", "example1", ("original", "improved")),
+    ("example2 P2, improved start", "example2", ("improved",)),
+    ("example3 P2, improved start", "example3", ("improved",)),
+)
+
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kmin", type=int, default=3)
-    ap.add_argument("--kmax", type=int, default=6)
-    ap.add_argument("--T", type=float, default=0.25)
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--large", action="store_true", help="admit levels 7 and 8")
+    ap = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="Every other flag (--kmin, --kmax, --T (default 0.25 here), --jobs, "
+        "--large, --alpha, ...) is passed to each study's robinsplit compare.",
+        allow_abbrev=False,
+    )
     ap.add_argument("--out", default="results", help="directory for the CSV tables")
-    args = ap.parse_args()
+    args, passed = ap.parse_known_args()
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    common = [
-        "--kmin", str(args.kmin),
-        "--kmax", str(args.kmax),
-        "--T", str(args.T),
-        "--jobs", str(args.jobs),
-    ]
-    if args.large:
-        common.append("--large")
-
-    studies = [
-        (
-            "example1 P1, original vs improved start",
-            ["compare", "--case", "example1",
-             "--variant", "original", "--variant", "improved",
-             "--out", str(out / "example1")] + common,
-        ),
-        (
-            "example2 P2, improved start",
-            ["compare", "--case", "example2", "--variant", "improved",
-             "--out", str(out / "example2")] + common,
-        ),
-        (
-            "example3 P2, improved start",
-            ["compare", "--case", "example3", "--variant", "improved",
-             "--out", str(out / "example3")] + common,
-        ),
-    ]
-
     t0 = time.perf_counter()
-    for title, argv in studies:
+    for title, case, variants in STUDIES:
         print(f"\n### {title}")
+        # a --T of the user's comes later, so it wins; the study's flags last
+        argv = ["compare", "--T", "0.25", *passed, "--case", case]
+        argv += [f"--variant={v}" for v in variants] + ["--out", str(out / case)]
         code = cli_main(argv)
         if code != 0:
             print(f"study failed with exit code {code}", file=sys.stderr)

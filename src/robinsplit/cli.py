@@ -21,6 +21,7 @@ exactly the in-memory values.
 
 import argparse
 import functools
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -175,8 +176,18 @@ def _sweep(exp):
     failures = []
     if exp.jobs > 1 and len(jobs) > 1:
         # a forked pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(exp.jobs, len(jobs))) as pool:
+        pool = ProcessPoolExecutor(
+            max_workers=min(exp.jobs, len(jobs)), mp_context=multiprocessing.get_context("fork")
+        )
+        try:
             futures = [pool.submit(_run_one, exp, v, k) for v, k in jobs]
+            pool.shutdown()
+        except KeyboardInterrupt:
+            # an interrupted shutdown can wait forever: end every level at
+            # once, as a serial sweep's level ends
+            for child in multiprocessing.active_children():
+                child.kill()
+            raise
         outcomes = [fut.result for fut in futures]
     else:
         outcomes = [functools.partial(_run_one, exp, v, k) for v, k in jobs]
@@ -206,12 +217,11 @@ def _tables(reports, order):
 
 def cmd_run(exp):
     """Execute one (case, variant, level); print and optionally save it."""
-    case = get_case(exp.case)
-    config = exp.scheme_config(exp.k_min, exp.variants[0])
-    report = run_with_errors(case, config, k=exp.k_min)
+    variant, k = exp.variants[0], exp.k_min
+    report = _run_one(exp, variant, k)
     print(
-        f"case={exp.case} variant={exp.variants[0]} k={exp.k_min} "
-        f"dt={report.dt:g} nx={config.nx} order={exp.order}"
+        f"case={exp.case} variant={variant} k={k} "
+        f"dt={report.dt:g} nx={exp.scheme_config(k, variant).nx} order={exp.order}"
     )
     for q in ALL_QUANTITIES:
         print(f"  {q:8s} = {getattr(report, q):.6e}")

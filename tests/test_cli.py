@@ -1,4 +1,10 @@
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -159,6 +165,14 @@ def _fail_at_k2(monkeypatch):
     monkeypatch.setattr(cli, "_run_one", run_one)
 
 
+def test_run_reports_its_level_from_run_one(monkeypatch, capsys):
+    # run goes through the one function every sweep level runs
+    _fail_at_k2(monkeypatch)
+    args = ["run", "--case", "example1", "--variant", "improved", "--kmin", "2", "--T", "1.0"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "run failed: singular matrix\n"
+
+
 def test_compare_one_variant_partial_failure_exit_code(monkeypatch, capsys):
     # k=2 fails to solve; k=1 still completes and the partial table is flagged
     _fail_at_k2(monkeypatch)
@@ -255,19 +269,16 @@ def test_pool_never_outnumbers_level_runs(monkeypatch, capsys):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def submit(self, fn, *args):
             future = Future()
             future.set_result(fn(*args))
             return future
+
+        def shutdown(self):
+            pass
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     args = ["compare", "--case", "example1", "--variant", "original"]
@@ -294,6 +305,52 @@ def test_crashed_worker_reported_per_level(monkeypatch, capsys):
     # one line per level the broken pool left unfinished, and nothing else
     assert all(line.endswith("failed: worker process died; level not completed") for line in lines)
     assert 1 <= len(lines) <= 2
+
+
+_INTERRUPTED_SWEEP = textwrap.dedent(
+    """
+    import sys, time
+    from robinsplit import cli
+
+    def run_one(exp, variant, k):  # module level, so the pool can pickle it
+        open(sys.argv[1], "a").close()
+        time.sleep(600)
+
+    cli._run_one = run_one
+    cli.main(["compare", "--case", "example1", "--variant", "original",
+              "--kmin", "1", "--kmax", "2", "--T", "1.0", "--jobs", "2"])
+    """
+)
+
+
+def test_interrupt_ends_a_parallel_sweep(tmp_path):
+    # SIGINT to the parent alone, once a level runs in the pool, ends the
+    # sweep at once, as it ends a serial one, and leaves no worker behind;
+    # the pool's shutdown must not wait on levels that would run for minutes
+    root = pathlib.Path(__file__).resolve().parents[1]
+    marker = tmp_path / "started"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED_SWEEP, str(marker)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == -signal.SIGINT, err
+        with pytest.raises(ProcessLookupError):  # no process left in its group
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_unknown_case_is_config_error(capsys):

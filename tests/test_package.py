@@ -6,6 +6,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import robinsplit
 
 
@@ -82,6 +84,31 @@ def test_reproduce_tables_writes_the_study(tmp_path):
     assert cli.main(argv + ["--out", str(tmp_path / "direct")]) == 0
     direct = (tmp_path / "direct_final.csv").read_bytes()
     assert (tmp_path / "study" / "example2_final.csv").read_bytes() == direct
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        (["--kmin", "7"], "levels 7 and above need --large"),
+        # the script's own T = 0.25 is one step at k = 1
+        (["--kmin", "1", "--kmax", "2"], "T/dt must be an integer >= 4, got 0.25/0.25"),
+        (["--kmin", "abc"], "argument --kmin: invalid int value: 'abc'"),
+    ],
+    ids=["large", "T", "malformed"],
+)
+def test_reproduce_tables_levels_are_compare_flags(tmp_path, levels, message):
+    # every flag but --out is compare's, parsed and checked by the CLI alone
+    # before any level runs
+    root = pathlib.Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_tables.py"), *levels,
+         "--out", str(tmp_path / "study")],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "config error:" in done.stderr and message in done.stderr, done.stderr
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_reproduce_tables_pins_blas_threads(monkeypatch):
