@@ -3,20 +3,16 @@
 Level k maps to dt = (1/2)^(k+1) and nx = 2^(k+1), so the mesh size h
 equals dt on the unit square.  Levels 7 and 8 multiply runtime and memory
 considerably and are only admitted behind ``--large``; nothing above 8 is
-accepted.  A ``--config`` file's ``key = value`` lines stand for the flags
-of the same names and go through the same parser; they fill only what the
-command line left unset.  A file's ``large`` is one of 1/0, true/false,
-yes/no or on/off in any case, and its ``variant`` names at least one variant.
+accepted.  An experiment is stated by its flags alone.
 
 Exit codes: 0 on success; 2 for a usage or configuration error, found
-before any level runs: a malformed flag or file value, a config file that
-cannot be read, a (level, variant) pair that ``SchemeConfig`` refuses, an
-empty ``--out``, or an ``--out`` or a CSV named after it that is a
-directory or whose directory does not exist; 1 when a level fails to solve
-or gives an error quantity that is not finite, after the tables of the
-levels that completed.  Every CSV goes through ``diagnostics.write_csv``,
-whose floats are written at full precision so parsing a table back yields
-exactly the in-memory values.
+before any level runs: a malformed or unknown flag, a (level, variant) pair
+that ``SchemeConfig`` refuses, an empty ``--out``, or an ``--out`` or a CSV
+named after it that is a directory or whose directory does not exist; 1
+when a level fails to solve or gives an error quantity that is not finite,
+after the tables of the levels that completed.  Every CSV goes through
+``diagnostics.write_csv``, whose floats are written at full precision so
+parsing a table back yields exactly the in-memory values.
 """
 
 import argparse
@@ -286,64 +282,10 @@ def cmd_compare(exp):
 # ---------------------------------------------------------------------------
 # argument handling
 
-_FILE_KEYS = ("case", "variant", "kmin", "kmax", "alpha", "T", "order", "out", "jobs", "large")
-_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
-
-
-def _file_flags(path):
-    """The flags that a config file's ``key = value`` lines stand for.
-
-    ``#`` starts a comment and a key's last line wins.  ``variant`` takes a
-    comma-separated list of at least one name, and ``large`` one of ``_ON``
-    or ``_OFF`` in any case.
-    """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from None
-    values = {}
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FILE_KEYS:
-            raise ConfigurationError(f"unknown config file key {key!r}")
-        values[key] = value
-    flags = []
-    for key, value in values.items():
-        if key == "variant":
-            names = [v.strip() for v in value.split(",") if v.strip()]
-            if not names:
-                raise ConfigurationError(f"{path}: variant = {value!r} names no variant")
-            flags += [f"--variant={v}" for v in names]
-        elif key == "large":
-            if value.lower() not in _ON + _OFF:
-                choices = "/".join(_ON + _OFF)
-                raise ConfigurationError(f"{path}: large must be one of {choices}, got {value!r}")
-            flags += ["--large"] if value.lower() in _ON else []
-        else:
-            flags.append(f"--{key}={value}")
-    return flags
-
-
-def _merge(parser, args):
-    """The experiment of the flags given, then of the config file's lines.
-
-    A field that neither sets keeps its ``ExperimentConfig`` default; the
-    four fields without one take the study defaults (``DEFAULT_*`` above).
-    """
+def _merge(args):
+    """The experiment of the flags given.  A field that no flag sets keeps its
+    ``ExperimentConfig`` default, or else takes its ``DEFAULT_*`` above."""
     values = dict(vars(args))
-    if "config" in values:
-        path = values.pop("config")
-        try:
-            file_args = parser.parse_args([args.command, *_file_flags(path)])
-        except argparse.ArgumentError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
-        values = {**vars(file_args), **values}
     command = values["command"]
     values["variants"] = tuple(values.get("variants", [DEFAULT_VARIANT]))
     values.setdefault("case", DEFAULT_CASE)
@@ -352,9 +294,22 @@ def _merge(parser, args):
     return ExperimentConfig(**values)
 
 
+def parse_flags(argv):
+    """The flags given, by ``ExperimentConfig`` field; an unset one is absent.
+    A malformed or unknown flag is a ``ConfigurationError``."""
+    try:
+        args, unknown = build_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ConfigurationError(exc) from None
+    if unknown:
+        raise ConfigurationError(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
 def build_parser():
-    # unset flags stay out of the namespace, so a config file can fill them;
-    # bad values raise instead of exiting, to be reported as config errors
+    # unset flags stay out of the namespace, so the ExperimentConfig and
+    # DEFAULT_* defaults are the only ones and a caller sees which flags were
+    # given; bad values raise instead of exiting, to be reported as config errors
     parser = argparse.ArgumentParser(
         prog="robinsplit",
         description="Interface-problem splitting schemes: runs and level sweeps.",
@@ -372,10 +327,7 @@ def build_parser():
         p.add_argument("--case", choices=case_names(), help=f"manufactured case (default {DEFAULT_CASE})")
         # dest: the ExperimentConfig field the flag sets
         p.add_argument(
-            "--variant",
-            dest="variants",
-            metavar="VARIANT",
-            action="append",
+            "--variant", dest="variants", metavar="VARIANT", action="append",
             help=f"scheme variant; repeat the flag under compare (default {DEFAULT_VARIANT})",
         )
         p.add_argument(
@@ -390,16 +342,13 @@ def build_parser():
         )
         p.add_argument("--out", help="output CSV path (or path stem)")
         p.add_argument("--jobs", type=int, help="parallel level workers")
-        p.add_argument("--config", help="key=value file; flags override it")
         p.add_argument("--large", dest="allow_large", action="store_true", help="admit levels 7 and 8")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        exp = _merge(parser, args)
+        exp = _merge(parse_flags(argv))
         if exp.command == "run":
             cmd_run(exp)
         else:
@@ -407,7 +356,7 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits on usage errors (code 2) and on --help (code 0)
         return int(exc.code or 0)
-    except (argparse.ArgumentError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

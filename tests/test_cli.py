@@ -423,8 +423,7 @@ def test_help_states_the_defaults_applied(capsys, command, kmin, kmax):
         HELP_KMAX[command],
     ):
         assert line in text
-    parser = cli.build_parser()
-    exp = cli._merge(parser, parser.parse_args([command, "--kmin", str(kmin), "--large"]))
+    exp = cli._merge(cli.parse_flags([command, "--kmin", str(kmin), "--large"]))
     assert (exp.case, exp.variants, exp.k_max) == ("example1", ("improved",), kmax)
 
 
@@ -447,61 +446,6 @@ def test_run_rejects_multiple_variants(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("prefix", ["", "\ufeff"], ids=["plain", "bom"])
-def test_config_file_supplies_defaults(tmp_path, capsys, prefix):
-    # a byte-order mark, as some editors save UTF-8, is not part of a key
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        f"{prefix}# study setup\n"
-        "case = example1\n"
-        "variant = improved\n"
-        "kmin = 1\n"
-        "T = 1.0\n",
-        encoding="utf-8",
-    )
-    code = main(["run", "--config", str(cfg)])
-    assert code == 0
-    assert "case=example1 variant=improved k=1" in capsys.readouterr().out
-
-
-def test_flags_override_config_file(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("case = example2\nvariant = original\nkmin = 1\nT = 1.0\n")
-    code = main(["run", "--config", str(cfg), "--case", "example1"])
-    assert code == 0
-    assert "case=example1 variant=original" in capsys.readouterr().out
-
-
-def test_missing_config_file(capsys):
-    code = main(["run", "--config", "/nonexistent/path.cfg"])
-    assert code == 2
-
-
-def test_malformed_config_line(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("case example1\n")
-    code = main(["run", "--config", str(cfg)])
-    assert code == 2
-
-
-def test_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("flavor = spicy\n")
-    code = main(["run", "--config", str(cfg)])
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "value, flags",
-    [("1", ["--large"]), ("TRUE", ["--large"]), ("Yes", ["--large"]), ("on", ["--large"]),
-     ("0", []), ("False", []), ("NO", []), ("oFF", [])],
-)
-def test_config_file_large_is_a_switch(tmp_path, value, flags):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"large = {value}\n")
-    assert cli._file_flags(str(cfg)) == flags
-
-
 _SWEEP = ["compare", "--case", "example1", "--variant", "original", "--kmin", "1"]
 
 
@@ -509,40 +453,36 @@ _PAIR = ["compare", "--case", "example1", "--variant", "original", "--variant", 
          "--kmin", "1", "--kmax", "2", "--T", "1.0"]
 
 
+_RUN = ["run", "--case", "example1", "--variant", "original", "--kmin", "1"]
+
+
 @pytest.mark.parametrize(
-    "file_text, made, args",
+    "made, args",
     [
-        ("kmin = abc\n", (), ["run"]),
-        ("jobs = 2\n", (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--jobs", "0"]),
-        (None, (), _SWEEP + ["--kmax", "3", "--T", "0.25"]),  # k=1 has one step
-        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--alpha", "-1"]),
-        (None, (), ["run", "--case", "example1", "--variant", "original", "--kmin", "1",
-                    "--T", "nan"]),
-        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/missing/study"]),
-        (None, (), ["run", "--config", "{tmp}"]),
-        (b"case = example\xff1\n", (), ["run"]),
-        (None, (), ["run", "--case", "example1", "--variant", "original", "--kmin", "1",
-                    "--T", "1.0", "--out", "{tmp}"]),
-        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/"]),
+        ((), ["run", "--kmin", "abc"]),
+        ((), _SWEEP + ["--kmax", "2", "--T", "1.0", "--jobs", "0"]),
+        ((), _SWEEP + ["--kmax", "3", "--T", "0.25"]),  # k=1 has one step
+        ((), _SWEEP + ["--kmax", "2", "--T", "1.0", "--alpha", "-1"]),
+        ((), _RUN + ["--T", "nan"]),
+        ((), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/missing/study"]),
+        ((), _RUN + ["--T", "1.0", "--out", "{tmp}"]),
+        ((), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/"]),
         # a directory in the way of a table that the sweep writes at its end
-        (None, ("study_final.csv",), _SWEEP + ["--kmax", "2", "--T", "1.0",
-                                               "--out", "{tmp}/study"]),
-        (None, ("study_improved_sums.csv",), _PAIR + ["--out", "{tmp}/study.csv"]),
-        (None, ("study_orders.csv",), _PAIR + ["--out", "{tmp}/study"]),
-        ("large = maybe\n", (), _SWEEP + ["--kmax", "2", "--T", "1.0"]),
-        ("variant =\n", (), ["run", "--case", "example1", "--kmin", "1", "--T", "1.0"]),
-        ("variant = ,\n", (), ["run", "--case", "example1", "--kmin", "1", "--T", "1.0"]),
-        (None, (), ["convergence"] + _SWEEP[1:] + ["--kmax", "2", "--T", "1.0"]),
-        (None, (), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", ""]),
-        ("out =\n", (), _SWEEP + ["--kmax", "2", "--T", "1.0"]),
+        (("study_final.csv",), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", "{tmp}/study"]),
+        (("study_improved_sums.csv",), _PAIR + ["--out", "{tmp}/study.csv"]),
+        (("study_orders.csv",), _PAIR + ["--out", "{tmp}/study"]),
+        ((), ["convergence"] + _SWEEP[1:] + ["--kmax", "2", "--T", "1.0"]),
+        ((), _SWEEP + ["--kmax", "2", "--T", "1.0", "--out", ""]),
+        # an experiment is stated by its flags alone; a file is not read
+        ((), _RUN + ["--T", "1.0", "--config", "{tmp}/exp.cfg"]),
+        ((), _RUN + ["--T", "1.0", "--bogus"]),
     ],
-    ids=["file-value", "flag-over-file", "infeasible-level", "alpha", "nan", "out-dir",
-         "config-is-dir", "config-not-utf8", "run-out-is-dir", "sweep-out-is-dir",
-         "sweep-table-is-dir", "compare-table-is-dir", "compare-orders-is-dir",
-         "large-not-a-switch", "variant-empty", "variant-only-comma", "removed-command",
-         "out-empty", "out-empty-in-file"],
+    ids=["malformed-value", "jobs-zero", "infeasible-level", "alpha", "nan", "out-dir",
+         "run-out-is-dir", "sweep-out-is-dir", "sweep-table-is-dir", "compare-table-is-dir",
+         "compare-orders-is-dir", "removed-command", "out-empty", "config-flag",
+         "unknown-flag"],
 )
-def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_text, made, args):
+def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, made, args):
     levels = []
     real = cli.run_with_errors
 
@@ -553,11 +493,9 @@ def test_bad_input_refused_before_any_level(tmp_path, monkeypatch, capsys, file_
     monkeypatch.setattr(cli, "run_with_errors", recorded)
     for name in made:
         (tmp_path / name).mkdir()
+    # a file of valid key = value lines, which no flag reads
+    (tmp_path / "exp.cfg").write_text("kmin = 1\nT = 1.0\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
-    if file_text is not None:
-        raw = file_text if isinstance(file_text, bytes) else file_text.encode()
-        (tmp_path / "exp.cfg").write_bytes(raw)
-        argv += ["--config", str(tmp_path / "exp.cfg")]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert levels == []

@@ -57,9 +57,8 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
     lines = [line.split() for line in block.group(1).splitlines() if line.startswith("robinsplit ")]
     assert lines
     monkeypatch.chdir(tmp_path)  # the lines' --out targets are relative
-    parser = cli.build_parser()
     for words in lines:
-        cli._merge(parser, parser.parse_args(words[1:]))
+        cli._merge(cli.parse_flags(words[1:]))
 
 
 def test_reproduce_tables_writes_the_study(tmp_path):
@@ -86,6 +85,14 @@ def test_reproduce_tables_writes_the_study(tmp_path):
     assert (tmp_path / "study" / "example2_final.csv").read_bytes() == direct
 
 
+def _reproduce_tables(monkeypatch):
+    """scripts/reproduce_tables.py's main, loaded in this process; its
+    run_name keeps main() from running, and sys.path is restored after."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return runpy.run_path(str(root / "scripts" / "reproduce_tables.py"), run_name="x")["main"]
+
+
 @pytest.mark.parametrize(
     "levels, message",
     [
@@ -96,31 +103,52 @@ def test_reproduce_tables_writes_the_study(tmp_path):
     ],
     ids=["large", "T", "malformed"],
 )
-def test_reproduce_tables_levels_are_compare_flags(tmp_path, levels, message):
+def test_reproduce_tables_levels_are_compare_flags(tmp_path, monkeypatch, capsys, levels, message):
     # every flag but --out is compare's, parsed and checked by the CLI alone
     # before any level runs
-    root = pathlib.Path(__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_tables.py"), *levels,
-         "--out", str(tmp_path / "study")],
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 2, done.stderr
-    assert "config error:" in done.stderr and message in done.stderr, done.stderr
+    returncode = _reproduce_tables(monkeypatch)([*levels, "--out", str(tmp_path / "study")])
+    stderr = capsys.readouterr().err
+    assert returncode == 2, stderr
+    assert "config error:" in stderr and message in stderr, stderr
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--case", "example2"], "--case"),
+        (["--cas=example2"], "--case"),
+        (["--variant", "monolithic"], "--variant"),
+        (["--ou", "{tmp}/elsewhere"], "--out"),
+    ],
+    ids=["case", "case-abbreviated", "variant", "out-abbreviated"],
+)
+def test_reproduce_tables_refuses_the_flags_each_study_sets(
+    tmp_path, monkeypatch, capsys, flags, flag
+):
+    # each study sets its own case, variants and output stem; compare's
+    # parser decides which flag an argument is, so abbreviations count too
+    from robinsplit import cli
+
+    main = _reproduce_tables(monkeypatch)
+    levels = []
+    monkeypatch.setattr(cli, "run_with_errors", lambda *a, **kw: levels.append(kw["k"]))
+    argv = ["--kmin", "1", "--kmax", "2", "--T", "1.0", "--out", str(tmp_path / "study")]
+    argv += [a.replace("{tmp}", str(tmp_path)) for a in flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag in err, err
+    assert levels == []
     assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_reproduce_tables_pins_blas_threads(monkeypatch):
     # the script's top level pins BLAS/OpenMP to one thread before numpy
-    # loads, unless the environment already sets them; run_name keeps its
-    # main() from running
-    root = pathlib.Path(__file__).resolve().parents[1]
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    # loads, unless the environment already sets them
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     for var in names:
         monkeypatch.delenv(var, raising=False)
-    runpy.run_path(str(root / "scripts" / "reproduce_tables.py"), run_name="x")
+    _reproduce_tables(monkeypatch)
     assert [os.environ.get(var) for var in names] == ["1"] * 3
 
 
